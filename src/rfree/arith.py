@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import InvariantViolationError
 
@@ -273,7 +273,12 @@ class ZetaValue:
         return self.value + self.error_radius
 
     def reciprocal(self) -> "Enclosure":
-        """Enclosure of 1/zeta(s); valid because zeta(s) > 1 > 0 for s >= 2."""
+        """Enclosure of 1/zeta(s); valid because zeta(s) > 1 > 0 for s >= 2.
+        Computed once per value: scans multiply every row by it."""
+        return self._reciprocal
+
+    @cached_property
+    def _reciprocal(self) -> "Enclosure":
         return Enclosure(1 / self.hi, 1 / self.lo)
 
 

@@ -17,6 +17,7 @@ import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from itertools import chain
 
 from .arith import format_fraction, integer_root, sieve_mobius, zeta_value
 from .errors import ResourceLimitError
@@ -185,9 +186,30 @@ def _open_output(path: str | None):
 
 
 def _frac_sci(q: Fraction, sig: int = 6) -> str:
+    """q as d.dddddde+XX with ``sig`` digits after the point, rounded half
+    to even from the exact rational: the text float formatting gives for
+    every q a float holds exactly, without its underflow or overflow."""
     if q == 0:
         return "0"
-    return f"{float(q):.{sig}e}"
+    num, den = abs(q.numerator), q.denominator
+
+    def digits_at(exp: int) -> int:
+        # num/den * 10^(sig - exp), rounded half to even
+        shift = sig - exp
+        n, d = num * 10 ** max(shift, 0), den * 10 ** max(-shift, 0)
+        digits, rem = divmod(n, d)
+        return digits + (2 * rem > d or (2 * rem == d and digits % 2))
+
+    # the bit lengths give the decimal exponent to within one
+    exp = (num.bit_length() - den.bit_length()) * 30103 // 100000
+    while (digits := digits_at(exp)) >= 10 ** (sig + 1):
+        exp += 1
+    while digits < 10**sig:
+        exp -= 1
+        digits = digits_at(exp)
+    text = str(digits)
+    sign = "-" if q < 0 else ""
+    return f"{sign}{text[0]}.{text[1:]}e{exp:+03d}"
 
 
 # ---------------------------------------------------------------------------
@@ -296,18 +318,24 @@ def _cmd_scan(args, parser: argparse.ArgumentParser) -> int:
         sieve_limit=cfg.sieve_limit,
     )
     try:
+        # Drawing the first record checks the arguments before any output.
+        first = next(records)
         out, close = _open_output(cfg.output_path)
+        try:
+            if cfg.output_format == "json":
+                records_to_json(chain([first], records), cfg.places, out)
+            else:
+                records_to_csv(chain([first], records), cfg.places, out)
+            out.flush()
+        finally:
+            if close:
+                out.close()
     except ResourceWriteError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    try:
-        if cfg.output_format == "json":
-            records_to_json(records, cfg.places, out)
-        else:
-            records_to_csv(records, cfg.places, out)
     finally:
-        if close:
-            out.close()
+        # Leaves a worker pool through its context manager.
+        records.close()
     return 0
 
 
@@ -499,6 +527,11 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed stdout: drop what is still buffered for it, so
+        # the flush at exit neither fails nor prints.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     raise AssertionError("unreachable")
 
 

@@ -13,10 +13,13 @@ seventy-plus digits, where floats carry no information at all.
 from __future__ import annotations
 
 import math
+import os
+from collections import deque
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, NamedTuple
 
 from .arith import (
@@ -34,6 +37,7 @@ from .lattice import (
     DEFAULT_PRECISION,
     CountParams,
     CountRecord,
+    count_progression,
     count_record,
     decimal_places,
 )
@@ -405,23 +409,40 @@ def proposition_residual_scan(
 # ---------------------------------------------------------------------------
 
 MAX_SCAN_RECORDS = 10**6
+# Rows per scan chunk: one count_progression call and one unit of pool work.
+SCAN_CHUNK = 256
 
 _WORKER_STATE: dict = {}
 
 
-def _scan_worker_init(limit: int, s: int, precision: Fraction) -> None:
-    _WORKER_STATE["table"] = sieve_mobius(limit)
-    _WORKER_STATE["zeta"] = zeta_value(s, precision)
+def _scan_worker_init(limit: int, r: int, k: int, precision: Fraction, places: int) -> None:
+    _WORKER_STATE.update(
+        r=r, k=k, precision=precision, places=places,
+        table=sieve_mobius(limit), zeta=zeta_value(r * k, precision),
+    )
 
 
-def _scan_worker_chunk(args) -> list[CountRecord]:
-    r, k, xs, precision, places = args
-    table = _WORKER_STATE["table"]
-    zeta = _WORKER_STATE["zeta"]
+def _pool_chunk(xs: range) -> list[CountRecord]:
+    return _scan_chunk(xs, **_WORKER_STATE)
+
+
+def _scan_chunk(
+    xs: range, r: int, k: int, precision: Fraction, places: int,
+    table: MobiusTable, zeta: ZetaValue,
+) -> list[CountRecord]:
+    """The records of one chunk: one count_progression call for the
+    counts, then one count_record per x around them."""
+    counts = count_progression(r, k, xs, table)
     return [
-        count_record(CountParams(r=r, k=k, x=x), precision, table, zeta, places)
-        for x in xs
+        count_record(CountParams(r=r, k=k, x=x), precision, table, zeta, places, V=V)
+        for x, V in zip(xs, counts)
     ]
+
+
+def scan_workers(requested: int, chunks: int, cpus: int | None) -> int:
+    """Worker processes worth starting for a scan of ``chunks`` chunks:
+    no more than requested, than ``cpus`` (os.cpu_count()), or than chunks."""
+    return max(1, min(requested, cpus or 1, chunks))
 
 
 def error_scan(
@@ -438,10 +459,15 @@ def error_scan(
 ) -> Iterator[CountRecord]:
     """Emit a CountRecord per sampled x, in ascending order.
 
-    Deterministic for fixed arguments regardless of worker count: records
-    are computed independently and merged in x order, and every quantity is
-    exact or derived from the same fixed-precision zeta enclosure.
-    ``sieve_limit`` presizes the Mobius table beyond the scan's own needs.
+    The rows are cut into chunks of SCAN_CHUNK consecutive samples; each
+    chunk is counted by one count_progression call. With more than one
+    worker (clamped by scan_workers) the chunks go to a process pool in
+    batches of one chunk per worker, at most two batches at a time, so the
+    records held in this process stay O(workers * SCAN_CHUNK) for any
+    range. Deterministic for fixed arguments regardless of worker count:
+    every quantity is exact or derived from the same fixed-precision zeta
+    enclosure. ``sieve_limit`` presizes the Mobius table beyond the scan's
+    own needs. The arguments are checked when the first record is drawn.
     """
     if x_min < 2:
         raise ValueError("x_min must be >= 2")
@@ -457,27 +483,29 @@ def error_scan(
     precision = Fraction(precision)
     places = decimal_places(precision)
     limit = max(integer_root(x_max, r), 1, sieve_limit or 1)
-    if workers <= 1:
+    chunks = (xs[i : i + SCAN_CHUNK] for i in range(0, len(xs), SCAN_CHUNK))
+    workers = scan_workers(workers, -(-len(xs) // SCAN_CHUNK), os.cpu_count())
+    if workers == 1:
         if table is None:
             table = sieve_mobius(limit)
         zeta = zeta_value(r * k, precision)
-        for x in xs:
-            yield count_record(CountParams(r=r, k=k, x=x), precision, table, zeta, places)
+        for chunk in chunks:
+            yield from _scan_chunk(chunk, r, k, precision, places, table, zeta)
         return
     from concurrent.futures import ProcessPoolExecutor
 
-    chunk_size = max(1, math.ceil(len(xs) / (workers * 4)))
-    chunks = [
-        (r, k, list(xs[i : i + chunk_size]), precision, places)
-        for i in range(0, len(xs), chunk_size)
-    ]
     with ProcessPoolExecutor(
         max_workers=workers,
         initializer=_scan_worker_init,
-        initargs=(limit, r * k, precision),
+        initargs=(limit, r, k, precision, places),
     ) as pool:
-        for records in pool.map(_scan_worker_chunk, chunks):
-            yield from records
+        # the next batch is submitted before the oldest one is drained
+        batches = deque([pool.map(_pool_chunk, list(islice(chunks, workers)))])
+        while batches:
+            if batch := list(islice(chunks, workers)):
+                batches.append(pool.map(_pool_chunk, batch))
+            for records in batches.popleft():
+                yield from records
 
 
 @dataclass(frozen=True)

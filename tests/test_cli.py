@@ -1,9 +1,18 @@
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
-from rfree.cli import main, parse_scan_csv, CSV_COLUMNS
+from rfree import zeta_value
+from rfree.cli import _frac_sci, main, parse_scan_csv, CSV_COLUMNS
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(argv, capsys):
@@ -116,6 +125,44 @@ def test_scan_rejects_inverted_range(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "bounds,code,message",
+    [
+        (["--x-min", "1", "--x-max", "5"], 2, "x_min must be >= 2"),
+        (["--x-min", "2", "--x-max", "2000000"], 1, "limit is"),
+    ],
+)
+def test_scan_rejects_input_before_any_output(tmp_path, capsys, bounds, code, message):
+    out_path = tmp_path / "scan.csv"
+    got, out, err = run_cli(["scan", "--r", "2", "--k", "2", *bounds], capsys)
+    assert (got, out) == (code, "")
+    assert message in err
+    got, out, _ = run_cli(
+        ["scan", "--r", "2", "--k", "2", *bounds, "--output", str(out_path)], capsys
+    )
+    assert (got, out) == (code, "")
+    assert not out_path.exists()
+
+
+def test_scan_into_closed_pipe_exits_quietly():
+    # ~600 KB of rows: more than a pipe holds once the reader has gone
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "rfree.cli", "scan", "--r", "2", "--k", "2",
+         "--x-min", "10000", "--x-max", "14000", "--workers", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    try:
+        header = proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+    assert header == (",".join(CSV_COLUMNS) + "\n").encode()
+    assert (proc.returncode, err) == (1, b"")
+
+
 def test_scan_to_file_and_report(tmp_path, capsys):
     out_path = tmp_path / "scan.csv"
     code, _, _ = run_cli(
@@ -206,6 +253,35 @@ def test_zeta_command(capsys):
     assert code == 0
     assert "zeta(4) = 1.0823232337" in out
     assert "error_radius" in out
+
+
+def test_zeta_radius_below_float_range(capsys):
+    code, out, _ = run_cli(["zeta", "--s", "4", "--precision", "1e-900"], capsys)
+    assert code == 0
+    value, radius, depth = out.splitlines()
+    z = zeta_value(4, Fraction(1, 10**900))
+    assert value.startswith("zeta(4) = 1.0823232337111381915160036965411679027747")
+    assert depth == f"depth = {z.depth}"
+    printed = Fraction(Decimal(radius.removeprefix("error_radius <= ")))
+    # six digits after the point: within half a unit of the 7th significant digit
+    assert 0 < printed <= Fraction(1, 10**900)
+    assert abs(printed - z.error_radius) <= printed / 10**6
+
+
+@pytest.mark.parametrize(
+    "q",
+    [Fraction(1, 20), Fraction(-3, 64), Fraction(181, 256), Fraction(-1, 16),
+     Fraction(10**300, 7), Fraction(-2, 10**300), Fraction(7)],
+)
+def test_frac_sci_matches_float_formatting(q):
+    assert _frac_sci(q) == f"{float(q):.6e}"
+
+
+def test_frac_sci_outside_float_range():
+    assert _frac_sci(Fraction(1, 10**900)) == "1.000000e-900"
+    assert _frac_sci(Fraction(-(10**400), 3)) == "-3.333333e+399"
+    assert _frac_sci(Fraction(9_999_999_5, 10**1007)) == "1.000000e-999"
+    assert _frac_sci(Fraction(0)) == "0"
 
 
 def test_precision_env_fallback(capsys, monkeypatch):

@@ -2,9 +2,12 @@ import math
 from decimal import Decimal
 from fractions import Fraction
 from itertools import product
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from rfree import lattice
 from rfree import (
     CountParams,
     count_fast,
@@ -15,7 +18,12 @@ from rfree import (
 )
 from rfree.arith import ln_decimal, rfree_sieve
 from rfree.errors import ResourceLimitError
-from rfree.lattice import decimal_places, error_normalization
+from rfree.lattice import (
+    count_progression,
+    decimal_places,
+    error_normalization,
+    increments_pay,
+)
 
 
 def test_params_validation():
@@ -114,6 +122,68 @@ def test_zero_coordinate_shell_decomposition():
 
 
 # ---------------------------------------------------------------------------
+# Progressions
+# ---------------------------------------------------------------------------
+
+def _per_row(r, k, xs, table):
+    return [count_fast(CountParams(r=r, k=k, x=x), table) for x in xs]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    r=st.integers(1, 4),
+    k=st.integers(1, 4),
+    step=st.sampled_from([1, 2, 3, 7, 50, 1000]),
+    t=st.integers(1, 40),
+    before=st.integers(0, 3000),
+    rows=st.integers(1, 12),
+    incremental=st.booleans(),
+)
+def test_count_progression_matches_count_fast(tables, r, k, step, t, before, rows, incremental):
+    # windows start up to 3000 below the perfect power t^r, so that most
+    # of them step across it
+    first = max(0, t**r - before)
+    xs = range(first, first + rows * step, step)
+    table = tables(12_000)  # covers x <= 40 + 11 * 1000 at r = 1
+    with mock.patch.object(lattice, "increments_pay", return_value=incremental):
+        assert count_progression(r, k, xs, table) == _per_row(r, k, xs, table)
+
+
+def test_count_progression_across_powers_from_zero(tables):
+    # every x in 0..1200, so each t^r <= 1200 enters at its own row
+    table = tables(1200)
+    with mock.patch.object(lattice, "increments_pay", return_value=True):
+        for r in (1, 2, 3, 4):
+            for k in (1, 2, 3):
+                xs = range(0, 1201)
+                assert count_progression(r, k, xs, table) == _per_row(r, k, xs, table)
+
+
+def test_count_progression_edges(tables):
+    table = tables(100)
+    assert count_progression(2, 2, range(50, 50), table) == []
+    assert count_progression(2, 2, range(50, 51), table) == _per_row(2, 2, [50], table)
+    with pytest.raises(ValueError):
+        count_progression(2, 2, range(10, 0, -1), table)
+    with pytest.raises(ValueError):
+        count_progression(1, 2, range(90, 200), table)
+
+
+def test_increments_pay_chooses_the_cheaper_path():
+    # r = 1, step 60000: 16 rows from 1e5 to 1e6. Increments would step on
+    # ~13 million multiples, about 3.5x the time of count_fast per row.
+    xs = range(100_000, 1_000_001, 60_000)
+    assert not increments_pay(1, len(xs), xs[-1] - xs[0], xs[-1])
+    # 256 step-1 rows near 1e6: increments win ~80x (r = 1) and ~70x (r = 2)
+    assert increments_pay(1, 256, 255, 10**6)
+    assert increments_pay(2, 256, 255, 1000)
+    # r = 2, step 1000 near 1e6: 256 rows span 255,000, ~4x slower sieved
+    assert not increments_pay(2, 256, 255_000, 1127)
+    # a single row has nothing to increment
+    assert not increments_pay(2, 1, 0, 1000)
+
+
+# ---------------------------------------------------------------------------
 # Records
 # ---------------------------------------------------------------------------
 
@@ -148,6 +218,15 @@ def test_count_record_invariants(tables):
         assert 0 <= rec.V <= (2 * x + 1) ** k
         assert rec.error.contains(rec.V - rec.main_term.mid)
         assert rec.main_term.radius < Fraction(1, 10**20)
+
+
+def test_count_record_with_given_count(tables):
+    t = tables(1000)
+    z = zeta_value(4)
+    for x in (2, 999, 10**6):
+        params = CountParams(r=2, k=2, x=x)
+        given_count = count_fast(params, t)
+        assert count_record(params, zeta=z, V=given_count) == count_record(params, table=t, zeta=z)
 
 
 def test_count_record_x_bounds():

@@ -1,10 +1,14 @@
 import random
+from concurrent.futures import ProcessPoolExecutor
 from decimal import Decimal
 from fractions import Fraction
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from rfree import omega
 from rfree import (
     FracSumParams,
     error_scan,
@@ -23,7 +27,7 @@ from rfree import (
 )
 from rfree.arith import integer_root, ln_decimal
 from rfree.errors import ResourceLimitError
-from rfree.omega import FracSumFloat
+from rfree.omega import SCAN_CHUNK, FracSumFloat, scan_workers
 
 PI_50 = Fraction(Decimal("3.14159265358979323846264338327950288419716939937510"))
 ONE_MINUS_RECIP_ZETA2 = 1 - 6 / (PI_50 * PI_50)  # 1 - 6/pi^2, good to ~5e-50
@@ -382,6 +386,54 @@ def test_error_scan_parallel_matches_serial(tables):
         assert a.main_term == b.main_term
         assert a.error == b.error
         assert a.normalized_error == b.normalized_error
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    rk=st.sampled_from([(1, 2), (1, 3), (2, 1), (2, 2), (3, 1), (3, 2)]),
+    step=st.sampled_from([2, 3, 7]),
+    x_min=st.integers(2, 5000),
+    extra=st.integers(1, SCAN_CHUNK),
+)
+def test_error_scan_workers_agree_across_chunks(rk, step, x_min, extra):
+    # more than three chunks; two CPUs, so that the pool runs on any host
+    r, k = rk
+    x_max = x_min + step * (3 * SCAN_CHUNK + extra)
+    serial = list(error_scan(r, k, x_min, x_max, step=step, workers=1))
+    with mock.patch.object(omega.os, "cpu_count", return_value=2):
+        parallel = list(error_scan(r, k, x_min, x_max, step=step, workers=2))
+    assert [rec.x for rec in serial] == list(range(x_min, x_max + 1, step))
+    assert parallel == serial
+
+
+def test_error_scan_pool_window_is_bounded(monkeypatch):
+    # Seven chunks on two workers: four batches, and no more than two of
+    # them submitted before the first record is handed out.
+    monkeypatch.setattr(omega.os, "cpu_count", lambda: 2)
+    batches = []
+    original_map = ProcessPoolExecutor.map
+
+    def recording_map(self, fn, chunks):
+        batches.append(list(chunks))
+        return original_map(self, fn, batches[-1])
+
+    monkeypatch.setattr(ProcessPoolExecutor, "map", recording_map)
+    records = error_scan(2, 2, 100, 100 + 7 * SCAN_CHUNK - 1, workers=2)
+    assert next(records).x == 100
+    assert len(batches) == 2
+    rest = list(records)
+    assert [len(batch) for batch in batches] == [2, 2, 2, 1]
+    assert all(len(chunk) == SCAN_CHUNK for batch in batches for chunk in batch)
+    assert [rec.x for rec in rest] == list(range(101, 100 + 7 * SCAN_CHUNK))
+
+
+def test_scan_workers_clamp():
+    assert scan_workers(64, 1, 8) == 1      # a 10-row scan is one chunk
+    assert scan_workers(64, 40, 8) == 8     # no more than the CPUs
+    assert scan_workers(2, 40, 8) == 2      # no more than requested
+    assert scan_workers(4, 3, 8) == 3       # no more than the chunks
+    assert scan_workers(4, 40, None) == 1   # CPU count unknown
+    assert scan_workers(1, 40, 8) == 1
 
 
 def _fake_records(pairs):
