@@ -39,8 +39,7 @@ class MobiusTable:
     """Sieved mu values and Mertens prefix sums, 1-indexed.
 
     mu[n] is mu(n) for 1 <= n <= limit (index 0 is an unused sentinel), and
-    mertens[n] = sum_{d<=n} mu(d). Immutable after construction; safe to share
-    across scan workers.
+    mertens[n] = sum_{d<=n} mu(d). Immutable after construction.
     """
 
     limit: int
@@ -370,12 +369,6 @@ class Enclosure:
     def rsub(self, c) -> "Enclosure":
         """Enclosure of c - self for an exact scalar c."""
         return Enclosure(c - self.hi, c - self.lo)
-
-    def scale(self, c) -> "Enclosure":
-        """Enclosure of c * self for an exact scalar c >= 0."""
-        if c < 0:
-            raise ValueError("scale expects a nonnegative scalar")
-        return Enclosure(self.lo * c, self.hi * c)
 
     def div_pos(self, den_lo: Fraction, den_hi: Fraction) -> "Enclosure":
         """Enclosure of self / d for d in [den_lo, den_hi], 0 < den_lo."""

@@ -1,11 +1,12 @@
 """Command-line surface: count, jordan, partial-sum, identity, scan, witness,
 zeta, report.
 
-Configuration flags fall back to RFREE_-prefixed environment variables
-(RFREE_PRECISION, RFREE_SIEVE_LIMIT, RFREE_ENUMERATION_BUDGET, RFREE_WORKERS,
-RFREE_OUTPUT_FORMAT, RFREE_OUTPUT_PATH). Exit status is 0 iff every check in
-the invocation passed; usage errors exit 2. Exact integers are always printed
-in full decimal, never scientific notation.
+Each subcommand declares only the flags it reads. Those flags fall back to
+RFREE_-prefixed environment variables (RFREE_PRECISION,
+RFREE_ENUMERATION_BUDGET, RFREE_OUTPUT_FORMAT, RFREE_OUTPUT_PATH). Exit
+status is 0 iff every check in the invocation passed; usage errors exit 2.
+Exact integers are always printed in full decimal, never scientific
+notation.
 """
 
 from __future__ import annotations
@@ -29,33 +30,7 @@ from .umbral import identity_check
 CSV_COLUMNS = ["x", "V", "main_term", "error", "normalized_error", "density"]
 
 
-@dataclass
-class RunConfig:
-    precision: Fraction = Fraction(1, 10**30)
-    sieve_limit: int | None = None
-    enumeration_budget: int = 10**8
-    worker_count: int = 0  # 0 means available parallelism
-    output_format: str = "csv"
-    output_path: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.precision <= 0:
-            raise ValueError("precision must be positive")
-        if self.enumeration_budget < 1:
-            raise ValueError("enumeration budget must be positive")
-
-    @property
-    def places(self) -> int:
-        return decimal_places(self.precision)
-
-    @property
-    def workers(self) -> int:
-        if self.worker_count > 0:
-            return self.worker_count
-        return os.cpu_count() or 1
-
-
-def _env(name: str, default):
+def _env(name: str, default: str | None) -> str | None:
     return os.environ.get(f"RFREE_{name}", default)
 
 
@@ -81,29 +56,6 @@ def _pos_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
     return value
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        precision=args.precision
-        if args.precision is not None
-        else _parse_precision(str(_env("PRECISION", "1e-30"))),
-        sieve_limit=args.sieve_limit
-        if getattr(args, "sieve_limit", None) is not None
-        else (int(_env("SIEVE_LIMIT", 0)) or None),
-        enumeration_budget=args.budget
-        if getattr(args, "budget", None) is not None
-        else int(_env("ENUMERATION_BUDGET", 10**8)),
-        worker_count=args.workers
-        if getattr(args, "workers", None) is not None
-        else int(_env("WORKERS", 0)),
-        output_format=args.format
-        if getattr(args, "format", None) is not None
-        else str(_env("OUTPUT_FORMAT", "csv")),
-        output_path=args.output
-        if getattr(args, "output", None) is not None
-        else (_env("OUTPUT_PATH", None) or None),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -217,20 +169,17 @@ def _frac_sci(q: Fraction, sig: int = 6) -> str:
 # ---------------------------------------------------------------------------
 
 def _cmd_count(args) -> int:
-    cfg = config_from_args(args)
     params = CountParams(r=args.r, k=args.k, x=args.x)
-    table = sieve_mobius(
-        max(integer_root(args.x, args.r), 1, cfg.sieve_limit or 1)
-    )
-    rec = count_record(params, cfg.precision, table=table)
-    fields = record_fields(rec, cfg.places)
+    rec = count_record(params, args.precision)
+    places = decimal_places(args.precision)
+    fields = record_fields(rec, places)
     status = 0
     lines = [f"r={args.r} k={args.k} x={args.x}"]
     lines += [f"{name} = {fields[name]}" for name in CSV_COLUMNS[1:]]
     oracle = None
     if args.oracle:
         try:
-            oracle = count_oracle(params, budget=cfg.enumeration_budget)
+            oracle = count_oracle(params, budget=args.budget)
         except ResourceLimitError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
@@ -239,23 +188,22 @@ def _cmd_count(args) -> int:
         lines.append(f"agreement = {'true' if agree else 'false'}")
         if not agree:
             status = 1
-    if cfg.output_format == "json" or args.format == "json":
-        records_to_json([rec], cfg.places, sys.stdout)
+    if args.format == "json":
+        records_to_json([rec], places, sys.stdout)
     elif args.format == "csv":
-        records_to_csv([rec], cfg.places, sys.stdout)
+        records_to_csv([rec], places, sys.stdout)
     else:
         print("\n".join(lines))
     return status
 
 
 def _cmd_jordan(args) -> int:
-    cfg = config_from_args(args)
     params = TotientParams(r=args.r, k=args.k)
     value = jordan(args.n, params)
     print(f"J(r={args.r}, k={args.k}, n={args.n}) = {value}")
     if args.oracle:
         try:
-            oracle = jordan_oracle(args.n, params, budget=cfg.enumeration_budget)
+            oracle = jordan_oracle(args.n, params, budget=args.budget)
         except ResourceLimitError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
@@ -286,7 +234,9 @@ def _cmd_partial_sum(args) -> int:
     return 0
 
 
-def _cmd_identity(args) -> int:
+def _cmd_identity(args, parser: argparse.ArgumentParser) -> int:
+    if args.x_min > args.x_max:
+        parser.error("--x-min must not exceed --x-max")
     table = sieve_mobius(max(integer_root(args.x_max, args.r), 1))
     mismatches = 0
     for x in range(args.x_min, args.x_max + 1):
@@ -304,28 +254,21 @@ def _cmd_identity(args) -> int:
 
 
 def _cmd_scan(args, parser: argparse.ArgumentParser) -> int:
-    cfg = config_from_args(args)
     if args.x_min > args.x_max:
         parser.error("--x-min must not exceed --x-max")
     records = error_scan(
-        args.r,
-        args.k,
-        args.x_min,
-        args.x_max,
-        step=args.step,
-        precision=cfg.precision,
-        workers=cfg.workers,
-        sieve_limit=cfg.sieve_limit,
+        args.r, args.k, args.x_min, args.x_max, step=args.step, precision=args.precision
     )
+    places = decimal_places(args.precision)
     try:
         # Drawing the first record checks the arguments before any output.
         first = next(records)
-        out, close = _open_output(cfg.output_path)
+        out, close = _open_output(args.output)
         try:
-            if cfg.output_format == "json":
-                records_to_json(chain([first], records), cfg.places, out)
+            if args.format == "json":
+                records_to_json(chain([first], records), places, out)
             else:
-                records_to_csv(chain([first], records), cfg.places, out)
+                records_to_csv(chain([first], records), places, out)
             out.flush()
         finally:
             if close:
@@ -333,9 +276,6 @@ def _cmd_scan(args, parser: argparse.ArgumentParser) -> int:
     except ResourceWriteError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    finally:
-        # Leaves a worker pool through its context manager.
-        records.close()
     return 0
 
 
@@ -381,9 +321,9 @@ def _cmd_witness(args, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_zeta(args) -> int:
-    cfg = config_from_args(args)
-    z = zeta_value(args.s, cfg.precision)
-    print(f"zeta({args.s}) = {format_fraction(z.value, cfg.places)}")
+    z = zeta_value(args.s, args.precision)
+    places = decimal_places(args.precision)
+    print(f"zeta({args.s}) = {format_fraction(z.value, places)}")
     print(f"error_radius <= {_frac_sci(z.error_radius)}")
     print(f"depth = {z.depth}")
     return 0
@@ -418,16 +358,26 @@ def _cmd_report(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--precision", type=_parse_precision, default=None,
+# Flags read by some subcommands; an unset flag takes its RFREE_ variable,
+# which argparse then parses like the flag's own text.
+
+def _add_precision(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--precision", type=_parse_precision,
+                     default=_env("PRECISION", "1e-30"),
                      help="zeta enclosure target (default 1e-30, env RFREE_PRECISION)")
-    sub.add_argument("--sieve-limit", type=_pos_int, default=None)
-    sub.add_argument("--budget", type=_pos_int, default=None,
-                     help="enumeration budget in tuples (env RFREE_ENUMERATION_BUDGET)")
-    sub.add_argument("--workers", type=_pos_int, default=None,
-                     help="parallel workers for scans (env RFREE_WORKERS)")
-    sub.add_argument("--format", choices=("text", "csv", "json"), default=None)
-    sub.add_argument("--output", default=None, help="write output to this path")
+
+
+def _add_budget(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--budget", type=_pos_int,
+                     default=_env("ENUMERATION_BUDGET", str(10**8)),
+                     help="enumeration budget in tuples (default 1e8, "
+                          "env RFREE_ENUMERATION_BUDGET)")
+
+
+def _add_format(sub: argparse.ArgumentParser, default: str) -> None:
+    sub.add_argument("--format", choices=("text", "csv", "json"),
+                     default=_env("OUTPUT_FORMAT", default),
+                     help=f"output format (default {default}, env RFREE_OUTPUT_FORMAT)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -444,28 +394,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=_nonneg_int, required=True)
     p.add_argument("--oracle", action="store_true",
                    help="also enumerate the box and check agreement")
-    _add_common(p)
+    _add_precision(p)
+    _add_budget(p)
+    _add_format(p, "text")
 
     p = sub.add_parser("jordan", help="generalized Jordan totient at one n")
     p.add_argument("--n", type=_pos_int, required=True)
     p.add_argument("--r", type=_pos_int, required=True)
     p.add_argument("--k", type=_nonneg_int, required=True)
     p.add_argument("--oracle", action="store_true")
-    _add_common(p)
+    _add_budget(p)
 
     p = sub.add_parser("partial-sum", help="sum of J_{k-1}^r(n) for n <= x")
     p.add_argument("--x", type=_nonneg_int, required=True)
     p.add_argument("--r", type=_pos_int, required=True)
     p.add_argument("--k", type=_pos_int, required=True)
     p.add_argument("--method", choices=("direct", "bernoulli", "both"), default="both")
-    _add_common(p)
 
     p = sub.add_parser("identity", help="check the polynomial identity on 0..x_max")
     p.add_argument("--r", type=_pos_int, required=True)
     p.add_argument("--k", type=_pos_int, required=True)
     p.add_argument("--x-max", dest="x_max", type=_nonneg_int, required=True)
     p.add_argument("--x-min", dest="x_min", type=_nonneg_int, default=0)
-    _add_common(p)
 
     p = sub.add_parser("scan", help="CountRecord stream over an x range")
     p.add_argument("--r", type=_pos_int, required=True)
@@ -473,7 +423,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x-min", dest="x_min", type=_pos_int, required=True)
     p.add_argument("--x-max", dest="x_max", type=_pos_int, required=True)
     p.add_argument("--step", type=_pos_int, default=1)
-    _add_common(p)
+    _add_precision(p)
+    _add_format(p, "csv")
+    p.add_argument("--output", default=_env("OUTPUT_PATH", None) or None,
+                   help="write output to this path (env RFREE_OUTPUT_PATH)")
+    p.add_argument("--workers", type=_pos_int, default=None,
+                   help="accepted and ignored: a scan runs in one process")
 
     p = sub.add_parser("witness", help="certified negativity at constructed witnesses")
     p.add_argument("--large", action="store_true", help="r >= 2, r*k >= 4 branch")
@@ -486,17 +441,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="truncation cutoff D (default: exact for --large, 100 for --small; "
                         "--small certifies -1/20 for r=2 only from about D=1000, "
                         "and never for r=3)")
-    _add_common(p)
 
     p = sub.add_parser("zeta", help="zeta(s) with rigorous error radius")
     p.add_argument("--s", type=_pos_int, required=True)
-    _add_common(p)
+    _add_precision(p)
 
     p = sub.add_parser("report", help="two-window non-decay ratio from a scan CSV")
     p.add_argument("--split", type=_pos_int, required=True)
     p.add_argument("--input", default=None, help="scan CSV path (default: stdin)")
     p.add_argument("--min-ratio", dest="min_ratio", type=float, default=None)
-    _add_common(p)
 
     return parser
 
@@ -512,7 +465,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "partial-sum":
             return _cmd_partial_sum(args)
         if args.command == "identity":
-            return _cmd_identity(args)
+            return _cmd_identity(args, parser)
         if args.command == "scan":
             return _cmd_scan(args, parser)
         if args.command == "witness":

@@ -13,14 +13,10 @@ seventy-plus digits, where floats carry no information at all.
 from __future__ import annotations
 
 import math
-import os
-from collections import deque
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from itertools import islice
-from typing import Callable, NamedTuple
 
 from .arith import (
     Enclosure,
@@ -66,62 +62,39 @@ class FracSumParams:
             raise ValueError("x must be >= 0")
 
 
-class FracSumFloat(NamedTuple):
-    """Float-mode result: value plus a linear accumulated-error estimate
-    (one ulp per term; an estimate, not a rigorous bound)."""
-
-    value: float
-    error_estimate: float
-
-
-def frac_sum(
-    params: FracSumParams, table: MobiusTable, mode: str = "exact"
-) -> Fraction | FracSumFloat:
-    """The full sum over d <= floor(x^(1/r)).
-
-    Exact mode returns a Fraction and is guarded at floor(x^(1/r)) <= 1e5;
-    beyond that use truncated_frac_sum. Float mode trades exactness for
-    speed and reports its error estimate.
-    """
+def _frac_sum_upto(
+    params: FracSumParams, top: int, mu_of: Callable[[int], int]
+) -> Fraction:
+    # sum_{d <= top} mu(d) d^(-rj) {x / d^r}^i, exactly
     r, j, i, x = params.r, params.j, params.i, params.x
-    root = integer_root(x, r)
-    if mode == "exact" and root > EXACT_ROOT_LIMIT:
+    total = Fraction(0)
+    for d in range(1, top + 1):
+        m = mu_of(d)
+        if not m:
+            continue
+        drr = d**r
+        rem = x % drr
+        if i and not rem:
+            continue
+        term = Fraction(rem, drr) ** i / d ** (r * j)
+        total += term if m == 1 else -term
+    return total
+
+
+def frac_sum(params: FracSumParams, table: MobiusTable) -> Fraction:
+    """The full sum over d <= floor(x^(1/r)), exactly.
+
+    Guarded at floor(x^(1/r)) <= 1e5; beyond that use truncated_frac_sum.
+    """
+    root = integer_root(params.x, params.r)
+    if root > EXACT_ROOT_LIMIT:
         raise ResourceLimitError(
-            f"floor(x^(1/r)) = {root} exceeds exact-mode guard "
+            f"floor(x^(1/r)) = {root} exceeds exact-sum guard "
             f"{EXACT_ROOT_LIMIT}; use truncated_frac_sum"
         )
     if table.limit < root:
         raise ValueError(f"table sieved to {table.limit}, need {root}")
-    mu = table.mu
-    if mode == "exact":
-        total = Fraction(0)
-        for d in range(1, root + 1):
-            m = mu[d]
-            if not m:
-                continue
-            drr = d**r
-            rem = x % drr
-            if i and not rem:
-                continue
-            term = Fraction(rem, drr) ** i / d ** (r * j)
-            total += term if m == 1 else -term
-        return total
-    if mode == "float":
-        eps = 2.220446049250313e-16
-        value = 0.0
-        abs_acc = 0.0
-        count = 0
-        for d in range(1, root + 1):
-            m = mu[d]
-            if not m:
-                continue
-            drr = d**r
-            term = ((x % drr) / drr) ** i / d ** (r * j)
-            value += term if m == 1 else -term
-            abs_acc += term
-            count += 1
-        return FracSumFloat(value=value, error_estimate=(count + 2) * eps * abs_acc)
-    raise ValueError(f"unknown mode {mode!r}")
+    return _frac_sum_upto(params, root, table.mu.__getitem__)
 
 
 def truncated_frac_sum(
@@ -134,25 +107,13 @@ def truncated_frac_sum(
     computed, so x may be arbitrarily large. When cutoff already covers
     floor(x^(1/r)) the tail is exactly zero.
     """
-    r, j, i, x = params.r, params.j, params.i, params.x
-    rj = r * j
+    rj = params.r * params.j
     if rj < 2:
         raise ValueError("tail bound requires r*j >= 2")
     if cutoff < 2:
         raise ValueError("cutoff must be >= 2")
-    root = integer_root(x, r)
-    top = min(cutoff, root)
-    finite = Fraction(0)
-    for d in range(1, top + 1):
-        m = mobius(d)
-        if not m:
-            continue
-        drr = d**r
-        rem = x % drr
-        if i and not rem:
-            continue
-        term = Fraction(rem, drr) ** i / d**rj
-        finite += term if m == 1 else -term
+    root = integer_root(params.x, params.r)
+    finite = _frac_sum_upto(params, min(cutoff, root), mobius)
     if cutoff >= root:
         tail = Fraction(0)
     else:
@@ -262,31 +223,38 @@ def certify_witness(x: int, r: int, k: int, cutoff: int | None = None) -> Witnes
 # Residual enclosures (principal-term quality)
 # ---------------------------------------------------------------------------
 
-def _mu_power_sum_bounds(
-    dmax: int, s: int, mu_of: Callable[[int], int]
-) -> tuple[int, int]:
-    # Fixed-point bounds: lo/_SCALE <= sum_{d<=dmax} mu(d)/d^s <= hi/_SCALE.
-    lo = hi = 0
-    for d in range(1, dmax + 1):
-        m = mu_of(d)
-        if not m:
-            continue
-        q, rem = divmod(_SCALE, d**s)
-        if m == 1:
-            lo += q
-            hi += q + (1 if rem else 0)
-        else:
-            lo -= q + (1 if rem else 0)
-            hi -= q
-    return lo, hi
+class _ResidualSum:
+    """Outward-rounded fixed-point bounds
 
+        lo/_SCALE <= sum_{d<=n} mu(d)/d^s - 1/zeta(s) <= hi/_SCALE,
 
-def _reciprocal_fixed_point(zeta: ZetaValue) -> tuple[int, int]:
-    # Outward-rounded fixed-point bounds on 1/zeta(s).
-    recip = zeta.reciprocal()
-    lo = math.floor(recip.lo * _SCALE)
-    hi = math.ceil(recip.hi * _SCALE)
-    return lo, hi
+    extended one d at a time as n grows."""
+
+    def __init__(self, s: int, zeta: ZetaValue, mu_of: Callable[[int], int]) -> None:
+        if zeta.s != s:
+            raise ValueError(f"zeta enclosure is for s={zeta.s}, not {s}")
+        recip = zeta.reciprocal()
+        self.s, self.mu_of, self.n = s, mu_of, 0
+        self.lo = -math.ceil(recip.hi * _SCALE)
+        self.hi = -math.floor(recip.lo * _SCALE)
+
+    def upto(self, n: int) -> tuple[int, int]:
+        """(lo, hi) for the sum over d <= n; n never decreases."""
+        d, lo, hi, s, mu_of = self.n, self.lo, self.hi, self.s, self.mu_of
+        while d < n:
+            d += 1
+            m = mu_of(d)
+            if not m:
+                continue
+            q, rem = divmod(_SCALE, d**s)
+            if m == 1:
+                lo += q
+                hi += q + (1 if rem else 0)
+            else:
+                lo -= q + (1 if rem else 0)
+                hi -= q
+        self.n, self.lo, self.hi = d, lo, hi
+        return lo, hi
 
 
 def mertens_residual(
@@ -301,14 +269,11 @@ def mertens_residual(
         raise ValueError("x must be >= 1")
     if s < 2:
         raise ValueError("s must be >= 2")
-    if zeta.s != s:
-        raise ValueError(f"zeta enclosure is for s={zeta.s}, not {s}")
-    mu_of = table.mu.__getitem__ if table is not None else mobius
     if table is not None and table.limit < x:
         raise ValueError(f"table sieved to {table.limit}, need {x}")
-    slo, shi = _mu_power_sum_bounds(x, s, mu_of)
-    rlo, rhi = _reciprocal_fixed_point(zeta)
-    return Enclosure(Fraction(slo - rhi, _SCALE), Fraction(shi - rlo, _SCALE))
+    mu_of = table.mu.__getitem__ if table is not None else mobius
+    lo, hi = _ResidualSum(s, zeta, mu_of).upto(x)
+    return Enclosure(Fraction(lo, _SCALE), Fraction(hi, _SCALE))
 
 
 def mertens_residual_scan(
@@ -317,23 +282,10 @@ def mertens_residual_scan(
     """Yield (x, sup |residual| * x^(s-1)) for x = 1..x_max, incrementally."""
     if table.limit < x_max:
         raise ValueError(f"table sieved to {table.limit}, need {x_max}")
-    if zeta.s != s:
-        raise ValueError(f"zeta enclosure is for s={zeta.s}, not {s}")
-    rlo, rhi = _reciprocal_fixed_point(zeta)
-    mu = table.mu
-    slo = shi = 0
+    residual = _ResidualSum(s, zeta, table.mu.__getitem__)
     for x in range(1, x_max + 1):
-        m = mu[x]
-        if m:
-            q, rem = divmod(_SCALE, x**s)
-            if m == 1:
-                slo += q
-                shi += q + (1 if rem else 0)
-            else:
-                slo -= q + (1 if rem else 0)
-                shi -= q
-        sup_abs = max(shi - rlo, rhi - slo)  # >= |residual| * _SCALE
-        yield x, Fraction(sup_abs * x ** (s - 1), _SCALE)
+        lo, hi = residual.upto(x)
+        yield x, Fraction(max(hi, -lo) * x ** (s - 1), _SCALE)
 
 
 def _root_interval(x: int, r: int) -> tuple[Fraction, Fraction]:
@@ -342,6 +294,13 @@ def _root_interval(x: int, r: int) -> tuple[Fraction, Fraction]:
         return Fraction(x), Fraction(x)
     t = integer_root(x * _ROOT_SCALE**r, r)
     return Fraction(t, _ROOT_SCALE), Fraction(t + 1, _ROOT_SCALE)
+
+
+def _scaled_proposition(x: int, k: int, r: int, lo: int, hi: int) -> Enclosure:
+    # x^k [lo, hi] / _SCALE, divided by x^(1/r)
+    xk = x**k
+    numer = Enclosure(Fraction(xk * lo, _SCALE), Fraction(xk * hi, _SCALE))
+    return numer.div_pos(*_root_interval(x, r))
 
 
 def proposition_residual(
@@ -355,17 +314,12 @@ def proposition_residual(
         raise ValueError("x must be >= 1")
     if r * k < 2:
         raise ValueError("requires r*k >= 2")
-    if zeta.s != r * k:
-        raise ValueError(f"zeta enclosure is for s={zeta.s}, not {r * k}")
     root = integer_root(x, r)
-    mu_of = table.mu.__getitem__ if table is not None else mobius
     if table is not None and table.limit < root:
         raise ValueError(f"table sieved to {table.limit}, need {root}")
-    slo, shi = _mu_power_sum_bounds(root, r * k, mu_of)
-    rlo, rhi = _reciprocal_fixed_point(zeta)
-    xk = x**k
-    numer = Enclosure(Fraction(xk * (slo - rhi), _SCALE), Fraction(xk * (shi - rlo), _SCALE))
-    return numer.div_pos(*_root_interval(x, r))
+    mu_of = table.mu.__getitem__ if table is not None else mobius
+    lo, hi = _ResidualSum(r * k, zeta, mu_of).upto(root)
+    return _scaled_proposition(x, k, r, lo, hi)
 
 
 def proposition_residual_scan(
@@ -375,33 +329,10 @@ def proposition_residual_scan(
     root_max = integer_root(x_max, r)
     if table.limit < root_max:
         raise ValueError(f"table sieved to {table.limit}, need {root_max}")
-    if zeta.s != r * k:
-        raise ValueError(f"zeta enclosure is for s={zeta.s}, not {r * k}")
-    rlo, rhi = _reciprocal_fixed_point(zeta)
-    mu = table.mu
-    s = r * k
-    slo = shi = 0
-    d = 0
+    residual = _ResidualSum(r * k, zeta, table.mu.__getitem__)
     for x in range(1, x_max + 1):
-        root = integer_root(x, r)
-        while d < root:
-            d += 1
-            m = mu[d]
-            if not m:
-                continue
-            q, rem = divmod(_SCALE, d**s)
-            if m == 1:
-                slo += q
-                shi += q + (1 if rem else 0)
-            else:
-                slo -= q + (1 if rem else 0)
-                shi -= q
-        xk = x**k
-        numer = Enclosure(
-            Fraction(xk * (slo - rhi), _SCALE), Fraction(xk * (shi - rlo), _SCALE)
-        )
-        scaled = numer.div_pos(*_root_interval(x, r))
-        yield x, scaled.abs().hi
+        lo, hi = residual.upto(integer_root(x, r))
+        yield x, _scaled_proposition(x, k, r, lo, hi).abs().hi
 
 
 # ---------------------------------------------------------------------------
@@ -409,40 +340,8 @@ def proposition_residual_scan(
 # ---------------------------------------------------------------------------
 
 MAX_SCAN_RECORDS = 10**6
-# Rows per scan chunk: one count_progression call and one unit of pool work.
+# Fewest rows per scan chunk; a chunk is one count_progression call.
 SCAN_CHUNK = 256
-
-_WORKER_STATE: dict = {}
-
-
-def _scan_worker_init(limit: int, r: int, k: int, precision: Fraction, places: int) -> None:
-    _WORKER_STATE.update(
-        r=r, k=k, precision=precision, places=places,
-        table=sieve_mobius(limit), zeta=zeta_value(r * k, precision),
-    )
-
-
-def _pool_chunk(xs: range) -> list[CountRecord]:
-    return _scan_chunk(xs, **_WORKER_STATE)
-
-
-def _scan_chunk(
-    xs: range, r: int, k: int, precision: Fraction, places: int,
-    table: MobiusTable, zeta: ZetaValue,
-) -> list[CountRecord]:
-    """The records of one chunk: one count_progression call for the
-    counts, then one count_record per x around them."""
-    counts = count_progression(r, k, xs, table)
-    return [
-        count_record(CountParams(r=r, k=k, x=x), precision, table, zeta, places, V=V)
-        for x, V in zip(xs, counts)
-    ]
-
-
-def scan_workers(requested: int, chunks: int, cpus: int | None) -> int:
-    """Worker processes worth starting for a scan of ``chunks`` chunks:
-    no more than requested, than ``cpus`` (os.cpu_count()), or than chunks."""
-    return max(1, min(requested, cpus or 1, chunks))
 
 
 def error_scan(
@@ -452,22 +351,19 @@ def error_scan(
     x_max: int,
     step: int = 1,
     precision: Fraction = DEFAULT_PRECISION,
-    workers: int = 1,
     table: MobiusTable | None = None,
     max_records: int = MAX_SCAN_RECORDS,
-    sieve_limit: int | None = None,
 ) -> Iterator[CountRecord]:
     """Emit a CountRecord per sampled x, in ascending order.
 
-    The rows are cut into chunks of SCAN_CHUNK consecutive samples; each
-    chunk is counted by one count_progression call. With more than one
-    worker (clamped by scan_workers) the chunks go to a process pool in
-    batches of one chunk per worker, at most two batches at a time, so the
-    records held in this process stay O(workers * SCAN_CHUNK) for any
-    range. Deterministic for fixed arguments regardless of worker count:
-    every quantity is exact or derived from the same fixed-precision zeta
-    enclosure. ``sieve_limit`` presizes the Mobius table beyond the scan's
-    own needs. The arguments are checked when the first record is drawn.
+    The rows are cut into chunks of max(SCAN_CHUNK, floor(x_max^(1/r)))
+    consecutive samples, each counted by one count_progression call: its
+    loop over d <= x_max^(1/r) then costs at most one step per row. Records
+    are built one per row as they are drawn, so the scan holds one chunk's
+    counts, O(x_max^(1/r)) integers like the Mobius table, for any number
+    of rows. Deterministic for fixed arguments: every quantity is exact or
+    derived from the same fixed-precision zeta enclosure. The arguments are
+    checked when the first record is drawn.
     """
     if x_min < 2:
         raise ValueError("x_min must be >= 2")
@@ -482,30 +378,17 @@ def error_scan(
         )
     precision = Fraction(precision)
     places = decimal_places(precision)
-    limit = max(integer_root(x_max, r), 1, sieve_limit or 1)
-    chunks = (xs[i : i + SCAN_CHUNK] for i in range(0, len(xs), SCAN_CHUNK))
-    workers = scan_workers(workers, -(-len(xs) // SCAN_CHUNK), os.cpu_count())
-    if workers == 1:
-        if table is None:
-            table = sieve_mobius(limit)
-        zeta = zeta_value(r * k, precision)
-        for chunk in chunks:
-            yield from _scan_chunk(chunk, r, k, precision, places, table, zeta)
-        return
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(
-        max_workers=workers,
-        initializer=_scan_worker_init,
-        initargs=(limit, r, k, precision, places),
-    ) as pool:
-        # the next batch is submitted before the oldest one is drained
-        batches = deque([pool.map(_pool_chunk, list(islice(chunks, workers)))])
-        while batches:
-            if batch := list(islice(chunks, workers)):
-                batches.append(pool.map(_pool_chunk, batch))
-            for records in batches.popleft():
-                yield from records
+    root = integer_root(x_max, r)
+    if table is None:
+        table = sieve_mobius(root)
+    zeta = zeta_value(r * k, precision)
+    size = max(SCAN_CHUNK, root)
+    for i in range(0, len(xs), size):
+        chunk = xs[i : i + size]
+        for x, V in zip(chunk, count_progression(r, k, chunk, table)):
+            yield count_record(
+                CountParams(r=r, k=k, x=x), precision, table, zeta, places, V=V
+            )
 
 
 @dataclass(frozen=True)

@@ -260,12 +260,12 @@ def test_c10_performance(tables):
     assert elapsed < 1.0, f"count_fast took {elapsed:.3f}s"
 
     start = time.perf_counter()
-    records = list(error_scan(2, 2, 9500, 10500, workers=2))
+    records = list(error_scan(2, 2, 9500, 10500))
     scan_elapsed = time.perf_counter() - start
     throughput = len(records) / scan_elapsed
     assert throughput >= 500, f"scan throughput {throughput:.0f} records/s"
     _report(
         10,
         f"count_fast {elapsed * 1000:.1f}ms; scan {throughput:.0f} records/s "
-        f"({len(records)} records, 2 workers)",
+        f"({len(records)} records)",
     )

@@ -85,6 +85,13 @@ def test_identity_command(capsys):
     assert "0 mismatches" in out
 
 
+def test_identity_rejects_inverted_range(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["identity", "--r", "2", "--k", "3", "--x-min", "5", "--x-max", "3"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_identity_r1_k1(capsys):
     code, out, _ = run_cli(["identity", "--r", "1", "--k", "1", "--x-max", "50"], capsys)
     assert code == 0
@@ -204,16 +211,6 @@ def test_report_missing_input_reports_path(capsys, tmp_path):
     assert str(missing) in err
 
 
-def test_scan_sieve_limit_flag(capsys):
-    code, out, _ = run_cli(
-        ["scan", "--r", "2", "--k", "2", "--x-min", "10", "--x-max", "20",
-         "--workers", "1", "--sieve-limit", "500"],
-        capsys,
-    )
-    assert code == 0
-    assert len(out.strip().splitlines()) == 12
-
-
 def test_witness_large_command(capsys):
     code, out, _ = run_cli(
         ["witness", "--large", "--r", "2", "--k", "2", "--count", "5"], capsys
@@ -293,6 +290,41 @@ def test_precision_env_fallback(capsys, monkeypatch):
     data_line = out.strip().splitlines()[1]
     main_term = data_line.split(",")[2]
     assert len(main_term.split(".")[1]) == 6
+
+
+def test_count_format_env_fallback(capsys, monkeypatch):
+    monkeypatch.delenv("RFREE_OUTPUT_FORMAT", raising=False)
+    argv = ["count", "--r", "2", "--k", "1", "--x", "10"]
+    _, text, _ = run_cli(argv, capsys)
+    assert text.startswith("r=2 k=1 x=10\n")
+    monkeypatch.setenv("RFREE_OUTPUT_FORMAT", "csv")
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert out == run_cli([*argv, "--format", "csv"], capsys)[1]
+    assert parse_scan_csv(io.StringIO(out))[0].V == 14
+    code, out, _ = run_cli([*argv, "--format", "text"], capsys)
+    assert (code, out) == (0, text)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--r", "2", "--k", "1", "--x", "10", "--output"],
+        ["jordan", "--n", "6", "--r", "1", "--k", "1", "--format", "json"],
+        ["zeta", "--s", "4", "--workers", "4"],
+        ["report", "--split", "5", "--precision", "1e-5"],
+    ],
+)
+def test_unread_flag_is_usage_error(tmp_path, capsys, argv):
+    # each subcommand declares only the flags it reads
+    out_path = tmp_path / "out.txt"
+    if argv[-1] == "--output":
+        argv = [*argv, str(out_path)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    assert not out_path.exists()
 
 
 def test_unknown_command_usage_error():

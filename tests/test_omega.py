@@ -1,16 +1,17 @@
 import random
-from concurrent.futures import ProcessPoolExecutor
 from decimal import Decimal
 from fractions import Fraction
 from types import SimpleNamespace
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rfree import omega
 from rfree import (
+    CountParams,
     FracSumParams,
+    count_fast,
+    count_record,
     error_scan,
     frac_sum,
     certify_witness,
@@ -27,7 +28,7 @@ from rfree import (
 )
 from rfree.arith import integer_root, ln_decimal
 from rfree.errors import ResourceLimitError
-from rfree.omega import SCAN_CHUNK, FracSumFloat, scan_workers
+from rfree.omega import SCAN_CHUNK
 
 PI_50 = Fraction(Decimal("3.14159265358979323846264338327950288419716939937510"))
 ONE_MINUS_RECIP_ZETA2 = 1 - 6 / (PI_50 * PI_50)  # 1 - 6/pi^2, good to ~5e-50
@@ -86,16 +87,6 @@ def test_frac_sum_magnitude_bound(tables):
         assert abs(value) <= bound
 
 
-def test_frac_sum_float_mode_tracks_exact(tables):
-    t = tables(200)
-    for x in (11, 1234, 30000):
-        p = FracSumParams(r=2, j=2, i=1, x=x)
-        exact = frac_sum(p, t)
-        approx = frac_sum(p, t, mode="float")
-        assert isinstance(approx, FracSumFloat)
-        assert abs(approx.value - float(exact)) <= approx.error_estimate + 1e-12
-
-
 def test_frac_sum_exact_guard():
     t = sieve_mobius(10)
     big = (10**5 + 5) ** 2
@@ -103,12 +94,10 @@ def test_frac_sum_exact_guard():
         frac_sum(FracSumParams(r=2, j=2, i=1, x=big), t)
 
 
-def test_frac_sum_rejects_small_table_and_bad_mode(tables):
+def test_frac_sum_rejects_small_table():
     t = sieve_mobius(2)
     with pytest.raises(ValueError):
         frac_sum(FracSumParams(r=2, j=2, i=1, x=1000), t)
-    with pytest.raises(ValueError):
-        frac_sum(FracSumParams(r=2, j=2, i=1, x=10), tables(100), mode="hex")
 
 
 # ---------------------------------------------------------------------------
@@ -376,18 +365,6 @@ def test_error_scan_validation(tables):
         list(error_scan(1, 2, 10, 10**7))
 
 
-def test_error_scan_parallel_matches_serial(tables):
-    serial = list(error_scan(2, 2, 10, 200, table=tables(200)))
-    parallel = list(error_scan(2, 2, 10, 200, workers=2))
-    assert len(serial) == len(parallel)
-    for a, b in zip(serial, parallel):
-        assert a.params == b.params
-        assert a.V == b.V
-        assert a.main_term == b.main_term
-        assert a.error == b.error
-        assert a.normalized_error == b.normalized_error
-
-
 @settings(max_examples=10, deadline=None)
 @given(
     rk=st.sampled_from([(1, 2), (1, 3), (2, 1), (2, 2), (3, 1), (3, 2)]),
@@ -395,45 +372,47 @@ def test_error_scan_parallel_matches_serial(tables):
     x_min=st.integers(2, 5000),
     extra=st.integers(1, SCAN_CHUNK),
 )
-def test_error_scan_workers_agree_across_chunks(rk, step, x_min, extra):
-    # more than three chunks; two CPUs, so that the pool runs on any host
+def test_error_scan_matches_count_record_across_chunks(rk, step, x_min, extra):
+    # more than three chunks of SCAN_CHUNK rows (x_max^(1/r) < SCAN_CHUNK
+    # for r >= 2); every row against its own count_fast
     r, k = rk
     x_max = x_min + step * (3 * SCAN_CHUNK + extra)
-    serial = list(error_scan(r, k, x_min, x_max, step=step, workers=1))
-    with mock.patch.object(omega.os, "cpu_count", return_value=2):
-        parallel = list(error_scan(r, k, x_min, x_max, step=step, workers=2))
-    assert [rec.x for rec in serial] == list(range(x_min, x_max + 1, step))
-    assert parallel == serial
+    table = sieve_mobius(x_max)
+    zeta = zeta_value(r * k)
+    records = list(error_scan(r, k, x_min, x_max, step=step))
+    assert [rec.x for rec in records] == list(range(x_min, x_max + 1, step))
+    for rec in records:
+        params = CountParams(r=r, k=k, x=rec.x)
+        V = count_fast(params, table)
+        assert rec == count_record(params, table=table, zeta=zeta, V=V)
 
 
-def test_error_scan_pool_window_is_bounded(monkeypatch):
-    # Seven chunks on two workers: four batches, and no more than two of
-    # them submitted before the first record is handed out.
-    monkeypatch.setattr(omega.os, "cpu_count", lambda: 2)
-    batches = []
-    original_map = ProcessPoolExecutor.map
+@pytest.mark.parametrize(
+    "r,x_min,x_max,step,spans",
+    [
+        # floor(x_max^(1/r)) < SCAN_CHUNK: chunks of SCAN_CHUNK rows
+        (2, 100, 100 + 3 * SCAN_CHUNK, 1, [SCAN_CHUNK] * 3 + [1]),
+        (3, 2, 2 + 7 * (2 * SCAN_CHUNK + 9), 7, [SCAN_CHUNK] * 2 + [10]),
+        # floor(x_max^(1/r)) rows once that is longer; r = 1 is one chunk
+        (1, 2, 1000, 1, [999]),
+        (2, 90_000, 90_000 + 3 * 700, 3, [303, 303, 95]),
+        (2, 10**6 - 2500, 10**6, 1, [1000, 1000, 501]),
+    ],
+)
+def test_error_scan_chunk_length(monkeypatch, r, x_min, x_max, step, spans):
+    # a chunk holds max(SCAN_CHUNK, floor(x_max^(1/r))) rows
+    seen = []
+    original = omega.count_progression
 
-    def recording_map(self, fn, chunks):
-        batches.append(list(chunks))
-        return original_map(self, fn, batches[-1])
+    def recording(r, k, xs, table):
+        seen.append(xs)
+        return original(r, k, xs, table)
 
-    monkeypatch.setattr(ProcessPoolExecutor, "map", recording_map)
-    records = error_scan(2, 2, 100, 100 + 7 * SCAN_CHUNK - 1, workers=2)
-    assert next(records).x == 100
-    assert len(batches) == 2
-    rest = list(records)
-    assert [len(batch) for batch in batches] == [2, 2, 2, 1]
-    assert all(len(chunk) == SCAN_CHUNK for batch in batches for chunk in batch)
-    assert [rec.x for rec in rest] == list(range(101, 100 + 7 * SCAN_CHUNK))
-
-
-def test_scan_workers_clamp():
-    assert scan_workers(64, 1, 8) == 1      # a 10-row scan is one chunk
-    assert scan_workers(64, 40, 8) == 8     # no more than the CPUs
-    assert scan_workers(2, 40, 8) == 2      # no more than requested
-    assert scan_workers(4, 3, 8) == 3       # no more than the chunks
-    assert scan_workers(4, 40, None) == 1   # CPU count unknown
-    assert scan_workers(1, 40, 8) == 1
+    monkeypatch.setattr(omega, "count_progression", recording)
+    records = list(error_scan(r, 2, x_min, x_max, step=step))
+    assert [len(xs) for xs in seen] == spans
+    assert [x for xs in seen for x in xs] == [rec.x for rec in records]
+    assert all(xs.step == step for xs in seen)
 
 
 def _fake_records(pairs):
