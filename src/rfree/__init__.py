@@ -10,7 +10,6 @@ measures the error term against (2x)^k / zeta(rk) with rigorous enclosures.
 from .arith import (
     BernoulliSeq,
     Enclosure,
-    EULER_GAMMA,
     MobiusTable,
     ZetaValue,
     bernoulli,
@@ -68,7 +67,6 @@ __all__ = [
     "CountParams",
     "CountRecord",
     "Enclosure",
-    "EULER_GAMMA",
     "FracSumParams",
     "IdentityCheck",
     "InvariantViolationError",

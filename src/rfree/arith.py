@@ -7,7 +7,7 @@ Provides:
     bernoulli      -- exact Bernoulli numbers, B_1 = +1/2 convention
     faulhaber_sum  -- sum_{m<=M} m^e via the Bernoulli formula
     zeta_value     -- zeta(s) for integer s >= 2 with a rigorous error radius
-    Enclosure      -- a closed rational interval guaranteed to contain a value
+    Enclosure      -- a closed rational ball guaranteed to contain a value
 
 Everything that feeds an exact identity is integer or Fraction arithmetic;
 floats never touch a quantity that a test compares exactly.
@@ -21,13 +21,9 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .errors import InvariantViolationError
+from .errors import InvariantViolationError, ResourceLimitError
 
-# Euler's constant to 50 decimal places, stored rather than computed; only
-# used as a comparison constant for harmonic-sum bounds.
-EULER_GAMMA = Fraction(
-    57721566490153286060651209008240243104215933593992, 10**50
-)
+FACTOR_BOUND = 10**6  # largest trial divisor of factorize
 
 
 # ---------------------------------------------------------------------------
@@ -117,18 +113,21 @@ def primes_upto(limit: int) -> list[int]:
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1 as {prime: exponent}."""
+    """Prime factorization of n >= 1 as {prime: exponent}; ResourceLimitError
+    if it needs a trial divisor above FACTOR_BOUND (never for n < 10^12)."""
     if n < 1:
         raise ValueError("factorize is defined for n >= 1")
     factors: dict[int, int] = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
+    rest, p = n, 2
+    while p * p <= rest:
+        if p > FACTOR_BOUND:
+            raise ResourceLimitError(f"factorize({n}) needs trial divisors above {FACTOR_BOUND}")
+        while rest % p == 0:
             factors[p] = factors.get(p, 0) + 1
-            n //= p
+            rest //= p
         p += 1 if p == 2 else 2
-    if n > 1:
-        factors[n] = factors.get(n, 0) + 1
+    if rest > 1:
+        factors[rest] = factors.get(rest, 0) + 1
     return factors
 
 
@@ -247,38 +246,89 @@ def faulhaber_sum(upper: int, e: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# zeta(s) with rigorous enclosure
+# Rational enclosures
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ZetaValue:
-    """An enclosure of zeta(s): the true value lies in [value - error_radius,
-    value + error_radius] by construction. ``depth`` is the truncation depth
-    of the accelerated alternating series; the radius shrinks geometrically
-    as depth grows.
-    """
+@dataclass(frozen=True, kw_only=True)
+class Enclosure:
+    """Closed ball [mid - radius, mid + radius] of exact rationals containing
+    a real value: the midpoint-radius form of F. Johansson's Arb (IEEE Trans.
+    Computers 66, 2017). Being exact, each operation gives the endpoints of
+    the interval formula."""
 
-    s: int
-    value: Fraction
-    error_radius: Fraction
-    depth: int
+    mid: Fraction
+    radius: Fraction
+
+    def __post_init__(self) -> None:
+        if self.radius < 0:
+            raise ValueError(f"negative enclosure radius {self.radius}")
+
+    @staticmethod
+    def between(lo, hi) -> "Enclosure":
+        if lo > hi:
+            raise ValueError(f"empty enclosure: [{lo}, {hi}]")
+        return Enclosure(mid=Fraction(lo + hi, 2), radius=Fraction(hi - lo, 2))
 
     @property
     def lo(self) -> Fraction:
-        return self.value - self.error_radius
+        return self.mid - self.radius
 
     @property
     def hi(self) -> Fraction:
-        return self.value + self.error_radius
+        return self.mid + self.radius
 
-    def reciprocal(self) -> "Enclosure":
+    def contains(self, q) -> bool:
+        return self.lo <= q <= self.hi
+
+    def abs(self) -> "Enclosure":
+        if self.mid >= self.radius:
+            return self
+        if -self.mid >= self.radius:
+            return Enclosure(mid=-self.mid, radius=self.radius)
+        return Enclosure.between(0, abs(self.mid) + self.radius)
+
+    def rsub(self, c) -> "Enclosure":
+        """Enclosure of c - self for an exact scalar c."""
+        return Enclosure(mid=c - self.mid, radius=self.radius)
+
+    def scale(self, c) -> "Enclosure":
+        """Enclosure of c * self for an exact scalar c >= 0."""
+        if c < 0:
+            raise ValueError(f"scale factor {c} is negative")
+        return Enclosure(mid=self.mid * c, radius=self.radius * c)
+
+    def div_pos(self, den: "Enclosure") -> "Enclosure":
+        """Enclosure of self / d for every d in den, which must be > 0."""
+        den_lo, den_hi = den.lo, den.hi
+        if den_lo <= 0:
+            raise ValueError("divisor enclosure must be positive")
+        lo, hi = self.lo, self.hi
+        return Enclosure.between(
+            lo / den_lo if lo < 0 else lo / den_hi,
+            hi / den_hi if hi < 0 else hi / den_lo,
+        )
+
+
+# ---------------------------------------------------------------------------
+# zeta(s) with rigorous enclosure
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True, kw_only=True)
+class ZetaValue(Enclosure):
+    """An enclosure of zeta(s). ``depth`` is the truncation depth of the
+    accelerated alternating series; the radius shrinks geometrically in it."""
+
+    s: int
+    depth: int
+
+    def reciprocal(self) -> Enclosure:
         """Enclosure of 1/zeta(s); valid because zeta(s) > 1 > 0 for s >= 2.
         Computed once per value: scans multiply every row by it."""
         return self._reciprocal
 
     @cached_property
-    def _reciprocal(self) -> "Enclosure":
-        return Enclosure(1 / self.hi, 1 / self.lo)
+    def _reciprocal(self) -> Enclosure:
+        return Enclosure.between(1 / self.hi, 1 / self.lo)
 
 
 def zeta_enclosure(s: int, depth: int) -> ZetaValue:
@@ -312,12 +362,12 @@ def zeta_enclosure(s: int, depth: int) -> ZetaValue:
     one_minus = Fraction(2 ** (s - 1) - 1, 2 ** (s - 1))
     value = -acc / (d[n] * one_minus)
     radius = Fraction(3) / (Fraction(29, 5) ** n * one_minus)
-    return ZetaValue(s=s, value=value, error_radius=radius, depth=n)
+    return ZetaValue(s=s, mid=value, radius=radius, depth=n)
 
 
 @lru_cache(maxsize=None)
 def zeta_value(s: int, target_precision: Fraction = Fraction(1, 10**30)) -> ZetaValue:
-    """zeta(s) with error_radius <= target_precision, depth chosen adaptively."""
+    """zeta(s) with radius <= target_precision, depth chosen adaptively."""
     if s < 2:
         raise ValueError("zeta_value requires integer s >= 2")
     target = Fraction(target_precision)
@@ -328,55 +378,6 @@ def zeta_value(s: int, target_precision: Fraction = Fraction(1, 10**30)) -> Zeta
     while Fraction(3) / (Fraction(29, 5) ** depth * one_minus) > target:
         depth += 1
     return zeta_enclosure(s, depth)
-
-
-# ---------------------------------------------------------------------------
-# Rational interval helper
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Enclosure:
-    """Closed interval [lo, hi] of exact rationals containing a real value."""
-
-    lo: Fraction
-    hi: Fraction
-
-    def __post_init__(self) -> None:
-        if self.lo > self.hi:
-            raise ValueError(f"empty enclosure: [{self.lo}, {self.hi}]")
-
-    @property
-    def mid(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
-    @property
-    def radius(self) -> Fraction:
-        return (self.hi - self.lo) / 2
-
-    def contains(self, q) -> bool:
-        return self.lo <= q <= self.hi
-
-    def intersects(self, other: "Enclosure") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
-
-    def abs(self) -> "Enclosure":
-        if self.lo >= 0:
-            return self
-        if self.hi <= 0:
-            return Enclosure(-self.hi, -self.lo)
-        return Enclosure(Fraction(0), max(-self.lo, self.hi))
-
-    def rsub(self, c) -> "Enclosure":
-        """Enclosure of c - self for an exact scalar c."""
-        return Enclosure(c - self.hi, c - self.lo)
-
-    def div_pos(self, den_lo: Fraction, den_hi: Fraction) -> "Enclosure":
-        """Enclosure of self / d for d in [den_lo, den_hi], 0 < den_lo."""
-        if den_lo <= 0 or den_lo > den_hi:
-            raise ValueError("divisor interval must be positive")
-        lo = self.lo / den_lo if self.lo < 0 else self.lo / den_hi
-        hi = self.hi / den_hi if self.hi < 0 else self.hi / den_lo
-        return Enclosure(lo, hi)
 
 
 # ---------------------------------------------------------------------------

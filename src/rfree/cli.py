@@ -28,6 +28,7 @@ from .omega import error_scan, certify_witness, omega_ratio_report, witness_larg
 from .umbral import identity_check
 
 CSV_COLUMNS = ["x", "V", "main_term", "error", "normalized_error", "density"]
+OUTPUT_FORMATS = ("text", "csv", "json")
 
 
 def _env(name: str, default: str | None) -> str | None:
@@ -170,8 +171,8 @@ def _frac_sci(q: Fraction, sig: int = 6) -> str:
 
 def _cmd_count(args) -> int:
     params = CountParams(r=args.r, k=args.k, x=args.x)
-    rec = count_record(params, args.precision)
     places = decimal_places(args.precision)
+    rec = count_record(params, args.precision, places=places)
     fields = record_fields(rec, places)
     status = 0
     lines = [f"r={args.r} k={args.k} x={args.x}"]
@@ -321,10 +322,10 @@ def _cmd_witness(args, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_zeta(args) -> int:
-    z = zeta_value(args.s, args.precision)
     places = decimal_places(args.precision)
-    print(f"zeta({args.s}) = {format_fraction(z.value, places)}")
-    print(f"error_radius <= {_frac_sci(z.error_radius)}")
+    z = zeta_value(args.s, args.precision)
+    print(f"zeta({args.s}) = {format_fraction(z.mid, places)}")
+    print(f"error_radius <= {_frac_sci(z.radius)}")
     print(f"depth = {z.depth}")
     return 0
 
@@ -374,10 +375,10 @@ def _add_budget(sub: argparse.ArgumentParser) -> None:
                           "env RFREE_ENUMERATION_BUDGET)")
 
 
-def _add_format(sub: argparse.ArgumentParser, default: str) -> None:
-    sub.add_argument("--format", choices=("text", "csv", "json"),
+def _add_format(sub: argparse.ArgumentParser, default: str, note: str = "") -> None:
+    sub.add_argument("--format", choices=OUTPUT_FORMATS,
                      default=_env("OUTPUT_FORMAT", default),
-                     help=f"output format (default {default}, env RFREE_OUTPUT_FORMAT)")
+                     help=f"output format{note} (default {default}, env RFREE_OUTPUT_FORMAT)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -424,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x-max", dest="x_max", type=_pos_int, required=True)
     p.add_argument("--step", type=_pos_int, default=1)
     _add_precision(p)
-    _add_format(p, "csv")
+    _add_format(p, "csv", "; text prints CSV")
     p.add_argument("--output", default=_env("OUTPUT_PATH", None) or None,
                    help="write output to this path (env RFREE_OUTPUT_PATH)")
     p.add_argument("--workers", type=_pos_int, default=None,
@@ -457,6 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "format", "text") not in OUTPUT_FORMATS:  # argparse checks only flags
+        parser.error(f"invalid RFREE_OUTPUT_FORMAT {args.format!r}")
     try:
         if args.command == "count":
             return _cmd_count(args)

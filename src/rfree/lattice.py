@@ -165,10 +165,10 @@ def count_progression(r: int, k: int, xs: range, table: MobiusTable) -> list[int
         for y in range(q * dr, last + 1, dr):
             rises[(y - first + step - 1) // step] += m * ((2 * q + 1) ** k - (2 * q - 1) ** k)
             q += 1
-    counts = [count_fast(CountParams(r=r, k=k, x=first), table)]
-    for rise in rises[1:]:
-        counts.append(counts[-1] + rise)
-    return counts
+    rises[0] = count_fast(CountParams(r=r, k=k, x=first), table)
+    for j in range(1, len(rises)):
+        rises[j] += rises[j - 1]
+    return rises
 
 
 def error_normalization(params: CountParams) -> Decimal:
@@ -214,18 +214,16 @@ def count_record(
     x, k, r = params.x, params.k, params.r
     if x < 1:
         raise ValueError("count_record needs x >= 1")
+    if places is None:
+        places = decimal_places(precision)
     if zeta is None:
         zeta = zeta_value(r * k, Fraction(precision))
     if V is None:
         if table is None:
             table = sieve_mobius(max(integer_root(x, r), 1))
         V = count_fast(params, table)
-    box = (2 * x) ** k
-    recip = zeta.reciprocal()
-    main = Enclosure(box * recip.lo, box * recip.hi)
+    main = zeta.reciprocal().scale((2 * x) ** k)
     error = main.rsub(V)
-    if places is None:
-        places = decimal_places(precision)
     if r == 1 and k == 2 and x < 2:
         # x log x vanishes at x = 1; the count is fine, the ratio is not.
         normalized = Decimal("NaN")
@@ -246,11 +244,13 @@ def count_record(
 
 def decimal_places(precision: Fraction) -> int:
     """Number of fractional digits implied by an enclosure target, e.g.
-    1e-30 -> 30. At least one digit."""
+    1e-30 -> 30. At least 1; ValueError for a precision finer than 1e-1000."""
     precision = Fraction(precision)
     if precision <= 0:
         raise ValueError("precision must be positive")
+    if precision < Fraction(1, 10**1000):
+        raise ValueError("precision finer than 1e-1000 is not supported")
     places = 1
-    while Fraction(1, 10**places) > precision and places < 1000:
+    while Fraction(1, 10**places) > precision:
         places += 1
     return places

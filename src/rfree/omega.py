@@ -273,7 +273,7 @@ def mertens_residual(
         raise ValueError(f"table sieved to {table.limit}, need {x}")
     mu_of = table.mu.__getitem__ if table is not None else mobius
     lo, hi = _ResidualSum(s, zeta, mu_of).upto(x)
-    return Enclosure(Fraction(lo, _SCALE), Fraction(hi, _SCALE))
+    return Enclosure.between(Fraction(lo, _SCALE), Fraction(hi, _SCALE))
 
 
 def mertens_residual_scan(
@@ -288,19 +288,12 @@ def mertens_residual_scan(
         yield x, Fraction(max(hi, -lo) * x ** (s - 1), _SCALE)
 
 
-def _root_interval(x: int, r: int) -> tuple[Fraction, Fraction]:
-    # [lo, hi] containing the real x^(1/r), via a scaled integer root.
+def _root_interval(x: int, r: int) -> Enclosure:
+    # An enclosure of the real x^(1/r), via a scaled integer root.
     if r == 1:
-        return Fraction(x), Fraction(x)
+        return Enclosure(mid=Fraction(x), radius=Fraction(0))
     t = integer_root(x * _ROOT_SCALE**r, r)
-    return Fraction(t, _ROOT_SCALE), Fraction(t + 1, _ROOT_SCALE)
-
-
-def _scaled_proposition(x: int, k: int, r: int, lo: int, hi: int) -> Enclosure:
-    # x^k [lo, hi] / _SCALE, divided by x^(1/r)
-    xk = x**k
-    numer = Enclosure(Fraction(xk * lo, _SCALE), Fraction(xk * hi, _SCALE))
-    return numer.div_pos(*_root_interval(x, r))
+    return Enclosure.between(Fraction(t, _ROOT_SCALE), Fraction(t + 1, _ROOT_SCALE))
 
 
 def proposition_residual(
@@ -319,7 +312,8 @@ def proposition_residual(
         raise ValueError(f"table sieved to {table.limit}, need {root}")
     mu_of = table.mu.__getitem__ if table is not None else mobius
     lo, hi = _ResidualSum(r * k, zeta, mu_of).upto(root)
-    return _scaled_proposition(x, k, r, lo, hi)
+    numer = Enclosure.between(Fraction(lo, _SCALE), Fraction(hi, _SCALE)).scale(x**k)
+    return numer.div_pos(_root_interval(x, r))
 
 
 def proposition_residual_scan(
@@ -332,7 +326,8 @@ def proposition_residual_scan(
     residual = _ResidualSum(r * k, zeta, table.mu.__getitem__)
     for x in range(1, x_max + 1):
         lo, hi = residual.upto(integer_root(x, r))
-        yield x, _scaled_proposition(x, k, r, lo, hi).abs().hi
+        # proposition_residual(x, ...).abs().hi, from the integer bounds
+        yield x, Fraction(max(hi, -lo) * x**k, _SCALE) / _root_interval(x, r).lo
 
 
 # ---------------------------------------------------------------------------

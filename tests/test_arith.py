@@ -4,9 +4,9 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rfree import (
-    EULER_GAMMA,
     Enclosure,
     bernoulli,
     faulhaber_sum,
@@ -17,8 +17,8 @@ from rfree import (
     zeta_enclosure,
     zeta_value,
 )
-from rfree.arith import fraction_to_decimal, ln_decimal, primes_upto, rfree_sieve
-from rfree.errors import InvariantViolationError
+from rfree.arith import FACTOR_BOUND, factorize, fraction_to_decimal, primes_upto, rfree_sieve
+from rfree.errors import InvariantViolationError, ResourceLimitError
 
 # Analytically known zeta digits, frozen for enclosure checks.
 ZETA2 = Fraction(Decimal("1.64493406684822643647241516664602518922"))
@@ -193,21 +193,22 @@ def test_faulhaber_matches_naive_full_grid():
 )
 def test_zeta_known_values(s, precision, known):
     z = zeta_value(s, precision)
-    assert z.error_radius <= precision
+    assert z.radius <= precision
     # known digits are exact to ~38 places, far below the radius
-    assert abs(z.value - known) <= z.error_radius + Fraction(1, 10**36)
+    assert abs(z.mid - known) <= z.radius + Fraction(1, 10**36)
     assert z.lo <= known <= z.hi
+    assert isinstance(z, Enclosure)
 
 
 def test_zeta_enclosures_at_two_depths_intersect():
     for s in (2, 3, 5):
         a = zeta_enclosure(s, 10)
         b = zeta_enclosure(s, 25)
-        assert Enclosure(a.lo, a.hi).intersects(Enclosure(b.lo, b.hi))
+        assert a.lo <= b.hi and b.lo <= a.hi
 
 
 def test_zeta_radius_decreases_with_depth():
-    radii = [zeta_enclosure(3, n).error_radius for n in range(5, 30, 5)]
+    radii = [zeta_enclosure(3, n).radius for n in range(5, 30, 5)]
     assert all(b < a for a, b in zip(radii, radii[1:]))
 
 
@@ -220,20 +221,7 @@ def test_zeta_rejects_small_s():
 
 def test_zeta_default_precision_is_tight():
     z = zeta_value(4)
-    assert z.error_radius <= Fraction(1, 10**30)
-
-
-# ---------------------------------------------------------------------------
-# Euler's constant (stored, not computed)
-# ---------------------------------------------------------------------------
-
-def test_euler_gamma_against_harmonic_sums():
-    # H_n - ln n - gamma lies in (1/(2(n+1)), 1/(2n)).
-    for n in (10, 100, 1000):
-        harmonic = sum(Fraction(1, d) for d in range(1, n + 1))
-        ln_n = Fraction(ln_decimal(n, 45))
-        diff = harmonic - ln_n - EULER_GAMMA
-        assert Fraction(1, 2 * (n + 1)) < diff < Fraction(1, 2 * n)
+    assert z.radius <= Fraction(1, 10**30)
 
 
 # ---------------------------------------------------------------------------
@@ -270,26 +258,86 @@ def test_fraction_to_decimal_round_trips():
 
 
 def test_enclosure_operations():
-    e = Enclosure(Fraction(-1, 2), Fraction(1, 4))
+    e = Enclosure.between(Fraction(-1, 2), Fraction(1, 4))
     assert e.mid == Fraction(-1, 8)
     assert e.radius == Fraction(3, 8)
     assert e.contains(0)
     assert e.abs().lo == 0 and e.abs().hi == Fraction(1, 2)
-    assert Enclosure(Fraction(-3), Fraction(-1)).abs() == Enclosure(
+    assert Enclosure.between(Fraction(-3), Fraction(-1)).abs() == Enclosure.between(
         Fraction(1), Fraction(3)
     )
     ten_minus = e.rsub(10)
     assert ten_minus.lo == Fraction(39, 4) and ten_minus.hi == Fraction(21, 2)
     with pytest.raises(ValueError):
-        Enclosure(Fraction(1), Fraction(0))
+        Enclosure.between(Fraction(1), Fraction(0))
+    with pytest.raises(ValueError):
+        Enclosure(mid=Fraction(0), radius=Fraction(-1))
+    with pytest.raises(ValueError):
+        e.scale(-1)
+    with pytest.raises(TypeError):
+        Enclosure(Fraction(-1, 2), Fraction(1, 4))  # fields are keyword-only
 
 
 def test_enclosure_div_pos_signs():
-    e = Enclosure(Fraction(-4), Fraction(6))
-    divided = e.div_pos(Fraction(1), Fraction(2))
+    e = Enclosure.between(Fraction(-4), Fraction(6))
+    divided = e.div_pos(Enclosure.between(Fraction(1), Fraction(2)))
     assert divided.lo == Fraction(-4) and divided.hi == Fraction(6)
     with pytest.raises(ValueError):
-        e.div_pos(Fraction(0), Fraction(1))
+        e.div_pos(Enclosure.between(Fraction(0), Fraction(1)))
+
+
+def _interval_abs(lo, hi):
+    if lo >= 0:
+        return lo, hi
+    if hi <= 0:
+        return -hi, -lo
+    return 0, max(-lo, hi)
+
+
+def _interval_div_pos(lo, hi, den_lo, den_hi):
+    return (
+        lo / den_lo if lo < 0 else lo / den_hi,
+        hi / den_hi if hi < 0 else hi / den_lo,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ends=st.lists(st.fractions(), min_size=2, max_size=2).map(sorted),
+    sizes=st.lists(st.fractions(min_value=0), min_size=2, max_size=2).map(sorted),
+    den=st.lists(st.fractions(min_value=Fraction(1, 10**6)), min_size=2, max_size=2).map(sorted),
+    c=st.fractions(min_value=0),
+)
+def test_enclosure_ball_matches_interval_formulas(ends, sizes, den, c):
+    # the drawn interval, then one >= 0, one <= 0 and one straddling 0
+    u, v = sizes
+    den_ball = Enclosure.between(*den)
+    eps = Fraction(1, 10**9)
+    for lo, hi in (ends, (u, v), (-v, -u), (-u - 1, v + 1)):
+        e = Enclosure.between(lo, hi)
+        assert (e.lo, e.hi) == (lo, hi)
+        assert e.contains(lo) and e.contains(hi)
+        assert not e.contains(lo - eps) and not e.contains(hi + eps)
+        scaled = e.scale(c)
+        assert (scaled.lo, scaled.hi) == (c * lo, c * hi)
+        subtracted = e.rsub(c)
+        assert (subtracted.lo, subtracted.hi) == (c - hi, c - lo)
+        assert (e.abs().lo, e.abs().hi) == _interval_abs(lo, hi)
+        quotient = e.div_pos(den_ball)
+        assert (quotient.lo, quotient.hi) == _interval_div_pos(lo, hi, *den)
+
+
+# ---------------------------------------------------------------------------
+# Factorization bound
+# ---------------------------------------------------------------------------
+
+def test_factorize_stops_at_bound():
+    # 999983 is the largest prime below 10**6 and 1000003 the smallest above
+    assert FACTOR_BOUND == 10**6
+    assert factorize(999983**2) == {999983: 2}
+    assert factorize(999983 * 1000003) == {999983: 1, 1000003: 1}
+    with pytest.raises(ResourceLimitError, match=str(1000003**2)):
+        factorize(1000003**2)
 
 
 def test_faulhaber_detects_convention_bugs(monkeypatch):

@@ -1,7 +1,9 @@
+import hashlib
 import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 from decimal import Decimal
@@ -9,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+import rfree.arith
 from rfree import zeta_value
 from rfree.cli import _frac_sci, main, parse_scan_csv, CSV_COLUMNS
 
@@ -262,7 +265,7 @@ def test_zeta_radius_below_float_range(capsys):
     printed = Fraction(Decimal(radius.removeprefix("error_radius <= ")))
     # six digits after the point: within half a unit of the 7th significant digit
     assert 0 < printed <= Fraction(1, 10**900)
-    assert abs(printed - z.error_radius) <= printed / 10**6
+    assert abs(printed - z.radius) <= printed / 10**6
 
 
 @pytest.mark.parametrize(
@@ -304,6 +307,80 @@ def test_count_format_env_fallback(capsys, monkeypatch):
     assert parse_scan_csv(io.StringIO(out))[0].V == 14
     code, out, _ = run_cli([*argv, "--format", "text"], capsys)
     assert (code, out) == (0, text)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--r", "2", "--k", "1", "--x", "10"],
+        ["scan", "--r", "2", "--k", "2", "--x-min", "10", "--x-max", "11"],
+    ],
+)
+def test_format_env_is_checked(capsys, monkeypatch, argv):
+    monkeypatch.setenv("RFREE_OUTPUT_FORMAT", "xml")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_scan_text_format_prints_csv(capsys):
+    argv = ["scan", "--r", "2", "--k", "2", "--x-min", "10", "--x-max", "20"]
+    _, text, _ = run_cli([*argv, "--format", "text"], capsys)
+    _, csv_text, _ = run_cli([*argv, "--format", "csv"], capsys)
+    assert text == csv_text
+    assert text.startswith(",".join(CSV_COLUMNS) + "\n")
+
+
+def test_jordan_past_factor_bound_is_resource_error(capsys):
+    n = str(10**30 + 57)
+    code, out, err = run_cli(["jordan", "--n", n, "--r", "1", "--k", "1"], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and n in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["zeta", "--s", "2"],
+        ["count", "--r", "2", "--k", "1", "--x", "10"],
+        ["scan", "--r", "2", "--k", "2", "--x-min", "10", "--x-max", "11"],
+    ],
+)
+def test_precision_limit_is_1e_1000(capsys, monkeypatch, argv):
+    def no_zeta(*args):
+        raise AssertionError("zeta computed for a rejected precision")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(rfree.arith, "zeta_enclosure", no_zeta)
+        code, out, err = run_cli([*argv, "--precision", "1e-1001"], capsys)
+    assert (code, out) == (2, "")
+    assert "1e-1000" in err
+    code, out, _ = run_cli([*argv, "--precision", "1e-1000"], capsys)
+    assert code == 0
+    assert re.search(r"\.\d{1000}\b", out)
+
+
+# stdout SHA-256 of outputs whose every digit is fixed by exact arithmetic
+GOLDEN_OUTPUTS = {
+    "scan --r 2 --k 2 --x-min 2 --x-max 3000":
+        "2421c56276d0ba6b297c2874b7c34e12b6aa01bf39c5836be356780183b1afd3",
+    "scan --r 3 --k 2 --x-min 2 --x-max 50000 --step 7":
+        "4d6c5b8c8ba5ad7844812db284e3d58afe69b2051e2acab6dd22e7b04a77b566",
+    "scan --r 2 --k 1 --x-min 2 --x-max 3000":
+        "14c8d06ec3f25a6718c0b3882059ca542ac9226d139988d6fe9fb6203a3e8664",
+    "count --r 2 --k 1 --x 10":
+        "6e0585cb1c4e82d8035308e23a03bd0b656e284b9e7e9a2b66c6c4e10f076c7e",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_OUTPUTS))
+def test_output_bytes_are_golden(capsys, monkeypatch, command):
+    for name in ("PRECISION", "OUTPUT_FORMAT", "OUTPUT_PATH"):
+        monkeypatch.delenv(f"RFREE_{name}", raising=False)
+    code, out, _ = run_cli(command.split(), capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_OUTPUTS[command]
 
 
 @pytest.mark.parametrize(

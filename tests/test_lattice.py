@@ -191,7 +191,7 @@ def test_count_record_r2_k1_x10():
     rec = count_record(CountParams(r=2, k=1, x=10))
     assert rec.V == 14
     z = zeta_value(2)
-    assert rec.main_term.contains(Fraction(20) / z.value)
+    assert rec.main_term.contains(Fraction(20) / z.mid)
     assert abs(rec.main_term.mid - Fraction(Decimal("12.15854204"))) < Fraction(1, 10**6)
     assert rec.error.mid == 14 - rec.main_term.mid
     assert abs(rec.error.mid - Fraction(Decimal("1.84145796"))) < Fraction(1, 10**6)
@@ -251,6 +251,9 @@ def test_decimal_places():
     assert decimal_places(Fraction(1, 10**30)) == 30
     assert decimal_places(Fraction(1, 10**8)) == 8
     assert decimal_places(Fraction(3, 100)) == 2
+    assert decimal_places(Fraction(1, 10**1000)) == 1000
+    with pytest.raises(ValueError):
+        decimal_places(Fraction(1, 10**1001))
     with pytest.raises(ValueError):
         decimal_places(Fraction(0))
 

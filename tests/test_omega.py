@@ -327,6 +327,15 @@ def test_proposition_residual_scan_is_bounded(tables):
     assert max(values) < 10  # loose sanity; exact maxima are fixture-checked
 
 
+@pytest.mark.parametrize("r,k", [(1, 3), (2, 1), (2, 2), (3, 1)])
+def test_proposition_residual_scan_matches_pointwise(tables, r, k):
+    t = tables(300)
+    z = zeta_value(r * k)
+    rows = dict(proposition_residual_scan(300, k, r, z, t))
+    for x in range(1, 301):
+        assert rows[x] == proposition_residual(x, k, r, z, table=t).abs().hi
+
+
 # ---------------------------------------------------------------------------
 # error_scan and the ratio report
 # ---------------------------------------------------------------------------
