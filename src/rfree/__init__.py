@@ -8,11 +8,10 @@ measures the error term against (2x)^k / zeta(rk) with rigorous enclosures.
 """
 
 from .arith import (
-    BernoulliSeq,
     Enclosure,
     MobiusTable,
     ZetaValue,
-    bernoulli,
+    bernoulli_numbers,
     faulhaber_sum,
     format_fraction,
     integer_root,
@@ -54,7 +53,6 @@ from .omega import (
 )
 from .umbral import (
     IdentityCheck,
-    UmbralPolynomial,
     identity_check,
     umbral_coefficients,
     umbral_eval,
@@ -63,7 +61,6 @@ from .umbral import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BernoulliSeq",
     "CountParams",
     "CountRecord",
     "Enclosure",
@@ -74,10 +71,9 @@ __all__ = [
     "OmegaRatioReport",
     "ResourceLimitError",
     "TotientParams",
-    "UmbralPolynomial",
     "WitnessReport",
     "ZetaValue",
-    "bernoulli",
+    "bernoulli_numbers",
     "count_fast",
     "count_oracle",
     "count_record",

@@ -1,13 +1,15 @@
 """Exact and high-precision arithmetic shared by every other module.
 
 Provides:
-    sieve_mobius   -- mu(d) and Mertens prefix sums M(n) up to a limit
-    mobius         -- scalar mu(n) by trial division (independent of the sieve)
-    integer_root   -- floor(x^(1/r)) in pure integer arithmetic
-    bernoulli      -- exact Bernoulli numbers, B_1 = +1/2 convention
-    faulhaber_sum  -- sum_{m<=M} m^e via the Bernoulli formula
-    zeta_value     -- zeta(s) for integer s >= 2 with a rigorous error radius
-    Enclosure      -- a closed rational ball guaranteed to contain a value
+    sieve_mobius      -- mu(d) and Mertens prefix sums M(n) up to a limit, as
+                         a MobiusTable whose power_sums is the one loop over
+                         mu(d) floor(x/d^r)^e that counts and partial sums read
+    mobius            -- scalar mu(n) by trial division (independent of the sieve)
+    integer_root      -- floor(x^(1/r)) in pure integer arithmetic
+    bernoulli_numbers -- exact Bernoulli numbers, B_1 = +1/2 convention
+    faulhaber_sum     -- sum_{m<=M} m^e via the Bernoulli formula
+    zeta_value        -- zeta(s) for integer s >= 2 with a rigorous error radius
+    Enclosure         -- a closed rational ball guaranteed to contain a value
 
 Everything that feeds an exact identity is integer or Fraction arithmetic;
 floats never touch a quantity that a test compares exactly.
@@ -42,10 +44,45 @@ class MobiusTable:
     mu: list[int]
     mertens: list[int]
 
+    def require(self, n: int) -> None:
+        """Raise ValueError unless mu and M are sieved up to n."""
+        if n > self.limit:
+            raise ValueError(f"table sieved to {self.limit}, need {n}")
+
     def mertens_at(self, n: int) -> int:
-        if not 0 <= n <= self.limit:
-            raise ValueError(f"n={n} outside sieved range [0, {self.limit}]")
+        if n < 0:
+            raise ValueError(f"n={n} is negative")
+        self.require(n)
         return self.mertens[n]
+
+    def power_sums(self, x: int, r: int, k: int) -> list[int]:
+        """[T_0, ..., T_k] with T_e = sum_{d <= x^(1/r)} mu(d) floor(x/d^r)^e.
+
+        T_0 is M(floor(x^(1/r))). One pass over d groups the d into runs of
+        equal quotient q = x // d^r and sums mu over each run; the powers of
+        q are then taken once per run. Exact, and no root is taken per run.
+        """
+        root = integer_root(x, r)
+        self.require(root)
+        mu = self.mu
+        qs, cs = [], []  # each run's quotient and summed mu
+        q_run, mu_run = x, 0
+        for d in range(1, root + 1):
+            m = mu[d]
+            if m:
+                q = x // d**r
+                if q != q_run:
+                    qs.append(q_run)
+                    cs.append(mu_run)
+                    q_run, mu_run = q, 0
+                mu_run += m
+        qs.append(q_run)
+        cs.append(mu_run)
+        sums = [sum(cs)]
+        for _ in range(k):
+            cs = [c * q for c, q in zip(cs, qs)]
+            sums.append(sum(cs))
+        return sums
 
 
 def sieve_mobius(limit: int) -> MobiusTable:
@@ -187,21 +224,11 @@ def integer_root(x: int, r: int) -> int:
 # Bernoulli numbers and Faulhaber sums
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BernoulliSeq:
-    """B_0 .. B_{len-1} as exact Fractions, with B_1 = +1/2."""
-
-    values: tuple[Fraction, ...]
-
-    def __getitem__(self, i: int) -> Fraction:
-        return self.values[i]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
 @lru_cache(maxsize=None)
-def _bernoulli_values(count: int) -> tuple[Fraction, ...]:
+def bernoulli_numbers(count: int) -> tuple[Fraction, ...]:
+    """B_0 .. B_{count-1} as exact Fractions, second convention (B_1 = +1/2)."""
+    if count < 1:
+        raise ValueError("count must be >= 1")
     # Akiyama-Tanigawa; yields the B_1 = +1/2 convention directly.
     row = [Fraction(0)] * count
     out = []
@@ -211,13 +238,6 @@ def _bernoulli_values(count: int) -> tuple[Fraction, ...]:
             row[j - 1] = j * (row[j - 1] - row[j])
         out.append(row[0])
     return tuple(out)
-
-
-def bernoulli(count: int) -> BernoulliSeq:
-    """First ``count`` Bernoulli numbers, second convention (B_1 = +1/2)."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    return BernoulliSeq(values=_bernoulli_values(count))
 
 
 def faulhaber_sum(upper: int, e: int) -> int:
@@ -233,7 +253,7 @@ def faulhaber_sum(upper: int, e: int) -> int:
         raise ValueError("e must be >= 0")
     if upper == 0:
         return 0
-    B = _bernoulli_values(e + 1)
+    B = bernoulli_numbers(e + 1)
     total = Fraction(0)
     for j in range(e + 1):
         total += math.comb(e + 1, j) * B[j] * upper ** (e + 1 - j)
@@ -384,7 +404,7 @@ def zeta_value(s: int, target_precision: Fraction = Fraction(1, 10**30)) -> Zeta
 # Decimal rendering
 # ---------------------------------------------------------------------------
 
-def format_fraction(q: Fraction, places: int) -> str:
+def format_fraction(q: Fraction | int, places: int) -> str:
     """Fixed-point decimal string of q with ``places`` fractional digits.
 
     Round-half-up on the last digit; pure integer arithmetic, so output is
@@ -392,7 +412,6 @@ def format_fraction(q: Fraction, places: int) -> str:
     """
     if places < 0:
         raise ValueError("places must be >= 0")
-    q = Fraction(q)
     sign = "-" if q < 0 else ""
     num = abs(q.numerator) * 10**places
     scaled, rem = divmod(num, q.denominator)

@@ -9,7 +9,13 @@ prime q does). Two closed forms exist and are cross-checked on every call:
 
 For k = 0 both collapse to the r-free indicator of n. Partial sums
 sum_{n<=x} J_{k-1}^r(n) come in a direct reference loop and a Bernoulli
-expansion over d <= floor(x^(1/r)).
+expansion: summing Faulhaber's formula for sum_{m<=q} m^(k-1) over the
+divisor sum gives
+
+    (1/k) sum_{j=0}^{k-1} C(k, j) B_j T_{k-j}(x),
+
+with T_e(x) = sum_{d <= x^(1/r)} mu(d) floor(x/d^r)^e the power sums of
+MobiusTable.power_sums, the kernel count_fast reads too.
 """
 
 from __future__ import annotations
@@ -21,9 +27,8 @@ from itertools import product
 
 from .arith import (
     MobiusTable,
-    _bernoulli_values,
+    bernoulli_numbers,
     factorize,
-    integer_root,
     mobius,
     rfree_sieve,
 )
@@ -134,46 +139,20 @@ def partial_sum_direct(x: int, params: TotientParams) -> int:
 def partial_sum_bernoulli(x: int, params: TotientParams, table: MobiusTable) -> int:
     """sum_{n<=x} J_{k-1}^r(n) via the Bernoulli expansion
 
-        (1/k) sum_{j=0}^{k-1} C(k, j) B_j sum_{d^r<=x} mu(d) floor(x/d^r)^(k-j)
+        (1/k) sum_{j=0}^{k-1} C(k, j) B_j T_{k-j}(x)
 
-    with B_1 = +1/2. Floors are integer division, accumulation is exact, and
-    a non-integral total raises InvariantViolationError.
+    with B_1 = +1/2 and T_e(x) = sum_{d^r<=x} mu(d) floor(x/d^r)^e from
+    MobiusTable.power_sums. Accumulation is exact, and a non-integral total
+    raises InvariantViolationError.
     """
     if x < 0:
         raise ValueError("x must be >= 0")
     k, r = params.k, params.r
     if k < 1:
         raise ValueError("partial sums need k >= 1")
-    if x == 0:
-        return 0
-    root = integer_root(x, r)
-    if table.limit < root:
-        raise ValueError(
-            f"table sieved to {table.limit} but floor(x^(1/r)) = {root}"
-        )
-    # Integer inner sums T[m] = sum_d mu(d) floor(x/d^r)^m for m = 1..k,
-    # shared across the j-loop.
-    inner = [0] * (k + 1)
-    mu = table.mu
-    for d in range(1, root + 1):
-        m = mu[d]
-        if not m:
-            continue
-        q = x // d**r
-        qp = 1
-        if m == 1:
-            for e in range(1, k + 1):
-                qp *= q
-                inner[e] += qp
-        else:
-            for e in range(1, k + 1):
-                qp *= q
-                inner[e] -= qp
-    B = _bernoulli_values(k)
-    total = Fraction(0)
-    for j in range(k):
-        total += math.comb(k, j) * B[j] * inner[k - j]
-    total /= k
+    T = table.power_sums(x, r, k)
+    B = bernoulli_numbers(k)
+    total = sum(math.comb(k, j) * B[j] * T[k - j] for j in range(k)) / k
     if total.denominator != 1:
         raise InvariantViolationError(
             f"Bernoulli partial sum at x={x}, r={r}, k={k} "

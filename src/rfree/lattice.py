@@ -6,12 +6,15 @@ all-zero tuple never counts, tuples containing a unit always do, and tuples
 with some (not all) zero coordinates count whenever the nonzero part does.
 
 count_oracle enumerates the box and is the ground truth. count_fast inverts
-with the Mobius sieve:
+with the Mobius sieve: every d <= floor(x^(1/r)) counts the tuples of
+multiples of d^r, minus the all-zero one, so with q_d = floor(x/d^r)
 
-    V = sum_{d <= floor(x^(1/r))} mu(d) (2 floor(x/d^r) + 1)^k - M(floor(x^(1/r)))
+    V = sum_d mu(d) ((2 q_d + 1)^k - 1) = sum_{e=1}^{k} C(k, e) 2^e T_e(x),
 
-where the Mertens subtraction cancels the all-zero tuple, which every d
-counts. The error term is measured against (2x)^k / zeta(rk).
+where T_e(x) = sum_d mu(d) q_d^e comes from MobiusTable.power_sums, the
+kernel that partial_sum_bernoulli reads too. count_progression takes one
+count from count_fast and the rest by an independent route, the increments
+V(y) - V(y-1). The error term is measured against (2x)^k / zeta(rk).
 """
 
 from __future__ import annotations
@@ -95,19 +98,9 @@ def count_oracle(params: CountParams, budget: int = DEFAULT_BOX_BUDGET) -> int:
 
 def count_fast(params: CountParams, table: MobiusTable) -> int:
     """V by Mobius inversion over d <= floor(x^(1/r)); exact."""
-    x, k, r = params.x, params.k, params.r
-    root = integer_root(x, r)
-    if table.limit < root:
-        raise ValueError(
-            f"table sieved to {table.limit} but floor(x^(1/r)) = {root}"
-        )
-    mu = table.mu
-    total = 0
-    for d in range(1, root + 1):
-        m = mu[d]
-        if m:
-            total += m * (2 * (x // d**r) + 1) ** k
-    return total - table.mertens_at(root)
+    k = params.k
+    T = table.power_sums(params.x, params.r, k)
+    return sum(math.comb(k, e) * 2**e * T[e] for e in range(1, k + 1))
 
 
 # Cost of one unit of count_progression's increment work (one d of its
@@ -146,10 +139,7 @@ def count_progression(r: int, k: int, xs: range, table: MobiusTable) -> list[int
         raise ValueError("xs must be an ascending progression of x >= 0")
     first, last = xs[0], xs[-1]
     root = integer_root(last, r)
-    if table.limit < root:
-        raise ValueError(
-            f"table sieved to {table.limit} but floor(x^(1/r)) = {root}"
-        )
+    table.require(root)
     if not increments_pay(r, len(xs), last - first, root):
         return [count_fast(CountParams(r=r, k=k, x=x), table) for x in xs]
     step = xs.step

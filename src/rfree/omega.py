@@ -92,8 +92,7 @@ def frac_sum(params: FracSumParams, table: MobiusTable) -> Fraction:
             f"floor(x^(1/r)) = {root} exceeds exact-sum guard "
             f"{EXACT_ROOT_LIMIT}; use truncated_frac_sum"
         )
-    if table.limit < root:
-        raise ValueError(f"table sieved to {table.limit}, need {root}")
+    table.require(root)
     return _frac_sum_upto(params, root, table.mu.__getitem__)
 
 
@@ -269,8 +268,8 @@ def mertens_residual(
         raise ValueError("x must be >= 1")
     if s < 2:
         raise ValueError("s must be >= 2")
-    if table is not None and table.limit < x:
-        raise ValueError(f"table sieved to {table.limit}, need {x}")
+    if table is not None:
+        table.require(x)
     mu_of = table.mu.__getitem__ if table is not None else mobius
     lo, hi = _ResidualSum(s, zeta, mu_of).upto(x)
     return Enclosure.between(Fraction(lo, _SCALE), Fraction(hi, _SCALE))
@@ -280,8 +279,7 @@ def mertens_residual_scan(
     x_max: int, s: int, zeta: ZetaValue, table: MobiusTable
 ) -> Iterator[tuple[int, Fraction]]:
     """Yield (x, sup |residual| * x^(s-1)) for x = 1..x_max, incrementally."""
-    if table.limit < x_max:
-        raise ValueError(f"table sieved to {table.limit}, need {x_max}")
+    table.require(x_max)
     residual = _ResidualSum(s, zeta, table.mu.__getitem__)
     for x in range(1, x_max + 1):
         lo, hi = residual.upto(x)
@@ -308,8 +306,8 @@ def proposition_residual(
     if r * k < 2:
         raise ValueError("requires r*k >= 2")
     root = integer_root(x, r)
-    if table is not None and table.limit < root:
-        raise ValueError(f"table sieved to {table.limit}, need {root}")
+    if table is not None:
+        table.require(root)
     mu_of = table.mu.__getitem__ if table is not None else mobius
     lo, hi = _ResidualSum(r * k, zeta, mu_of).upto(root)
     numer = Enclosure.between(Fraction(lo, _SCALE), Fraction(hi, _SCALE)).scale(x**k)
@@ -320,9 +318,7 @@ def proposition_residual_scan(
     x_max: int, k: int, r: int, zeta: ZetaValue, table: MobiusTable
 ) -> Iterator[tuple[int, Fraction]]:
     """Yield (x, sup of the scaled |residual|) for x = 1..x_max."""
-    root_max = integer_root(x_max, r)
-    if table.limit < root_max:
-        raise ValueError(f"table sieved to {table.limit}, need {root_max}")
+    table.require(integer_root(x_max, r))
     residual = _ResidualSum(r * k, zeta, table.mu.__getitem__)
     for x in range(1, x_max + 1):
         lo, hi = residual.upto(integer_root(x, r))

@@ -23,18 +23,6 @@ from .lattice import CountParams, count_fast, count_oracle
 
 
 @dataclass(frozen=True)
-class UmbralPolynomial:
-    """Exact coefficients c_0..c_{k+1} of the difference polynomial.
-
-    Only degrees j with j == k (mod 2) survive; in particular c_{k+1} = 0 and
-    c_k = 2^k. Every denominator divides 2(k+1).
-    """
-
-    k: int
-    coefficients: tuple[Fraction, ...]
-
-
-@dataclass(frozen=True)
 class IdentityCheck:
     """Outcome of one identity comparison; both sides kept for diagnosis."""
 
@@ -55,8 +43,13 @@ class IdentityCheck:
         return True
 
 
-def umbral_coefficients(k: int) -> UmbralPolynomial:
-    """Expand ((2X+1)^(k+1) - (2X-1)^(k+1)) / (2(k+1)) exactly."""
+def umbral_coefficients(k: int) -> tuple[Fraction, ...]:
+    """Exact coefficients c_0..c_{k+1} of
+    ((2X+1)^(k+1) - (2X-1)^(k+1)) / (2(k+1)).
+
+    Only degrees j with j == k (mod 2) survive; in particular c_{k+1} = 0 and
+    c_k = 2^k. Every denominator divides 2(k+1).
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     coeffs = []
@@ -65,7 +58,7 @@ def umbral_coefficients(k: int) -> UmbralPolynomial:
             coeffs.append(Fraction(math.comb(k + 1, j) * 2**j, k + 1))
         else:
             coeffs.append(Fraction(0))
-    return UmbralPolynomial(k=k, coefficients=tuple(coeffs))
+    return tuple(coeffs)
 
 
 def umbral_eval(
@@ -88,10 +81,10 @@ def umbral_eval(
         raise ValueError("r and k must be >= 1")
     if table is None:
         table = sieve_mobius(max(integer_root(x, r), 1))
-    poly = umbral_coefficients(k)
-    total = poly.coefficients[0] * constant_substitution
+    coeffs = umbral_coefficients(k)
+    total = coeffs[0] * constant_substitution
     for j in range(1, k + 2):
-        c = poly.coefficients[j]
+        c = coeffs[j]
         if c:
             s = partial_sum_bernoulli(x, TotientParams(r=r, k=j), table)
             total += c * j * s

@@ -4,11 +4,11 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rfree import (
     Enclosure,
-    bernoulli,
+    bernoulli_numbers,
     faulhaber_sum,
     format_fraction,
     integer_root,
@@ -86,6 +86,79 @@ def test_mertens_at_bounds(tables):
         t.mertens_at(10**6 + 1)
 
 
+def _naive_power_sums(table, x, r, k):
+    root = integer_root(x, r)
+    return [
+        sum(table.mu[d] * (x // d**r) ** e for d in range(1, root + 1))
+        for e in range(k + 1)
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    r=st.integers(1, 4),
+    k=st.integers(0, 5),
+    root=st.integers(0, 3000),
+    offset=st.one_of(st.just(0), st.integers(0, 3001**4)),
+)
+@example(r=1, k=3, root=0, offset=0)      # x = 0
+@example(r=2, k=5, root=3000, offset=0)   # x = 3000^2, an exact square
+@example(r=3, k=2, root=1000, offset=0)   # x = 10^9, an exact cube
+def test_power_sums_match_naive(tables, r, k, root, offset):
+    # x ranges over [root^r, (root+1)^r), so floor(x^(1/r)) = root <= 3000;
+    # offset 0 makes x an exact r-th power
+    x = root**r + offset % ((root + 1) ** r - root**r)
+    t = tables(3000)
+    sums = t.power_sums(x, r, k)
+    assert sums == _naive_power_sums(t, x, r, k)
+    assert sums[0] == t.mertens_at(root)
+
+
+def _small_table_entry_points():
+    from rfree import (
+        CountParams,
+        FracSumParams,
+        TotientParams,
+        count_fast,
+        error_scan,
+        frac_sum,
+        identity_check,
+        mertens_residual,
+        mertens_residual_scan,
+        partial_sum_bernoulli,
+        proposition_residual,
+        proposition_residual_scan,
+        umbral_eval,
+    )
+    from rfree.lattice import count_progression
+
+    z2 = zeta_value(2)
+    # every call needs the table sieved to 50: floor(50^(1/1)) = floor(2500^(1/2))
+    return {
+        "power_sums": lambda t: t.power_sums(50, 1, 2),
+        "mertens_at": lambda t: t.mertens_at(50),
+        "count_fast": lambda t: count_fast(CountParams(r=1, k=2, x=50), t),
+        "count_progression": lambda t: count_progression(1, 2, range(40, 51), t),
+        "error_scan": lambda t: next(error_scan(1, 2, 40, 50, table=t)),
+        "partial_sum_bernoulli": lambda t: partial_sum_bernoulli(50, TotientParams(r=1, k=2), t),
+        "umbral_eval": lambda t: umbral_eval(50, 1, 2, table=t),
+        "identity_check": lambda t: identity_check(1, 2, 50, table=t),
+        "frac_sum": lambda t: frac_sum(FracSumParams(r=1, j=2, i=1, x=50), t),
+        "mertens_residual": lambda t: mertens_residual(50, 2, z2, t),
+        "mertens_residual_scan": lambda t: next(mertens_residual_scan(50, 2, z2, t)),
+        "proposition_residual": lambda t: proposition_residual(2500, 1, 2, z2, t),
+        "proposition_residual_scan": lambda t: next(proposition_residual_scan(2500, 1, 2, z2, t)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_small_table_entry_points()))
+def test_table_too_small_names_limit_and_need(name):
+    call = _small_table_entry_points()[name]
+    with pytest.raises(ValueError, match=r"^table sieved to 7, need 50$"):
+        call(sieve_mobius(7))
+    call(sieve_mobius(50))  # and the same call passes once the table covers it
+
+
 # ---------------------------------------------------------------------------
 # Integer roots
 # ---------------------------------------------------------------------------
@@ -119,18 +192,18 @@ def test_integer_root_rejects_bad_args():
 # ---------------------------------------------------------------------------
 
 def test_bernoulli_second_convention():
-    assert bernoulli(2).values == (Fraction(1), Fraction(1, 2))
-    assert bernoulli(4).values == (
+    assert bernoulli_numbers(2) == (Fraction(1), Fraction(1, 2))
+    assert bernoulli_numbers(4) == (
         Fraction(1),
         Fraction(1, 2),
         Fraction(1, 6),
         Fraction(0),
     )
-    assert bernoulli(8)[6] == Fraction(1, 42)
+    assert bernoulli_numbers(8)[6] == Fraction(1, 42)
 
 
 def test_bernoulli_odd_indices_vanish():
-    seq = bernoulli(20)
+    seq = bernoulli_numbers(20)
     for i in range(3, 20, 2):
         assert seq[i] == 0
 
@@ -138,17 +211,17 @@ def test_bernoulli_odd_indices_vanish():
 def test_bernoulli_defining_recurrence():
     # Independent oracle: B_m = (m+1 - sum_{j<m} C(m+1, j) B_j) / (m+1),
     # the identity sum_{j<=m} C(m+1, j) B_j = m+1 for the B_1 = +1/2 values.
-    seq = bernoulli(20)
+    seq = bernoulli_numbers(20)
     expected = [Fraction(1)]
     for m in range(1, 20):
         acc = sum(math.comb(m + 1, j) * expected[j] for j in range(m))
         expected.append(Fraction(m + 1 - acc, m + 1))
-    assert list(seq.values) == expected
+    assert list(seq) == expected
 
 
 def test_bernoulli_first_convention_identity():
     # Flipping B_1 to -1/2 must satisfy sum_{j<=m} C(m+1, j) B_j^- = 0.
-    seq = list(bernoulli(16).values)
+    seq = list(bernoulli_numbers(16))
     seq[1] = -seq[1]
     for m in range(1, 16):
         assert sum(math.comb(m + 1, j) * seq[j] for j in range(m + 1)) == 0
@@ -156,7 +229,7 @@ def test_bernoulli_first_convention_identity():
 
 def test_bernoulli_rejects_nonpositive_count():
     with pytest.raises(ValueError):
-        bernoulli(0)
+        bernoulli_numbers(0)
 
 
 @pytest.mark.parametrize("upper,e,expected", [(10, 1, 55), (5, 2, 55), (0, 3, 0)])
@@ -249,6 +322,7 @@ def test_format_fraction_basic():
     assert format_fraction(Fraction(-1, 3), 5) == "-0.33333"
     assert format_fraction(Fraction(2, 3), 5) == "0.66667"
     assert format_fraction(Fraction(7), 0) == "7"
+    assert format_fraction(-7, 2) == "-7.00"
 
 
 def test_fraction_to_decimal_round_trips():
@@ -346,6 +420,6 @@ def test_faulhaber_detects_convention_bugs(monkeypatch):
     import rfree.arith as arith
 
     bad = (Fraction(1), Fraction(-1, 3))
-    monkeypatch.setattr(arith, "_bernoulli_values", lambda count: bad[:count])
+    monkeypatch.setattr(arith, "bernoulli_numbers", lambda count: bad[:count])
     with pytest.raises(InvariantViolationError):
         arith.faulhaber_sum(10, 1)

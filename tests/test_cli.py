@@ -236,6 +236,29 @@ def test_witness_small_command(capsys):
     assert "target_bound = -1/20" in out
 
 
+def test_witness_small_prints_long_fractions_in_full(capsys):
+    # at cutoff 3000 the exact finite part runs past Python's default
+    # 4300-digit cap on int -> str conversion
+    from rfree import certify_witness, witness_small
+
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, _ = run_cli(
+            ["witness", "--small", "--r", "2", "--m", "1", "--cutoff", "3000"], capsys
+        )
+        assert code == 0
+        assert sys.get_int_max_str_digits() == 4300  # lifted only while printing
+        assert "verdict = negative" in out
+        printed = re.search(r"^finite_part = (\S+) \(", out, re.MULTILINE).group(1)
+        assert len(printed) > 4300
+        expected = certify_witness(witness_small(2, 1), 2, 1, cutoff=3000).finite_part
+        sys.set_int_max_str_digits(0)
+        assert Fraction(printed) == expected
+    finally:
+        sys.set_int_max_str_digits(cap)
+
+
 def test_witness_small_rejects_even_m(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["witness", "--small", "--r", "2", "--m", "2"])

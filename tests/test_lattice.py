@@ -64,6 +64,24 @@ def test_count_fast_examples(tables):
     assert count_fast(CountParams(r=3, k=2, x=0), t) == 0
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    r=st.integers(1, 4),
+    k=st.integers(1, 5),
+    root=st.integers(0, 1000),
+    offset=st.integers(0, 1001**4),
+)
+def test_count_fast_is_the_written_out_inversion(tables, r, k, root, offset):
+    # V = sum_{d <= x^(1/r)} mu(d) ((2 floor(x/d^r) + 1)^k - 1), term by term,
+    # at an x with floor(x^(1/r)) = root
+    x = root**r + offset % ((root + 1) ** r - root**r)
+    t = tables(1000)
+    written_out = sum(
+        t.mu[d] * ((2 * (x // d**r) + 1) ** k - 1) for d in range(1, root + 1)
+    )
+    assert count_fast(CountParams(r=r, k=k, x=x), t) == written_out
+
+
 def test_count_fast_table_too_small():
     t = sieve_mobius(2)
     with pytest.raises(ValueError):
