@@ -21,11 +21,11 @@ from fractions import Fraction
 from itertools import chain
 
 from .arith import format_fraction, integer_root, sieve_mobius, zeta_value
-from .errors import ResourceLimitError
+from .errors import InvariantViolationError, ResourceLimitError
 from .jordan import TotientParams, jordan, jordan_oracle, partial_sum_bernoulli, partial_sum_direct
 from .lattice import CountParams, CountRecord, count_oracle, count_record, decimal_places
 from .omega import error_scan, certify_witness, omega_ratio_report, witness_large, witness_small
-from .umbral import identity_check
+from .umbral import identity_range
 
 CSV_COLUMNS = ["x", "V", "main_term", "error", "normalized_error", "density"]
 OUTPUT_FORMATS = ("text", "csv", "json")
@@ -238,18 +238,14 @@ def _cmd_partial_sum(args) -> int:
 def _cmd_identity(args, parser: argparse.ArgumentParser) -> int:
     if args.x_min > args.x_max:
         parser.error("--x-min must not exceed --x-max")
-    table = sieve_mobius(max(integer_root(args.x_max, args.r), 1))
     mismatches = 0
-    for x in range(args.x_min, args.x_max + 1):
-        check = identity_check(args.r, args.k, x, table=table)
+    for check in identity_range(args.r, args.k, args.x_min, args.x_max):
         if check.equal:
-            print(f"x={x} equal")
+            print(f"x={check.x} equal")
         else:
             mismatches += 1
-            print(
-                f"x={x} MISMATCH umbral={check.umbral} fast={check.fast}"
-                + (f" zero_split={check.zero_split}" if check.zero_split is not None else "")
-            )
+            print(f"x={check.x} MISMATCH umbral={check.umbral} fast={check.fast}"
+                  f" zero_split={check.zero_split}")
     print(f"checked {args.x_max - args.x_min + 1} values, {mismatches} mismatches")
     return 1 if mismatches else 0
 
@@ -401,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="V, main term, and error at one (r, k, x)")
     p.add_argument("--r", type=_pos_int, required=True)
     p.add_argument("--k", type=_pos_int, required=True)
-    p.add_argument("--x", type=_nonneg_int, required=True)
+    p.add_argument("--x", type=_pos_int, required=True)
     p.add_argument("--oracle", action="store_true",
                    help="also enumerate the box and check agreement")
     _add_precision(p)
@@ -486,7 +482,7 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_zeta(args)
         if args.command == "report":
             return _cmd_report(args)
-    except ResourceLimitError as exc:
+    except (ResourceLimitError, InvariantViolationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

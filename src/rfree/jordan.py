@@ -15,24 +15,29 @@ divisor sum gives
     (1/k) sum_{j=0}^{k-1} C(k, j) B_j T_{k-j}(x),
 
 with T_e(x) = sum_{d <= x^(1/r)} mu(d) floor(x/d^r)^e the power sums of
-MobiusTable.power_sums, the kernel count_fast reads too.
+MobiusTable.power_sums, the kernel count_fast reads too. partial_sum_range
+gives every x of a range from a segmented Euler-product sieve, without mu.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, islice, product
 
 from .arith import (
     MobiusTable,
     bernoulli_numbers,
     factorize,
+    integer_root,
     mobius,
+    primes_upto,
     rfree_sieve,
 )
 from .errors import InvariantViolationError, ResourceLimitError
+from .lattice import SCAN_CHUNK
 
 DEFAULT_TUPLE_BUDGET = 10**7
 
@@ -159,3 +164,58 @@ def partial_sum_bernoulli(x: int, params: TotientParams, table: MobiusTable) -> 
             f"is non-integral: {total}"
         )
     return total.numerator
+
+
+def jordan_segment(
+    lo: int, hi: int, r: int, es: tuple[int, ...], primes: list[int]
+) -> list[list[int]]:
+    """[J_e^r(n) for lo <= n < hi] for each e of ``es``, with J(0) taken as 0.
+
+    Each n^e is multiplied by 1 - p^(-re) for each p^r | n, found by stepping
+    over the multiples of p^r: the Euler factor at p^a || n is p^(ae) - p^((a-r)e)
+    if a >= r, else p^(ae). ``primes`` holds every p with p^max(r, 2) < hi; for
+    r = 1 what is left of n once they are divided out is 1 or a prime, taken last."""
+    ns = range(lo, hi)
+    vals = [[n**e if n else 0 for n in ns] for e in es]
+    rest = [n or 1 for n in ns] if r == 1 else []
+    for p in primes:
+        if p**r >= hi:
+            break
+        for e, v in zip(es, vals):
+            f = p ** (r * e)
+            for i in range(-lo % p**r, len(ns), p**r):
+                v[i] = v[i] // f * (f - 1)
+        for i in range(-lo % p, len(rest), p):
+            while rest[i] % p == 0:
+                rest[i] //= p
+    for i, q in enumerate(rest):
+        if q > 1:
+            for e, v in zip(es, vals):
+                v[i] = v[i] // q**e * (q**e - 1)
+    return vals
+
+
+def partial_sum_range(
+    r: int, es: tuple[int, ...], x_min: int, x_max: int, table: MobiusTable
+) -> Iterator[tuple[int, ...]]:
+    """(sum_{n<=x} J_e^r(n) for e in es) for every x = x_min..x_max, in order,
+    in time linear in the range: jordan_segment sieves segments of
+    max(SCAN_CHUNK, root) integers with the primes up to root =
+    floor(x_max^(1/max(r, 2))), from n = 0, or from x_min on sums that
+    partial_sum_bernoulli seeds at x_min - 1 when fewer x are asked for than
+    lie below x_min. For r >= 2 it holds O(SCAN_CHUNK + x_max^(1/r)) integers."""
+    if x_min < 0 or x_max < x_min:
+        raise ValueError("need 0 <= x_min <= x_max")
+    start = x_min if x_min > x_max - x_min + 1 else 0
+    seed = (partial_sum_bernoulli(start - 1, TotientParams(r, e + 1), table) for e in es)
+    sums = list(seed) if start else [0] * len(es)
+    root = integer_root(x_max, max(r, 2))
+    primes = primes_upto(root)
+    size = max(SCAN_CHUNK, root)
+    for lo in range(start, x_max + 1, size):
+        columns = jordan_segment(lo, min(lo + size, x_max + 1), r, es, primes)
+        for i, column in enumerate(columns):
+            column[0] += sums[i]
+            column[:] = accumulate(column)
+            sums[i] = column[-1]
+        yield from islice(zip(*columns), max(x_min - lo, 0), None)

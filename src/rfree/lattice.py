@@ -20,6 +20,7 @@ V(y) - V(y-1). The error term is measured against (2x)^k / zeta(rk).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -40,6 +41,8 @@ from .errors import ResourceLimitError
 
 DEFAULT_BOX_BUDGET = 10**8
 DEFAULT_PRECISION = Fraction(1, 10**30)
+MAX_SCAN_RECORDS = 10**6  # most rows of one scan or identity range
+SCAN_CHUNK = 256  # fewest rows per count_range chunk
 
 
 @dataclass(frozen=True)
@@ -119,7 +122,7 @@ def increments_pay(r: int, rows: int, span: int, root: int) -> bool:
     loop over every d <= root once; count_fast loops root times per row.
     """
     # upper bounds on sum_{d<=root} d^(-r): 1 + ln(root) for r = 1, else r/(r-1)
-    density = 1 + math.log(root) if r == 1 else r / (r - 1)
+    density = 1 + math.log(max(root, 1)) if r == 1 else r / (r - 1)
     return INCREMENT_COST * (span * density + root) < rows * root
 
 
@@ -159,6 +162,15 @@ def count_progression(r: int, k: int, xs: range, table: MobiusTable) -> list[int
     for j in range(1, len(rises)):
         rises[j] += rises[j - 1]
     return rises
+
+
+def count_range(r: int, k: int, xs: range, table: MobiusTable) -> Iterator[int]:
+    """V(r, k, x) for every x of the ascending progression ``xs``, in order,
+    by one count_progression per chunk of max(SCAN_CHUNK, floor(x_max^(1/r)))
+    samples: its loop over d costs at most one step per row."""
+    size = max(SCAN_CHUNK, integer_root(xs[-1], r)) if xs else 1
+    for i in range(0, len(xs), size):
+        yield from count_progression(r, k, xs[i : i + size], table)
 
 
 def error_normalization(params: CountParams) -> Decimal:

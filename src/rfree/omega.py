@@ -31,9 +31,10 @@ from .arith import (
 from .errors import ResourceLimitError
 from .lattice import (
     DEFAULT_PRECISION,
+    MAX_SCAN_RECORDS,
     CountParams,
     CountRecord,
-    count_progression,
+    count_range,
     count_record,
     decimal_places,
 )
@@ -330,11 +331,6 @@ def proposition_residual_scan(
 # Error-term scans
 # ---------------------------------------------------------------------------
 
-MAX_SCAN_RECORDS = 10**6
-# Fewest rows per scan chunk; a chunk is one count_progression call.
-SCAN_CHUNK = 256
-
-
 def error_scan(
     r: int,
     k: int,
@@ -343,16 +339,13 @@ def error_scan(
     step: int = 1,
     precision: Fraction = DEFAULT_PRECISION,
     table: MobiusTable | None = None,
-    max_records: int = MAX_SCAN_RECORDS,
 ) -> Iterator[CountRecord]:
     """Emit a CountRecord per sampled x, in ascending order.
 
-    The rows are cut into chunks of max(SCAN_CHUNK, floor(x_max^(1/r)))
-    consecutive samples, each counted by one count_progression call: its
-    loop over d <= x_max^(1/r) then costs at most one step per row. Records
-    are built one per row as they are drawn, so the scan holds one chunk's
-    counts, O(x_max^(1/r)) integers like the Mobius table, for any number
-    of rows. Deterministic for fixed arguments: every quantity is exact or
+    The counts come from count_range, chunk by chunk. Records are built
+    one per row as they are drawn, so the scan holds one chunk's counts,
+    O(x_max^(1/r)) integers like the Mobius table, for any number of rows.
+    Deterministic for fixed arguments: every quantity is exact or
     derived from the same fixed-precision zeta enclosure. The arguments are
     checked when the first record is drawn.
     """
@@ -363,23 +356,19 @@ def error_scan(
     if step < 1:
         raise ValueError("step must be >= 1")
     xs = range(x_min, x_max + 1, step)
-    if len(xs) > max_records:
+    if len(xs) > MAX_SCAN_RECORDS:
         raise ResourceLimitError(
-            f"scan would emit {len(xs)} records, limit is {max_records}"
+            f"scan would emit {len(xs)} records, limit is {MAX_SCAN_RECORDS}"
         )
     precision = Fraction(precision)
     places = decimal_places(precision)
-    root = integer_root(x_max, r)
     if table is None:
-        table = sieve_mobius(root)
+        table = sieve_mobius(integer_root(x_max, r))
     zeta = zeta_value(r * k, precision)
-    size = max(SCAN_CHUNK, root)
-    for i in range(0, len(xs), size):
-        chunk = xs[i : i + size]
-        for x, V in zip(chunk, count_progression(r, k, chunk, table)):
-            yield count_record(
-                CountParams(r=r, k=k, x=x), precision, table, zeta, places, V=V
-            )
+    for x, V in zip(xs, count_range(r, k, xs, table)):
+        yield count_record(
+            CountParams(r=r, k=k, x=x), precision, table, zeta, places, V=V
+        )
 
 
 @dataclass(frozen=True)

@@ -7,19 +7,23 @@ For k >= 1 the count V(r, k, x) equals the formal polynomial
 evaluated umbral-style: the monomial X^j is replaced by
 j * sum_{n<=x} J_{j-1}^r(n) for j >= 1, and X^0 by 0. The substitution with
 X^0 -> 1 instead is a useful negative control; it breaks equality already
-at k = 2.
+at k = 2. identity_check compares one x through the power sums T_e both
+sides share; identity_range checks a range in linear time from routes that
+share no code: an Euler-product totient sieve and the counts' increments.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import MobiusTable, integer_root, sieve_mobius
-from .errors import InvariantViolationError
-from .jordan import TotientParams, jordan, partial_sum_bernoulli
-from .lattice import CountParams, count_fast, count_oracle
+from .errors import InvariantViolationError, ResourceLimitError
+from .jordan import TotientParams, jordan, partial_sum_bernoulli, partial_sum_range
+from .lattice import MAX_SCAN_RECORDS, CountParams, count_fast, count_oracle, count_range
 
 
 @dataclass(frozen=True)
@@ -147,3 +151,36 @@ def identity_check(
     return IdentityCheck(
         r=r, k=k, x=x, umbral=lhs, fast=rhs, oracle=oracle, zero_split=zero_split
     )
+
+
+def identity_range(
+    r: int, k: int, x_min: int, x_max: int, table: MobiusTable | None = None
+) -> Iterator[IdentityCheck]:
+    """identity_check at every x = x_min..x_max, in order, in linear time,
+    from partial_sum_range and count_range. The umbral total takes integer
+    weights den c_j j, den | k+1 the coefficients' denominator, and one
+    division by den, whose remainder raises InvariantViolationError. More
+    than MAX_SCAN_RECORDS values raise ResourceLimitError before any sieve."""
+    if x_min < 0 or x_max < x_min:
+        raise ValueError("need 0 <= x_min <= x_max")
+    xs = range(x_min, x_max + 1)
+    if len(xs) > MAX_SCAN_RECORDS:
+        raise ResourceLimitError(
+            f"identity would check {len(xs)} values, limit is {MAX_SCAN_RECORDS}"
+        )
+    coeffs = umbral_coefficients(k)
+    den = math.lcm(*(c.denominator for c in coeffs))
+    weights = {j - 1: c.numerator * den // c.denominator * j
+               for j, c in enumerate(coeffs) if c and j}
+    if table is None:
+        table = sieve_mobius(max(integer_root(x_max, r), 1))
+    sums = partial_sum_range(r, tuple(weights), x_min, x_max, table)
+    for x, S, V in zip(xs, sums, count_range(r, k, xs, table)):
+        umbral, rem = divmod(sum(map(operator.mul, weights.values(), S)), den)
+        if rem:
+            raise InvariantViolationError(
+                f"umbral evaluation at r={r}, k={k}, x={x} is non-integral: "
+                f"{Fraction(umbral * den + rem, den)} (convention mismatch)"
+            )
+        zero_split = None if umbral == V else zero_coordinate_expansion(x, r, k)
+        yield IdentityCheck(r=r, k=k, x=x, umbral=umbral, fast=V, zero_split=zero_split)

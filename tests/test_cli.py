@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 import rfree.arith
-from rfree import zeta_value
+from rfree import sieve_mobius, zeta_value
 from rfree.cli import _frac_sci, main, parse_scan_csv, CSV_COLUMNS
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -42,6 +42,16 @@ def test_count_rejects_negative_x(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["count", "--r", "1", "--k", "2", "--x", "-1"])
     assert exc.value.code == 2
+
+
+def test_count_rejects_zero_x(capsys):
+    # V(r, k, 0) = 0, but the record's normalisation needs x >= 1
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--r", "2", "--k", "2", "--x", "0"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--x" in err and "expected a positive integer, got 0" in err
 
 
 def test_count_csv_and_json(capsys):
@@ -93,6 +103,61 @@ def test_identity_rejects_inverted_range(capsys):
         main(["identity", "--r", "2", "--k", "3", "--x-min", "5", "--x-max", "3"])
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+def test_identity_mismatch_reports_both_sides(capsys, monkeypatch):
+    # one count off by one: that x alone is a mismatch, and zero_split is
+    # the true count, the one count_fast gives
+    from rfree import lattice
+    from rfree.lattice import CountParams, count_fast
+
+    original = lattice.count_progression
+
+    def off_by_one(r, k, xs, table):
+        return [V + (x == 17) for x, V in zip(xs, original(r, k, xs, table))]
+
+    monkeypatch.setattr(lattice, "count_progression", off_by_one)
+    code, out, _ = run_cli(["identity", "--r", "2", "--k", "2", "--x-max", "30"], capsys)
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[:17] == [f"x={x} equal" for x in range(17)]
+    assert lines[18:-1] == [f"x={x} equal" for x in range(18, 31)]
+    assert lines[-1] == "checked 31 values, 1 mismatches"
+    V = count_fast(CountParams(r=2, k=2, x=17), sieve_mobius(5))
+    assert lines[17] == f"x=17 MISMATCH umbral={V} fast={V + 1} zero_split={V}"
+
+
+@pytest.mark.parametrize("limit", [None, 100])
+def test_identity_range_limit_before_any_sieve(capsys, monkeypatch, limit):
+    from rfree import umbral
+
+    x_max = 10**9 if limit is None else limit
+    with monkeypatch.context() as patch:
+        if limit is not None:
+            patch.setattr(umbral, "MAX_SCAN_RECORDS", limit)
+        patch.setattr(umbral, "sieve_mobius", lambda n: pytest.fail("sieved"))
+        patch.setattr(umbral, "partial_sum_range", lambda *a: pytest.fail("sieved"))
+        code, out, err = run_cli(["identity", "--r", "1", "--k", "2", "--x-max", str(x_max)], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: identity would check {x_max + 1} values, limit is {limit or 10**6}\n"
+    if limit is not None:
+        # exactly the limit passes
+        monkeypatch.setattr(umbral, "MAX_SCAN_RECORDS", limit)
+        code, out, _ = run_cli(["identity", "--r", "1", "--k", "2", "--x-min", "1",
+                                "--x-max", str(x_max)], capsys)
+        assert code == 0
+        assert out.endswith(f"checked {limit} values, 0 mismatches\n")
+
+
+def test_identity_invariant_violation_is_an_error_line(capsys, monkeypatch):
+    from rfree import umbral
+
+    coeffs = list(umbral.umbral_coefficients(2))
+    coeffs[2] += Fraction(1, 3)
+    monkeypatch.setattr(umbral, "umbral_coefficients", lambda k: tuple(coeffs))
+    code, out, err = run_cli(["identity", "--r", "1", "--k", "2", "--x-max", "5"], capsys)
+    assert (code, out) == (1, "x=0 equal\n")
+    assert err.startswith("error: umbral evaluation at r=1, k=2, x=1 is non-integral")
 
 
 def test_identity_r1_k1(capsys):
@@ -394,6 +459,10 @@ GOLDEN_OUTPUTS = {
         "14c8d06ec3f25a6718c0b3882059ca542ac9226d139988d6fe9fb6203a3e8664",
     "count --r 2 --k 1 --x 10":
         "6e0585cb1c4e82d8035308e23a03bd0b656e284b9e7e9a2b66c6c4e10f076c7e",
+    "identity --r 2 --k 3 --x-max 6000":
+        "9d1e9317c65bf5ce32ed26800e1aba26a3e02852f9b6fc67a8c2df683f902085",
+    "identity --r 1 --k 4 --x-max 600":
+        "2d3545736ca5a02e637db5eb20da26e77695268d03892dbb19c3673719e33965",
 }
 
 

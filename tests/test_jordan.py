@@ -1,8 +1,10 @@
+import importlib
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rfree import (
     TotientParams,
@@ -13,8 +15,11 @@ from rfree import (
     sieve_mobius,
     zeta_value,
 )
-from rfree.arith import rfree_sieve
+from rfree.arith import primes_upto, rfree_sieve
 from rfree.errors import ResourceLimitError
+from rfree.jordan import jordan_segment, partial_sum_range
+
+jordan_module = importlib.import_module("rfree.jordan")  # rfree.jordan is the function
 
 
 def test_params_validation():
@@ -188,3 +193,105 @@ def test_partial_sum_main_term_residual_bounded(tables, fixture_store):
             main = Fraction(x**k, k) * recip.mid
             observed = max(observed, abs(s - main) / x ** (k - 1))
         fixture_store.check(key, observed)
+
+
+# ---------------------------------------------------------------------------
+# Segment sieve
+# ---------------------------------------------------------------------------
+
+def _segment_by_jordan(lo, hi, r, e):
+    return [jordan(n, TotientParams(r=r, k=e)) if n else 0 for n in range(lo, hi)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    r=st.integers(1, 4),
+    es=st.lists(st.integers(0, 5), min_size=1, max_size=3, unique=True),
+    lo=st.integers(0, 3000),
+    length=st.integers(1, 300),
+    extra=st.integers(0, 60),
+)
+@example(r=1, es=[0, 1, 5], lo=0, length=300, extra=0)
+@example(r=2, es=[0, 2], lo=1, length=300, extra=0)
+@example(r=1, es=[1, 3], lo=2 * 1009, length=1, extra=0)    # 1009 left over
+@example(r=2, es=[0, 1], lo=2 * 1009, length=1, extra=0)
+@example(r=1, es=[2], lo=2999, length=2, extra=0)           # 2999 is prime
+def test_jordan_segment_matches_jordan(r, es, lo, length, extra):
+    # the primes up to sqrt(hi - 1), or more, as partial_sum_range passes
+    hi = min(lo + length, 3001)
+    primes = primes_upto(math.isqrt(hi - 1) + extra)
+    columns = jordan_segment(lo, hi, r, es, primes)
+    assert columns == [_segment_by_jordan(lo, hi, r, e) for e in es]
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+@pytest.mark.parametrize("p", [2, 3, 7, 53])
+def test_jordan_segment_at_prime_powers(r, p):
+    # n = p^a with a = r - 1, r, r + 1, alone in its segment and with only
+    # the primes up to sqrt(n), so p itself may be the one left over
+    for a in (r - 1, r, r + 1):
+        n = p**a
+        if n > 3000:
+            continue
+        columns = jordan_segment(n, n + 1, r, range(6), primes_upto(math.isqrt(n)))
+        assert columns == [_segment_by_jordan(n, n + 1, r, e) for e in range(6)]
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("x_min,x_max", [(0, 0), (0, 700), (40, 300), (500, 800)])
+def test_partial_sum_range_matches_direct(tables, r, x_min, x_max):
+    # (500, 800) asks for fewer x than lie below 500, so its sums are
+    # seeded by partial_sum_bernoulli at 499
+    es = (0, 1, 3)
+    sums = list(partial_sum_range(r, es, x_min, x_max, tables(800)))
+    assert len(sums) == x_max - x_min + 1
+    totals = [partial_sum_direct(x_min - 1, TotientParams(r=r, k=e + 1)) if x_min else 0 for e in es]
+    for x, row in zip(range(x_min, x_max + 1), sums):
+        totals = [t + (jordan(x, TotientParams(r=r, k=e)) if x else 0) for t, e in zip(totals, es)]
+        assert list(row) == totals
+
+
+def test_partial_sum_range_seeds_only_past_the_range(tables, monkeypatch):
+    calls = []
+    original = jordan_module.partial_sum_bernoulli
+
+    def recording(x, params, table):
+        calls.append(x)
+        return original(x, params, table)
+
+    monkeypatch.setattr(jordan_module, "partial_sum_bernoulli", recording)
+    list(partial_sum_range(2, (0, 2), 300, 600, tables(30)))
+    assert calls == []
+    list(partial_sum_range(2, (0, 2), 302, 600, tables(30)))
+    assert calls == [301, 301]
+    with pytest.raises(ValueError):
+        list(partial_sum_range(2, (0,), 5, 4, tables(30)))
+
+
+def test_partial_sum_range_sieves_to_the_rth_root(monkeypatch):
+    # r = 3 from x_min = 9973^3, a range seeded at x_min - 1: the primes stop
+    # at x_max^(1/3) = 9973, not at sqrt(x_max) ~ 10^6, and 9973^3 itself is
+    # sieved by the largest of them
+    p = 9973
+    x_min, x_max = p**3, p**3 + 40
+    limits, segments = [], []
+    sieve, segment = jordan_module.primes_upto, jordan_module.jordan_segment
+
+    def recording_sieve(limit):
+        limits.append(limit)
+        return sieve(limit)
+
+    def recording_segment(lo, hi, *args):
+        segments.append(hi - lo)
+        return segment(lo, hi, *args)
+
+    monkeypatch.setattr(jordan_module, "primes_upto", recording_sieve)
+    monkeypatch.setattr(jordan_module, "jordan_segment", recording_segment)
+    table = sieve_mobius(p)
+    es = (0, 2)
+    sums = list(partial_sum_range(3, es, x_min, x_max, table))
+    assert (limits, segments) == ([p], [41])
+    for x, before, row in zip(range(x_min + 1, x_max + 1), sums, sums[1:]):
+        assert [b - a for a, b in zip(before, row)] == [jordan(x, TotientParams(r=3, k=e)) for e in es]
+    assert sums[0][1] - partial_sum_bernoulli(x_min - 1, TotientParams(r=3, k=3), table) == p**6 - 1
+    assert list(sums[-1]) == [partial_sum_bernoulli(x_max, TotientParams(r=3, k=e + 1), table) for e in es]

@@ -19,7 +19,9 @@ from rfree import (
 from rfree.arith import ln_decimal, rfree_sieve
 from rfree.errors import ResourceLimitError
 from rfree.lattice import (
+    SCAN_CHUNK,
     count_progression,
+    count_range,
     decimal_places,
     error_normalization,
     increments_pay,
@@ -185,6 +187,20 @@ def test_count_progression_edges(tables):
         count_progression(2, 2, range(10, 0, -1), table)
     with pytest.raises(ValueError):
         count_progression(1, 2, range(90, 200), table)
+
+
+@pytest.mark.parametrize(
+    "r,xs",
+    [
+        (1, range(0, 1)),                     # x_max^(1/r) = 0
+        (1, range(0, 700)),                   # r = 1: x_max rows, then one
+        (2, range(0, 3 * SCAN_CHUNK + 5)),    # chunks of SCAN_CHUNK
+        (3, range(7, 7 + 5 * 2 * SCAN_CHUNK, 5)),
+        (2, range(5, 5)),
+    ],
+)
+def test_count_range_matches_count_fast(tables, r, xs):
+    assert list(count_range(r, 3, xs, tables(1000))) == _per_row(r, 3, xs, tables(1000))
 
 
 def test_increments_pay_chooses_the_cheaper_path():

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rfree import omega
+from rfree import lattice
 from rfree import (
     CountParams,
     FracSumParams,
@@ -28,7 +28,7 @@ from rfree import (
 )
 from rfree.arith import integer_root, ln_decimal
 from rfree.errors import ResourceLimitError
-from rfree.omega import SCAN_CHUNK
+from rfree.lattice import SCAN_CHUNK
 
 PI_50 = Fraction(Decimal("3.14159265358979323846264338327950288419716939937510"))
 ONE_MINUS_RECIP_ZETA2 = 1 - 6 / (PI_50 * PI_50)  # 1 - 6/pi^2, good to ~5e-50
@@ -411,13 +411,13 @@ def test_error_scan_matches_count_record_across_chunks(rk, step, x_min, extra):
 def test_error_scan_chunk_length(monkeypatch, r, x_min, x_max, step, spans):
     # a chunk holds max(SCAN_CHUNK, floor(x_max^(1/r))) rows
     seen = []
-    original = omega.count_progression
+    original = lattice.count_progression
 
     def recording(r, k, xs, table):
         seen.append(xs)
         return original(r, k, xs, table)
 
-    monkeypatch.setattr(omega, "count_progression", recording)
+    monkeypatch.setattr(lattice, "count_progression", recording)
     records = list(error_scan(r, 2, x_min, x_max, step=step))
     assert [len(xs) for xs in seen] == spans
     assert [x for xs in seen for x in xs] == [rec.x for rec in records]

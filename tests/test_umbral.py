@@ -1,6 +1,9 @@
+import importlib
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rfree import (
     CountParams,
@@ -9,9 +12,12 @@ from rfree import (
     umbral_coefficients,
     umbral_eval,
 )
+from rfree import lattice, umbral
 from rfree.arith import rfree_sieve
-from rfree.errors import InvariantViolationError
-from rfree.umbral import zero_coordinate_expansion
+from rfree.errors import InvariantViolationError, ResourceLimitError
+from rfree.umbral import identity_range, zero_coordinate_expansion
+
+jordan_module = importlib.import_module("rfree.jordan")  # rfree.jordan is the function
 
 
 def test_coefficients_k1():
@@ -98,3 +104,80 @@ def test_identity_check_reports_mismatch_values():
 
     check = IdentityCheck(r=1, k=2, x=3, umbral=10, fast=12, oracle=None)
     assert not check.equal
+
+
+# ---------------------------------------------------------------------------
+# Range route
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=100, deadline=None)
+@given(
+    r=st.integers(1, 4),
+    k=st.integers(1, 5),
+    x_max=st.integers(0, 3000),
+    length=st.integers(1, 600),
+)
+@example(r=1, k=1, x_max=0, length=1)
+@example(r=1, k=3, x_max=300, length=301)    # r = 1: x_max rows, then one
+@example(r=2, k=4, x_max=600, length=601)    # chunks and segments of 256
+@example(r=3, k=2, x_max=3000, length=300)   # sums seeded at 2700
+def test_identity_range_matches_identity_check(tables, r, k, x_max, length):
+    x_min = max(0, x_max - length + 1)
+    table = tables(3000)
+    checks = list(identity_range(r, k, x_min, x_max, table))
+    assert checks == [identity_check(r, k, x, table=table) for x in range(x_min, x_max + 1)]
+
+
+@pytest.mark.parametrize(
+    "r,x_min,x_max,segments,chunks",
+    [
+        # floor(x_max^(1/r)) < 256: segments and chunks of 256
+        (2, 0, 9_999, [256] * 39 + [16], [256] * 39 + [16]),
+        # floor(x_max^(1/r)) otherwise; a range shorter than the integers
+        # below it is sieved from x_min
+        (2, 90_000, 90_999, [301] * 3 + [97], [301] * 3 + [97]),
+        (3, 0, 99_999, [256] * 390 + [160], [256] * 390 + [160]),
+        # r = 1: the counts of all x but the last are one chunk
+        (1, 0, 1_000, [256] * 3 + [233], [1_000, 1]),
+    ],
+)
+def test_identity_range_segment_and_chunk_lengths(monkeypatch, r, x_min, x_max, segments, chunks):
+    # for r >= 2 no list is longer than max(256, x_max^(1/r))
+    seen_segments, seen_chunks = [], []
+    segment, progression = jordan_module.jordan_segment, lattice.count_progression
+
+    def recording_segment(lo, hi, *args):
+        seen_segments.append(hi - lo)
+        return segment(lo, hi, *args)
+
+    def recording_progression(r, k, xs, table):
+        seen_chunks.append(len(xs))
+        return progression(r, k, xs, table)
+
+    monkeypatch.setattr(jordan_module, "jordan_segment", recording_segment)
+    monkeypatch.setattr(lattice, "count_progression", recording_progression)
+    assert all(check.equal for check in identity_range(r, 2, x_min, x_max))
+    assert (seen_segments, seen_chunks) == (segments, chunks)
+
+
+def test_identity_range_non_integral_total_raises(monkeypatch):
+    # c_2 of k = 2 off by 1/3: the umbral total is 2 J_1(1) = 2 off at x = 1
+    coeffs = list(umbral_coefficients(2))
+    coeffs[2] += Fraction(1, 3)
+    monkeypatch.setattr(umbral, "umbral_coefficients", lambda k: tuple(coeffs))
+    checks = identity_range(1, 2, 0, 50)
+    assert next(checks).equal
+    with pytest.raises(InvariantViolationError, match=r"r=1, k=2, x=1 is non-integral: 26/3"):
+        next(checks)
+
+
+def test_identity_range_validation(monkeypatch):
+    def no_sieve(limit):
+        raise AssertionError("sieved for a rejected range")
+
+    monkeypatch.setattr(umbral, "sieve_mobius", no_sieve)
+    for r, k, x_min, x_max in [(0, 2, 0, 5), (1, 0, 0, 5), (1, 2, -1, 5), (1, 2, 6, 5)]:
+        with pytest.raises(ValueError):
+            next(identity_range(r, k, x_min, x_max))
+    with pytest.raises(ResourceLimitError, match="10000001 values, limit is 1000000"):
+        next(identity_range(1, 2, 10**9, 10**9 + 10**7))
