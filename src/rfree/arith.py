@@ -26,6 +26,7 @@ from functools import cached_property, lru_cache
 from .errors import InvariantViolationError, ResourceLimitError
 
 FACTOR_BOUND = 10**6  # largest trial divisor of factorize
+SIEVE_LIMIT = 10**7  # largest sieve_mobius limit, ~45 bytes per entry
 
 
 # ---------------------------------------------------------------------------
@@ -88,13 +89,18 @@ class MobiusTable:
 def sieve_mobius(limit: int) -> MobiusTable:
     """Build a MobiusTable up to ``limit`` with a linear sieve.
 
-    Raises ValueError for limit < 1.
+    Raises ValueError for limit < 1, and ResourceLimitError before any
+    allocation for limit > SIEVE_LIMIT.
     """
     if limit < 1:
         raise ValueError("sieve limit must be >= 1")
+    if limit > SIEVE_LIMIT:
+        raise ResourceLimitError(
+            f"Mobius sieve to {limit} needs {limit + 1} entries, limit is {SIEVE_LIMIT}"
+        )
+    is_comp = bytearray(limit + 1)
     mu = [0] * (limit + 1)
     mu[1] = 1
-    is_comp = bytearray(limit + 1)
     primes: list[int] = []
     for i in range(2, limit + 1):
         if not is_comp[i]:
@@ -405,17 +411,21 @@ def zeta_value(s: int, target_precision: Fraction = Fraction(1, 10**30)) -> Zeta
 # ---------------------------------------------------------------------------
 
 def format_fraction(q: Fraction | int, places: int) -> str:
-    """Fixed-point decimal string of q with ``places`` fractional digits.
+    """format_ratio of q's numerator and denominator."""
+    return format_ratio(q.numerator, q.denominator, places)
+
+
+def format_ratio(num: int, den: int, places: int) -> str:
+    """Fixed-point decimal string of num/den, den > 0, to ``places`` fractional digits.
 
     Round-half-up on the last digit; pure integer arithmetic, so output is
     deterministic across platforms.
     """
     if places < 0:
         raise ValueError("places must be >= 0")
-    sign = "-" if q < 0 else ""
-    num = abs(q.numerator) * 10**places
-    scaled, rem = divmod(num, q.denominator)
-    if 2 * rem >= q.denominator:
+    sign = "-" if num < 0 else ""
+    scaled, rem = divmod(abs(num) * 10**places, den)
+    if 2 * rem >= den:
         scaled += 1
     digits = str(scaled)
     if places == 0:

@@ -20,7 +20,7 @@ from decimal import Decimal
 from fractions import Fraction
 from itertools import chain
 
-from .arith import format_fraction, integer_root, sieve_mobius, zeta_value
+from .arith import format_fraction, format_ratio, integer_root, sieve_mobius, zeta_value
 from .errors import InvariantViolationError, ResourceLimitError
 from .jordan import TotientParams, jordan, jordan_oracle, partial_sum_bernoulli, partial_sum_direct
 from .lattice import CountParams, CountRecord, count_oracle, count_record, decimal_places
@@ -66,13 +66,14 @@ def _pos_int(text: str) -> int:
 def record_fields(rec: CountRecord, places: int) -> dict[str, str]:
     """The CSV/JSON projection of a record; exact integers as full-decimal
     strings, high-precision values with ``places`` fractional digits."""
+    main, error, den = rec.midpoints()
     return {
         "x": str(rec.x),
         "V": str(rec.V),
-        "main_term": format_fraction(rec.main_term.mid, places),
-        "error": format_fraction(rec.error.mid, places),
+        "main_term": format_ratio(main, den, places),
+        "error": format_ratio(error, den, places),
         "normalized_error": str(rec.normalized_error),
-        "density": format_fraction(rec.density, places),
+        "density": format_ratio(rec.V, (2 * rec.x + 1) ** rec.params.k, places),
     }
 
 

@@ -14,7 +14,10 @@ multiples of d^r, minus the all-zero one, so with q_d = floor(x/d^r)
 where T_e(x) = sum_d mu(d) q_d^e comes from MobiusTable.power_sums, the
 kernel that partial_sum_bernoulli reads too. count_progression takes one
 count from count_fast and the rest by an independent route, the increments
-V(y) - V(y-1). The error term is measured against (2x)^k / zeta(rk).
+V(y) - V(y-1). The error term is measured against (2x)^k / zeta(rk). A
+scan's records share one enclosure of 1/zeta(rk), midpoint N/D: they are
+assembled and rendered from the integers (2x)^k N and V D - (2x)^k N over D,
+and build the exact main-term and error enclosures only when these are read.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .arith import (
     Enclosure,
     MobiusTable,
     ZetaValue,
-    fraction_to_decimal,
+    format_ratio,
     integer_root,
     ln_decimal,
     rfree_sieve,
@@ -64,13 +67,12 @@ class CountParams:
 
 @dataclass(frozen=True)
 class CountRecord:
-    """One scan row: exact count, main-term and error enclosures, and the
+    """One scan row: exact count, the shared 1/zeta(rk) enclosure, and the
     normalized error for the applicable asymptotic case."""
 
     params: CountParams
     V: int
-    main_term: Enclosure
-    error: Enclosure
+    reciprocal: Enclosure
     normalized_error: Decimal
 
     @property
@@ -78,9 +80,23 @@ class CountRecord:
         return self.params.x
 
     @property
+    def main_term(self) -> Enclosure:
+        return self.reciprocal.scale((2 * self.params.x) ** self.params.k)
+
+    @property
+    def error(self) -> Enclosure:
+        return self.main_term.rsub(self.V)
+
+    @property
     def density(self) -> Fraction:
         """V / (2x+1)^k, the box density; converges to 1/zeta(rk)."""
         return Fraction(self.V, (2 * self.params.x + 1) ** self.params.k)
+
+    def midpoints(self) -> tuple[int, int, int]:
+        """(main, error, den) with main_term.mid = main/den, error.mid = error/den."""
+        mid = self.reciprocal.mid
+        main = (2 * self.params.x) ** self.params.k * mid.numerator
+        return main, self.V * mid.denominator - main, mid.denominator
 
 
 def count_oracle(params: CountParams, budget: int = DEFAULT_BOX_BUDGET) -> int:
@@ -166,9 +182,9 @@ def count_progression(r: int, k: int, xs: range, table: MobiusTable) -> list[int
 
 def count_range(r: int, k: int, xs: range, table: MobiusTable) -> Iterator[int]:
     """V(r, k, x) for every x of the ascending progression ``xs``, in order,
-    by one count_progression per chunk of max(SCAN_CHUNK, floor(x_max^(1/r)))
+    by one count_progression per chunk of max(SCAN_CHUNK, x_max^(1/r) + 1)
     samples: its loop over d costs at most one step per row."""
-    size = max(SCAN_CHUNK, integer_root(xs[-1], r)) if xs else 1
+    size = max(SCAN_CHUNK, integer_root(xs[-1], r) + 1) if xs else 1
     for i in range(0, len(xs), size):
         yield from count_progression(r, k, xs[i : i + size], table)
 
@@ -224,23 +240,26 @@ def count_record(
         if table is None:
             table = sieve_mobius(max(integer_root(x, r), 1))
         V = count_fast(params, table)
-    main = zeta.reciprocal().scale((2 * x) ** k)
-    error = main.rsub(V)
+    reciprocal = zeta.reciprocal()
     if r == 1 and k == 2 and x < 2:
         # x log x vanishes at x = 1; the count is fine, the ratio is not.
         normalized = Decimal("NaN")
     else:
         norm = error_normalization(params)
+        scale, mid, rad = (2 * x) ** k, reciprocal.mid, reciprocal.radius
+        den, rad_den, wide = mid.denominator, rad.denominator, scale * rad.numerator
+        error = abs(V * den - scale * mid.numerator)
+        # |error.mid| = error/den; when the ball, radius wide/rad_den, holds 0,
+        # abs() is [0, error/den + wide/rad_den] (bit lengths settle most rows)
+        if (error.bit_length() + rad_den.bit_length() <= wide.bit_length() + den.bit_length() + 1
+                and error * rad_den < wide * den):
+            error, den = error * rad_den + wide * den, 2 * den * rad_den
         with localcontext() as ctx:
             ctx.prec = places + 30
-            normalized = fraction_to_decimal(error.abs().mid, places + 10) / norm
+            normalized = Decimal(format_ratio(error, den, places + 10)) / norm
             normalized = normalized.quantize(Decimal(1).scaleb(-places))
     return CountRecord(
-        params=params,
-        V=V,
-        main_term=main,
-        error=error,
-        normalized_error=normalized,
+        params=params, V=V, reciprocal=reciprocal, normalized_error=normalized
     )
 
 

@@ -17,7 +17,15 @@ from rfree import (
     zeta_enclosure,
     zeta_value,
 )
-from rfree.arith import FACTOR_BOUND, factorize, fraction_to_decimal, primes_upto, rfree_sieve
+from rfree import arith
+from rfree.arith import (
+    FACTOR_BOUND,
+    factorize,
+    format_ratio,
+    fraction_to_decimal,
+    primes_upto,
+    rfree_sieve,
+)
 from rfree.errors import InvariantViolationError, ResourceLimitError
 
 # Analytically known zeta digits, frozen for enclosure checks.
@@ -45,6 +53,14 @@ def test_sieve_limit_six():
 def test_sieve_rejects_zero_limit():
     with pytest.raises(ValueError):
         sieve_mobius(0)
+
+
+def test_sieve_limit_is_checked_before_allocating(monkeypatch):
+    monkeypatch.setattr(arith, "SIEVE_LIMIT", 100)
+    assert sieve_mobius(100).limit == 100  # exactly the limit passes
+    monkeypatch.setattr(arith, "bytearray", lambda n: pytest.fail("allocated"), raising=False)
+    with pytest.raises(ResourceLimitError, match=r"^Mobius sieve to 101 needs 102 entries, limit is 100$"):
+        sieve_mobius(101)
 
 
 def test_sieve_against_trial_division(tables):
@@ -323,6 +339,18 @@ def test_format_fraction_basic():
     assert format_fraction(Fraction(2, 3), 5) == "0.66667"
     assert format_fraction(Fraction(7), 0) == "7"
     assert format_fraction(-7, 2) == "-7.00"
+
+
+def test_format_ratio_needs_no_lowest_terms():
+    # format_fraction is format_ratio of the reduced pair; any common factor
+    # scales the remainder and the denominator alike
+    for num, den, places in ((-5, 3, 4), (1, 8, 2), (-1, 8, 2), (7, 1, 0), (-1, 3, 0)):
+        for g in (1, 3, 10**40 + 7):
+            assert format_ratio(num * g, den * g, places) == format_fraction(Fraction(num, den), places)
+    assert format_ratio(-1, 10**9, 3) == "-0.000"  # the sign survives rounding to zero
+    assert format_ratio(1, 8, 2) == "0.13" and format_ratio(-1, 8, 2) == "-0.13"
+    with pytest.raises(ValueError):
+        format_ratio(1, 3, -1)
 
 
 def test_fraction_to_decimal_round_trips():

@@ -6,14 +6,17 @@ import pathlib
 import re
 import subprocess
 import sys
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import rfree.arith
 from rfree import sieve_mobius, zeta_value
-from rfree.cli import _frac_sci, main, parse_scan_csv, CSV_COLUMNS
+from rfree.arith import format_fraction, fraction_to_decimal, integer_root
+from rfree.cli import _frac_sci, main, parse_scan_csv, record_fields, CSV_COLUMNS
+from rfree.lattice import CountParams, count_fast, count_record, decimal_places, error_normalization
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -147,6 +150,28 @@ def test_identity_range_limit_before_any_sieve(capsys, monkeypatch, limit):
                                 "--x-max", str(x_max)], capsys)
         assert code == 0
         assert out.endswith(f"checked {limit} values, 0 mismatches\n")
+
+
+@pytest.mark.parametrize(
+    "command,limit",
+    [
+        ("count --r 1 --k 2 --x 1000000000", 10**9),
+        ("identity --r 1 --k 2 --x-min 10000000000 --x-max 10000000000", 10**10),
+        ("scan --r 1 --k 2 --x-min 2 --x-max 1000000000 --step 1000", 10**9),
+    ],
+)
+def test_sieve_limit_before_any_allocation(capsys, monkeypatch, command, limit):
+    # each would sieve mu to 1e9 or 1e10 entries; no bytearray that large
+    # may be asked for, so a missing check fails here instead of allocating
+    def small_only(*args):
+        if args and isinstance(args[0], int) and args[0] > rfree.arith.SIEVE_LIMIT + 1:
+            pytest.fail(f"allocated {args[0]} entries")
+        return bytearray(*args)
+
+    monkeypatch.setattr(rfree.arith, "bytearray", small_only, raising=False)
+    code, out, err = run_cli(command.split(), capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: Mobius sieve to {limit} needs {limit + 1} entries, limit is {10**7}\n"
 
 
 def test_identity_invariant_violation_is_an_error_line(capsys, monkeypatch):
@@ -463,6 +488,14 @@ GOLDEN_OUTPUTS = {
         "9d1e9317c65bf5ce32ed26800e1aba26a3e02852f9b6fc67a8c2df683f902085",
     "identity --r 1 --k 4 --x-max 600":
         "2d3545736ca5a02e637db5eb20da26e77695268d03892dbb19c3673719e33965",
+    "scan --r 2 --k 2 --x-min 990000 --x-max 1000000":
+        "050b1e5555f829df234928d14e9ca8370cb83daaec4e900493314f1469a248a6",
+    "scan --r 2 --k 2 --x-min 2 --x-max 3000 --format json":
+        "bf8c7b1a8bbf5fe5c49b925dd0f717d62b724efe4042489aeac6e2287ad0d366",
+    "count --r 3 --k 2 --x 10000 --format json":
+        "c4b0595b6befa56dfa6790926aed70a959460f2dd069a73afe01926175726d58",
+    "count --r 1 --k 2 --x 1":
+        "3e82bc468bce73930ff236f9c9ca6cd58bbe29c25c17c812e637c4e5ab55bfec",
 }
 
 
@@ -500,3 +533,87 @@ def test_unknown_command_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# Rows rendered from integers, against the Fraction enclosures
+# ---------------------------------------------------------------------------
+
+def _fraction_route(params, V, zeta, places):
+    """The reference route: enclosures, fields and normalized error from
+    Fraction arithmetic on Enclosure.scale, rsub and abs."""
+    x, k = params.x, params.k
+    main_term = zeta.reciprocal().scale((2 * x) ** k)
+    error = main_term.rsub(V)
+    if (params.r, k, x) == (1, 2, 1):
+        normalized = Decimal("NaN")
+    else:
+        norm = error_normalization(params)
+        with localcontext() as ctx:
+            ctx.prec = places + 30
+            normalized = fraction_to_decimal(error.abs().mid, places + 10) / norm
+            normalized = normalized.quantize(Decimal(1).scaleb(-places))
+    fields = {
+        "x": str(x),
+        "V": str(V),
+        "main_term": format_fraction(main_term.mid, places),
+        "error": format_fraction(error.mid, places),
+        "normalized_error": str(normalized),
+        "density": format_fraction(Fraction(V, (2 * x + 1) ** k), places),
+    }
+    return main_term, error, fields
+
+
+def _check_integer_row(tables, r, k, x, V, precision):
+    params = CountParams(r=r, k=k, x=x)
+    if V is None:
+        V = count_fast(params, tables(max(integer_root(x, r), 1)))
+    zeta, places = zeta_value(r * k, precision), decimal_places(precision)
+    rec = count_record(params, precision, zeta=zeta, places=places, V=V)
+    main_term, error, fields = _fraction_route(params, V, zeta, places)
+    assert (rec.main_term, rec.error) == (main_term, error)
+    assert record_fields(rec, places) == fields
+    assert str(rec.normalized_error) == fields["normalized_error"]
+    return rec
+
+
+PRECISIONS = [Fraction(1, 10**30), Fraction(1, 10), Fraction(1, 2), Fraction(3, 10**7)]
+
+
+@st.composite
+def _rows(draw):
+    r, k = draw(st.tuples(st.integers(1, 4), st.integers(1, 4)).filter(lambda rk: rk[0] * rk[1] >= 2))
+    x = draw(st.integers(1, 10**6))
+    # None: the real count; else any count the box allows
+    return r, k, x, draw(st.none() | st.integers(0, (2 * x + 1) ** k))
+
+
+@settings(max_examples=300, deadline=None)
+@given(row=_rows(), precision=st.sampled_from(PRECISIONS))
+@example(row=(1, 2, 1, None), precision=PRECISIONS[0])
+@example(row=(2, 2, 990_000, None), precision=PRECISIONS[0])
+def test_integer_rows_match_the_fraction_route(tables, row, precision):
+    _check_integer_row(tables, *row, precision)
+
+
+@pytest.mark.parametrize(
+    "r,k,x,V,precision,case",
+    [
+        (1, 2, 1, None, Fraction(1, 10**30), "nan"),
+        (2, 2, 10, 0, Fraction(1, 10**30), "negative"),
+        (3, 2, 1000, None, Fraction(1, 10), "straddle"),
+        (2, 2, 1000, 3_695_000, Fraction(1, 10), "straddle"),  # error midpoint < 0
+        (2, 3, 77, None, Fraction(1, 2), "straddle"),
+    ],
+)
+def test_integer_rows_cover_nan_negative_and_straddle(tables, r, k, x, V, precision, case):
+    rec = _check_integer_row(tables, r, k, x, V, precision)
+    error = rec.error
+    if case == "nan":
+        assert rec.normalized_error.is_nan()
+    elif case == "negative":
+        assert error.hi < 0 and record_fields(rec, 30)["error"].startswith("-")
+    else:
+        # the ball holds 0, so |error|'s midpoint is (|mid| + radius) / 2
+        assert error.lo < 0 < error.hi
+        assert error.abs().mid == (abs(error.mid) + error.radius) / 2

@@ -193,7 +193,7 @@ def test_count_progression_edges(tables):
     "r,xs",
     [
         (1, range(0, 1)),                     # x_max^(1/r) = 0
-        (1, range(0, 700)),                   # r = 1: x_max rows, then one
+        (1, range(0, 700)),                   # r = 1 from 0: one chunk
         (2, range(0, 3 * SCAN_CHUNK + 5)),    # chunks of SCAN_CHUNK
         (3, range(7, 7 + 5 * 2 * SCAN_CHUNK, 5)),
         (2, range(5, 5)),

@@ -402,14 +402,14 @@ def test_error_scan_matches_count_record_across_chunks(rk, step, x_min, extra):
         # floor(x_max^(1/r)) < SCAN_CHUNK: chunks of SCAN_CHUNK rows
         (2, 100, 100 + 3 * SCAN_CHUNK, 1, [SCAN_CHUNK] * 3 + [1]),
         (3, 2, 2 + 7 * (2 * SCAN_CHUNK + 9), 7, [SCAN_CHUNK] * 2 + [10]),
-        # floor(x_max^(1/r)) rows once that is longer; r = 1 is one chunk
+        # floor(x_max^(1/r)) + 1 rows once that is longer; r = 1 is one chunk
         (1, 2, 1000, 1, [999]),
-        (2, 90_000, 90_000 + 3 * 700, 3, [303, 303, 95]),
-        (2, 10**6 - 2500, 10**6, 1, [1000, 1000, 501]),
+        (2, 90_000, 90_000 + 3 * 700, 3, [304, 304, 93]),
+        (2, 10**6 - 2500, 10**6, 1, [1001, 1001, 499]),
     ],
 )
 def test_error_scan_chunk_length(monkeypatch, r, x_min, x_max, step, spans):
-    # a chunk holds max(SCAN_CHUNK, floor(x_max^(1/r))) rows
+    # a chunk holds max(SCAN_CHUNK, floor(x_max^(1/r)) + 1) rows
     seen = []
     original = lattice.count_progression
 

@@ -133,16 +133,16 @@ def test_identity_range_matches_identity_check(tables, r, k, x_max, length):
     [
         # floor(x_max^(1/r)) < 256: segments and chunks of 256
         (2, 0, 9_999, [256] * 39 + [16], [256] * 39 + [16]),
-        # floor(x_max^(1/r)) otherwise; a range shorter than the integers
-        # below it is sieved from x_min
-        (2, 90_000, 90_999, [301] * 3 + [97], [301] * 3 + [97]),
+        # otherwise segments of floor(x_max^(1/r)) and chunks one longer; a
+        # range shorter than the integers below it is sieved from x_min
+        (2, 90_000, 90_999, [301] * 3 + [97], [302] * 3 + [94]),
         (3, 0, 99_999, [256] * 390 + [160], [256] * 390 + [160]),
-        # r = 1: the counts of all x but the last are one chunk
-        (1, 0, 1_000, [256] * 3 + [233], [1_000, 1]),
+        # r = 1 from 0: the counts are one chunk
+        (1, 0, 1_000, [256] * 3 + [233], [1_001]),
     ],
 )
 def test_identity_range_segment_and_chunk_lengths(monkeypatch, r, x_min, x_max, segments, chunks):
-    # for r >= 2 no list is longer than max(256, x_max^(1/r))
+    # for r >= 2 no list is longer than max(256, x_max^(1/r) + 1)
     seen_segments, seen_chunks = [], []
     segment, progression = jordan_module.jordan_segment, lattice.count_progression
 
