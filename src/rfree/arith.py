@@ -1,9 +1,9 @@
 """Exact and high-precision arithmetic shared by every other module.
 
 Provides:
-    sieve_mobius      -- mu(d) and Mertens prefix sums M(n) up to a limit, as
-                         a MobiusTable whose power_sums is the one loop over
-                         mu(d) floor(x/d^r)^e that counts and partial sums read
+    sieve_mobius      -- mu(d) up to a limit, as a MobiusTable whose
+                         power_sums is the one loop over mu(d) floor(x/d^r)^e
+                         that counts and partial sums read
     mobius            -- scalar mu(n) by trial division (independent of the sieve)
     integer_root      -- floor(x^(1/r)) in pure integer arithmetic
     bernoulli_numbers -- exact Bernoulli numbers, B_1 = +1/2 convention
@@ -26,7 +26,7 @@ from functools import cached_property, lru_cache
 from .errors import InvariantViolationError, ResourceLimitError
 
 FACTOR_BOUND = 10**6  # largest trial divisor of factorize
-SIEVE_LIMIT = 10**7  # largest sieve_mobius limit, ~45 bytes per entry
+SIEVE_LIMIT = 10**7  # largest sieve_mobius limit, ~12 bytes per entry at peak
 
 
 # ---------------------------------------------------------------------------
@@ -35,33 +35,27 @@ SIEVE_LIMIT = 10**7  # largest sieve_mobius limit, ~45 bytes per entry
 
 @dataclass(frozen=True)
 class MobiusTable:
-    """Sieved mu values and Mertens prefix sums, 1-indexed.
+    """Sieved mu values, 1-indexed.
 
-    mu[n] is mu(n) for 1 <= n <= limit (index 0 is an unused sentinel), and
-    mertens[n] = sum_{d<=n} mu(d). Immutable after construction.
+    mu[n] is mu(n) for 1 <= n <= limit (index 0 is an unused sentinel).
+    Immutable after construction.
     """
 
     limit: int
     mu: list[int]
-    mertens: list[int]
 
     def require(self, n: int) -> None:
-        """Raise ValueError unless mu and M are sieved up to n."""
+        """Raise ValueError unless mu is sieved up to n."""
         if n > self.limit:
             raise ValueError(f"table sieved to {self.limit}, need {n}")
-
-    def mertens_at(self, n: int) -> int:
-        if n < 0:
-            raise ValueError(f"n={n} is negative")
-        self.require(n)
-        return self.mertens[n]
 
     def power_sums(self, x: int, r: int, k: int) -> list[int]:
         """[T_0, ..., T_k] with T_e = sum_{d <= x^(1/r)} mu(d) floor(x/d^r)^e.
 
-        T_0 is M(floor(x^(1/r))). One pass over d groups the d into runs of
-        equal quotient q = x // d^r and sums mu over each run; the powers of
-        q are then taken once per run. Exact, and no root is taken per run.
+        T_0 is the Mertens sum M(floor(x^(1/r))). One pass over d groups the
+        d into runs of equal quotient q = x // d^r and sums mu over each run;
+        the powers of q are then taken once per run. Exact, and no root is
+        taken per run.
         """
         root = integer_root(x, r)
         self.require(root)
@@ -115,12 +109,7 @@ def sieve_mobius(limit: int) -> MobiusTable:
                 mu[ip] = 0
                 break
             mu[ip] = -mu[i]
-    mertens = [0] * (limit + 1)
-    acc = 0
-    for n in range(1, limit + 1):
-        acc += mu[n]
-        mertens[n] = acc
-    return MobiusTable(limit=limit, mu=mu, mertens=mertens)
+    return MobiusTable(limit=limit, mu=mu)
 
 
 def mobius(n: int) -> int:
@@ -432,12 +421,6 @@ def format_ratio(num: int, den: int, places: int) -> str:
         return sign + digits
     digits = digits.rjust(places + 1, "0")
     return f"{sign}{digits[:-places]}.{digits[-places:]}"
-
-
-def fraction_to_decimal(q: Fraction, places: int) -> Decimal:
-    """q as a Decimal with ``places`` fractional digits (same rounding as
-    format_fraction)."""
-    return Decimal(format_fraction(q, places))
 
 
 def ln_decimal(x: int, digits: int = 40) -> Decimal:

@@ -18,6 +18,8 @@ V(y) - V(y-1). The error term is measured against (2x)^k / zeta(rk). A
 scan's records share one enclosure of 1/zeta(rk), midpoint N/D: they are
 assembled and rendered from the integers (2x)^k N and V D - (2x)^k N over D,
 and build the exact main-term and error enclosures only when these are read.
+Every record field is one round-half-up format_ratio of integers: the
+normalized error divides |error| by error_normalization's exact ratio.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
+from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 
@@ -189,8 +191,9 @@ def count_range(r: int, k: int, xs: range, table: MobiusTable) -> Iterator[int]:
         yield from count_progression(r, k, xs[i : i + size], table)
 
 
-def error_normalization(params: CountParams) -> Decimal:
-    """Denominator for the normalized error, by asymptotic case:
+def error_normalization(params: CountParams, places: int) -> tuple[int, int]:
+    """Denominator for the normalized error, by asymptotic case, as an exact
+    ratio (num, den) whose irrational cases carry places + 10 digits:
 
         x log x     when (r, k) = (1, 2)
         x^(1/r)     when r >= 2 and k = 1
@@ -200,17 +203,15 @@ def error_normalization(params: CountParams) -> Decimal:
     if r == 1 and k == 2:
         if x < 2:
             raise ValueError("x log x normalization needs x >= 2")
-        with localcontext() as ctx:
-            ctx.prec = 50
-            return Decimal(x) * ln_decimal(x)
+        num, den = ln_decimal(x, places + 10).as_integer_ratio()
+        return x * num, den
     if x < 1:
         raise ValueError("normalization needs x >= 1")
     if r >= 2 and k == 1:
-        # fixed-point floor(x^(1/r)) at 30 fractional digits
-        scale = 10**30
-        t = integer_root(x * scale**r, r)
-        return Decimal(t).scaleb(-30)
-    return Decimal(x ** (k - 1))
+        # floor(x^(1/r) S) / S at places + 10 fractional digits
+        scale = 10 ** (places + 10)
+        return integer_root(x * scale**r, r), scale
+    return x ** (k - 1), 1
 
 
 def count_record(
@@ -224,10 +225,11 @@ def count_record(
     """Assemble the full record for one (r, k, x).
 
     The main term (2x)^k / zeta(rk) and the error V - main are enclosures
-    propagating the zeta radius; normalized_error is a representative decimal
-    (midpoint over the case denominator). ``places`` defaults to the digit
-    count of ``precision``. ``V`` is the exact count when the caller already
-    has it; otherwise count_fast computes it from ``table``.
+    propagating the zeta radius; normalized_error is the midpoint of |error|
+    over the case denominator, rounded half-up by format_ratio like every
+    other field. ``places`` defaults to the digit count of ``precision``.
+    ``V`` is the exact count when the caller already has it; otherwise
+    count_fast computes it from ``table``.
     """
     x, k, r = params.x, params.k, params.r
     if x < 1:
@@ -245,7 +247,7 @@ def count_record(
         # x log x vanishes at x = 1; the count is fine, the ratio is not.
         normalized = Decimal("NaN")
     else:
-        norm = error_normalization(params)
+        num, norm_den = error_normalization(params, places)
         scale, mid, rad = (2 * x) ** k, reciprocal.mid, reciprocal.radius
         den, rad_den, wide = mid.denominator, rad.denominator, scale * rad.numerator
         error = abs(V * den - scale * mid.numerator)
@@ -254,10 +256,7 @@ def count_record(
         if (error.bit_length() + rad_den.bit_length() <= wide.bit_length() + den.bit_length() + 1
                 and error * rad_den < wide * den):
             error, den = error * rad_den + wide * den, 2 * den * rad_den
-        with localcontext() as ctx:
-            ctx.prec = places + 30
-            normalized = Decimal(format_ratio(error, den, places + 10)) / norm
-            normalized = normalized.quantize(Decimal(1).scaleb(-places))
+        normalized = Decimal(format_ratio(error * norm_den, den * num, places))
     return CountRecord(
         params=params, V=V, reciprocal=reciprocal, normalized_error=normalized
     )

@@ -65,6 +65,28 @@ def umbral_coefficients(k: int) -> tuple[Fraction, ...]:
     return tuple(coeffs)
 
 
+def umbral_weights(k: int) -> tuple[int, int, dict[int, int]]:
+    """The coefficients as integers: (den, den c_0, {j - 1: den c_j j}) over
+    the nonzero c_j with j >= 1, where den is their least common denominator
+    and j - 1 is the Jordan index that X^j reads."""
+    coeffs = umbral_coefficients(k)
+    den = math.lcm(*(c.denominator for c in coeffs))
+    scaled = [int(c * den) for c in coeffs]
+    return den, scaled[0], {j - 1: w * j for j, w in enumerate(scaled) if j and w}
+
+
+def _umbral_value(total: int, den: int, r: int, k: int, x: int) -> int:
+    """total / den, the umbral value at x; a remainder raises
+    InvariantViolationError."""
+    umbral, rem = divmod(total, den)
+    if rem:
+        raise InvariantViolationError(
+            f"umbral evaluation at r={r}, k={k}, x={x} is non-integral: "
+            f"{Fraction(total, den)} (convention mismatch)"
+        )
+    return umbral
+
+
 def umbral_eval(
     x: int,
     r: int,
@@ -85,19 +107,12 @@ def umbral_eval(
         raise ValueError("r and k must be >= 1")
     if table is None:
         table = sieve_mobius(max(integer_root(x, r), 1))
-    coeffs = umbral_coefficients(k)
-    total = coeffs[0] * constant_substitution
-    for j in range(1, k + 2):
-        c = coeffs[j]
-        if c:
-            s = partial_sum_bernoulli(x, TotientParams(r=r, k=j), table)
-            total += c * j * s
-    if total.denominator != 1:
-        raise InvariantViolationError(
-            f"umbral evaluation at r={r}, k={k}, x={x} is non-integral: "
-            f"{total} (convention mismatch)"
-        )
-    return total.numerator
+    den, constant, weights = umbral_weights(k)
+    total = constant * constant_substitution + sum(
+        w * partial_sum_bernoulli(x, TotientParams(r=r, k=e + 1), table)
+        for e, w in weights.items()
+    )
+    return _umbral_value(total, den, r, k, x)
 
 
 def zero_coordinate_expansion(x: int, r: int, k: int) -> int:
@@ -133,11 +148,10 @@ def identity_check(
     x: int,
     table: MobiusTable | None = None,
     oracle_budget: int | None = None,
-    debug: bool = False,
 ) -> IdentityCheck:
     """Compare umbral_eval against count_fast (and count_oracle when a
-    budget is given and the box fits). Mismatch is a result, not an error;
-    ``debug`` adds the zero-coordinate expansion to the report."""
+    budget is given and the box fits). Mismatch is a result, not an error,
+    and adds the zero-coordinate expansion to the report."""
     if table is None:
         table = sieve_mobius(max(integer_root(x, r), 1))
     lhs = umbral_eval(x, r, k, table=table)
@@ -146,7 +160,7 @@ def identity_check(
     if oracle_budget is not None and (2 * x + 1) ** k <= oracle_budget:
         oracle = count_oracle(CountParams(r=r, k=k, x=x), budget=oracle_budget)
     zero_split = None
-    if debug or lhs != rhs:
+    if lhs != rhs:
         zero_split = zero_coordinate_expansion(x, r, k)
     return IdentityCheck(
         r=r, k=k, x=x, umbral=lhs, fast=rhs, oracle=oracle, zero_split=zero_split
@@ -157,9 +171,7 @@ def identity_range(
     r: int, k: int, x_min: int, x_max: int, table: MobiusTable | None = None
 ) -> Iterator[IdentityCheck]:
     """identity_check at every x = x_min..x_max, in order, in linear time,
-    from partial_sum_range and count_range. The umbral total takes integer
-    weights den c_j j, den | k+1 the coefficients' denominator, and one
-    division by den, whose remainder raises InvariantViolationError. More
+    from partial_sum_range and count_range, weighted by umbral_weights. More
     than MAX_SCAN_RECORDS values raise ResourceLimitError before any sieve."""
     if x_min < 0 or x_max < x_min:
         raise ValueError("need 0 <= x_min <= x_max")
@@ -168,19 +180,11 @@ def identity_range(
         raise ResourceLimitError(
             f"identity would check {len(xs)} values, limit is {MAX_SCAN_RECORDS}"
         )
-    coeffs = umbral_coefficients(k)
-    den = math.lcm(*(c.denominator for c in coeffs))
-    weights = {j - 1: c.numerator * den // c.denominator * j
-               for j, c in enumerate(coeffs) if c and j}
+    den, _, weights = umbral_weights(k)
     if table is None:
         table = sieve_mobius(max(integer_root(x_max, r), 1))
     sums = partial_sum_range(r, tuple(weights), x_min, x_max, table)
     for x, S, V in zip(xs, sums, count_range(r, k, xs, table)):
-        umbral, rem = divmod(sum(map(operator.mul, weights.values(), S)), den)
-        if rem:
-            raise InvariantViolationError(
-                f"umbral evaluation at r={r}, k={k}, x={x} is non-integral: "
-                f"{Fraction(umbral * den + rem, den)} (convention mismatch)"
-            )
+        umbral = _umbral_value(sum(map(operator.mul, weights.values(), S)), den, r, k, x)
         zero_split = None if umbral == V else zero_coordinate_expansion(x, r, k)
         yield IdentityCheck(r=r, k=k, x=x, umbral=umbral, fast=V, zero_split=zero_split)

@@ -22,7 +22,6 @@ from rfree.arith import (
     FACTOR_BOUND,
     factorize,
     format_ratio,
-    fraction_to_decimal,
     primes_upto,
     rfree_sieve,
 )
@@ -41,13 +40,11 @@ ZETA4 = Fraction(Decimal("1.08232323371113819151600369654116790277"))
 def test_sieve_limit_one():
     t = sieve_mobius(1)
     assert t.mu[1:] == [1]
-    assert t.mertens[1:] == [1]
 
 
 def test_sieve_limit_six():
     t = sieve_mobius(6)
     assert t.mu[1:] == [1, -1, -1, 0, -1, 1]
-    assert t.mertens[6] == -1
 
 
 def test_sieve_rejects_zero_limit():
@@ -77,8 +74,6 @@ def test_sieve_basic_invariants(tables):
     for p in primes_upto(200):
         assert t.mu[p] == -1
     assert all(v in (-1, 0, 1) for v in t.mu[1:1000])
-    for n in range(2, 2000):
-        assert t.mertens[n] - t.mertens[n - 1] == t.mu[n]
 
 
 def test_divisor_sums_of_mu_vanish(tables):
@@ -93,13 +88,6 @@ def test_divisor_sums_of_mu_vanish(tables):
                 if d != n // d:
                     total += t.mu[n // d]
         assert total == 0, f"sum of mu over divisors of {n} is {total}"
-
-
-def test_mertens_at_bounds(tables):
-    t = tables(10**6)
-    assert t.mertens_at(0) == 0
-    with pytest.raises(ValueError):
-        t.mertens_at(10**6 + 1)
 
 
 def _naive_power_sums(table, x, r, k):
@@ -127,7 +115,7 @@ def test_power_sums_match_naive(tables, r, k, root, offset):
     t = tables(3000)
     sums = t.power_sums(x, r, k)
     assert sums == _naive_power_sums(t, x, r, k)
-    assert sums[0] == t.mertens_at(root)
+    assert sums[0] == sum(t.mu[1:root + 1])
 
 
 def _small_table_entry_points():
@@ -152,7 +140,6 @@ def _small_table_entry_points():
     # every call needs the table sieved to 50: floor(50^(1/1)) = floor(2500^(1/2))
     return {
         "power_sums": lambda t: t.power_sums(50, 1, 2),
-        "mertens_at": lambda t: t.mertens_at(50),
         "count_fast": lambda t: count_fast(CountParams(r=1, k=2, x=50), t),
         "count_progression": lambda t: count_progression(1, 2, range(40, 51), t),
         "error_scan": lambda t: next(error_scan(1, 2, 40, 50, table=t)),
@@ -351,12 +338,6 @@ def test_format_ratio_needs_no_lowest_terms():
     assert format_ratio(1, 8, 2) == "0.13" and format_ratio(-1, 8, 2) == "-0.13"
     with pytest.raises(ValueError):
         format_ratio(1, 3, -1)
-
-
-def test_fraction_to_decimal_round_trips():
-    q = Fraction(-2315, 46656)
-    d = fraction_to_decimal(q, 30)
-    assert abs(Fraction(d) - q) <= Fraction(1, 10**30)
 
 
 def test_enclosure_operations():

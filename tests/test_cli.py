@@ -6,7 +6,7 @@ import pathlib
 import re
 import subprocess
 import sys
-from decimal import Decimal, localcontext
+from decimal import ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -14,9 +14,9 @@ from hypothesis import example, given, settings, strategies as st
 
 import rfree.arith
 from rfree import sieve_mobius, zeta_value
-from rfree.arith import format_fraction, fraction_to_decimal, integer_root
+from rfree.arith import format_fraction, integer_root
 from rfree.cli import _frac_sci, main, parse_scan_csv, record_fields, CSV_COLUMNS
-from rfree.lattice import CountParams, count_fast, count_record, decimal_places, error_normalization
+from rfree.lattice import CountParams, count_fast, count_record, decimal_places
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -481,9 +481,9 @@ GOLDEN_OUTPUTS = {
     "scan --r 3 --k 2 --x-min 2 --x-max 50000 --step 7":
         "4d6c5b8c8ba5ad7844812db284e3d58afe69b2051e2acab6dd22e7b04a77b566",
     "scan --r 2 --k 1 --x-min 2 --x-max 3000":
-        "14c8d06ec3f25a6718c0b3882059ca542ac9226d139988d6fe9fb6203a3e8664",
+        "7adb5f49f4cf12f2a70936672d7b6312d6c4a55cc76a3f080c785e19dd60cb03",
     "count --r 2 --k 1 --x 10":
-        "6e0585cb1c4e82d8035308e23a03bd0b656e284b9e7e9a2b66c6c4e10f076c7e",
+        "89535d4a328835b7194832a1c77c08d841242255464ee650821953042a5e8952",
     "identity --r 2 --k 3 --x-max 6000":
         "9d1e9317c65bf5ce32ed26800e1aba26a3e02852f9b6fc67a8c2df683f902085",
     "identity --r 1 --k 4 --x-max 600":
@@ -540,19 +540,26 @@ def test_unknown_command_usage_error():
 # ---------------------------------------------------------------------------
 
 def _fraction_route(params, V, zeta, places):
-    """The reference route: enclosures, fields and normalized error from
-    Fraction arithmetic on Enclosure.scale, rsub and abs."""
+    """The reference route: enclosures and fields from Fraction arithmetic on
+    Enclosure.scale, rsub and abs, and the normalized error as |error| over a
+    norm taken by Decimal's own power and ln at places + 40 digits."""
     x, k = params.x, params.k
     main_term = zeta.reciprocal().scale((2 * x) ** k)
     error = main_term.rsub(V)
     if (params.r, k, x) == (1, 2, 1):
         normalized = Decimal("NaN")
     else:
-        norm = error_normalization(params)
         with localcontext() as ctx:
-            ctx.prec = places + 30
-            normalized = fraction_to_decimal(error.abs().mid, places + 10) / norm
-            normalized = normalized.quantize(Decimal(1).scaleb(-places))
+            ctx.prec = places + 40
+            if params.r >= 2 and k == 1:
+                norm = Decimal(x) ** (Decimal(1) / params.r)
+            elif (params.r, k) == (1, 2):
+                norm = Decimal(x) * Decimal(x).ln()
+            else:
+                norm = Decimal(x ** (k - 1))
+            size = error.abs().mid
+            normalized = Decimal(size.numerator) / Decimal(size.denominator) / norm
+            normalized = normalized.quantize(Decimal(1).scaleb(-places), rounding=ROUND_HALF_UP)
     fields = {
         "x": str(x),
         "V": str(V),
@@ -594,6 +601,18 @@ def _rows(draw):
 @example(row=(2, 2, 990_000, None), precision=PRECISIONS[0])
 def test_integer_rows_match_the_fraction_route(tables, row, precision):
     _check_integer_row(tables, *row, precision)
+
+
+@pytest.mark.parametrize(
+    "r,k,precision",
+    [(2, 1, Fraction(1, 10**30)), (3, 1, Fraction(1, 10**30)),
+     (2, 1, Fraction(1, 10**60)), (1, 2, Fraction(1, 10**60))],
+)
+def test_irrational_norms_match_the_reference_on_every_row(tables, r, k, precision):
+    # x^(1/r) and x log x are irrational: every printed digit of every row
+    # must be the reference's, not one rounded from a shorter norm
+    for x in range(2, 2001):
+        _check_integer_row(tables, r, k, x, None, precision)
 
 
 @pytest.mark.parametrize(

@@ -273,12 +273,18 @@ def test_count_record_x_bounds():
 
 
 def test_error_normalization_cases():
-    assert error_normalization(CountParams(r=1, k=3, x=7)) == Decimal(49)
-    assert error_normalization(CountParams(r=1, k=1, x=9)) == Decimal(1)
-    root = error_normalization(CountParams(r=2, k=1, x=9))
-    assert abs(root - 3) < Decimal("1e-29")
-    xlogx = error_normalization(CountParams(r=1, k=2, x=10))
-    assert abs(xlogx - Decimal(10) * ln_decimal(10)) < Decimal("1e-20")
+    assert error_normalization(CountParams(r=1, k=3, x=7), 30) == (49, 1)
+    assert error_normalization(CountParams(r=1, k=1, x=9), 30) == (1, 1)
+    assert error_normalization(CountParams(r=2, k=1, x=9), 30) == (3 * 10**40, 10**40)
+    # floor(2^(1/2) 10^15) / 10^15 at places = 5
+    assert error_normalization(CountParams(r=2, k=1, x=2), 5) == (1414213562373095, 10**15)
+    # x log x from ln at places + 10 significant digits
+    num, den = error_normalization(CountParams(r=1, k=2, x=10), 30)
+    assert Fraction(num, den) == 10 * Fraction(ln_decimal(10, 40))
+    num, den = error_normalization(CountParams(r=1, k=2, x=10), 60)
+    assert abs(Fraction(num, den) - 10 * Fraction(ln_decimal(10, 100))) < Fraction(1, 10**68)
+    with pytest.raises(ValueError):
+        error_normalization(CountParams(r=1, k=2, x=1), 30)
 
 
 def test_decimal_places():
