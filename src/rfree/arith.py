@@ -7,7 +7,8 @@ Provides:
     mobius            -- scalar mu(n) by trial division (independent of the sieve)
     integer_root      -- floor(x^(1/r)) in pure integer arithmetic
     bernoulli_numbers -- exact Bernoulli numbers, B_1 = +1/2 convention
-    faulhaber_sum     -- sum_{m<=M} m^e via the Bernoulli formula
+    faulhaber_vector  -- F_k: sum_{m<=q} m^(k-1) as integers over one denominator
+    exact_quotient    -- the one integrality check of the totient algebra
     zeta_value        -- zeta(s) for integer s >= 2 with a rigorous error radius
     Enclosure         -- a closed rational ball guaranteed to contain a value
 
@@ -235,29 +236,39 @@ def bernoulli_numbers(count: int) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def faulhaber_sum(upper: int, e: int) -> int:
-    """sum_{m=1}^{upper} m^e, exactly, via the Bernoulli expansion.
+@lru_cache(maxsize=None)
+def faulhaber_vector(B: tuple[Fraction, ...]) -> tuple[int, tuple[int, ...]]:
+    """F_k = (den, (a_0, ..., a_k)) from B = bernoulli_numbers(k), k >= 1:
+    sum_{m<=q} m^(k-1) = sum_i a_i q^i / den for every q >= 0, with
+    a_(k-j) = den C(k, j) B_j / k (B_1 = +1/2) and a_0 = 0. Cached on B."""
+    k = len(B)
+    coeffs = [Fraction(0)] + [math.comb(k, j) * B[j] / k for j in range(k - 1, -1, -1)]
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return den, tuple(int(c * den) for c in coeffs)
 
-    Uses (1/(e+1)) * sum_j C(e+1, j) B_j upper^(e+1-j) with B_1 = +1/2; a
-    non-integral result means the convention broke somewhere and raises
-    InvariantViolationError.
-    """
+
+def exact_quotient(num: int, den: int, what: str, **inputs: int) -> int:
+    """num / den for den > 0, which must be an integer: the one integrality
+    check of the Faulhaber, Jordan and umbral forms. A remainder raises
+    InvariantViolationError naming ``what`` and its inputs."""
+    quotient, rem = divmod(num, den)
+    if rem:
+        named = ", ".join(f"{name}={value}" for name, value in inputs.items())
+        raise InvariantViolationError(f"{what} at {named} is non-integral: {Fraction(num, den)}")
+    return quotient
+
+
+def faulhaber_sum(upper: int, e: int) -> int:
+    """sum_{m=1}^{upper} m^e, exactly: F_(e+1) evaluated at upper. A
+    non-integral value means the Bernoulli convention broke somewhere and
+    raises InvariantViolationError."""
     if upper < 0:
         raise ValueError("upper must be >= 0")
     if e < 0:
         raise ValueError("e must be >= 0")
-    if upper == 0:
-        return 0
-    B = bernoulli_numbers(e + 1)
-    total = Fraction(0)
-    for j in range(e + 1):
-        total += math.comb(e + 1, j) * B[j] * upper ** (e + 1 - j)
-    total /= e + 1
-    if total.denominator != 1:
-        raise InvariantViolationError(
-            f"faulhaber_sum({upper}, {e}) produced non-integer {total}"
-        )
-    return total.numerator
+    den, a = faulhaber_vector(bernoulli_numbers(e + 1))
+    total = sum(c * upper**i for i, c in enumerate(a))
+    return exact_quotient(total, den, "Faulhaber sum", upper=upper, e=e)
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import Decimal, DecimalException
 from fractions import Fraction
 from itertools import chain
 
@@ -49,6 +50,12 @@ def _nonneg_int(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text}")
+    return value
+
+
+def _finite_float(text: str) -> float:
+    if not math.isfinite(value := float(text)):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text}")
     return value
 
 
@@ -105,6 +112,8 @@ class ScanRow:
 
 
 def parse_scan_csv(lines) -> list[ScanRow]:
+    """The rows of a scan CSV. A header other than CSV_COLUMNS, or a row
+    that is not six finite numbers, raises ValueError naming its line."""
     reader = csv.reader(lines)
     header = next(reader, None)
     if header != CSV_COLUMNS:
@@ -113,16 +122,16 @@ def parse_scan_csv(lines) -> list[ScanRow]:
     for row in reader:
         if not row:
             continue
-        rows.append(
-            ScanRow(
-                x=int(row[0]),
-                V=int(row[1]),
-                main_term=Decimal(row[2]),
-                error=Decimal(row[3]),
-                normalized_error=Decimal(row[4]),
-                density=Decimal(row[5]),
-            )
-        )
+        try:
+            x, V, main_term, error, normalized, density = row
+            decimals = Decimal(main_term), Decimal(error), Decimal(normalized), Decimal(density)
+            if not sum(decimals).is_finite():
+                raise ValueError
+            rows.append(ScanRow(int(x), int(V), *decimals))
+        except (DecimalException, ValueError):
+            raise ValueError(
+                f"scan CSV line {reader.line_num} is not six finite numbers: {','.join(row)!r}"
+            ) from None
     return rows
 
 
@@ -139,20 +148,21 @@ def _open_output(path: str | None):
         raise ResourceWriteError(f"cannot write {path}: {exc}") from exc
 
 
-def _frac_sci(q: Fraction, sig: int = 6) -> str:
+def _frac_sci(q: Fraction, sig: int = 6, up: bool = False) -> str:
     """q as d.dddddde+XX with ``sig`` digits after the point, rounded half
     to even from the exact rational: the text float formatting gives for
-    every q a float holds exactly, without its underflow or overflow."""
+    every q a float holds exactly, without its underflow or overflow. With
+    ``up``, a q > 0 is rounded toward +infinity instead, so the text bounds q."""
     if q == 0:
         return "0"
     num, den = abs(q.numerator), q.denominator
 
     def digits_at(exp: int) -> int:
-        # num/den * 10^(sig - exp), rounded half to even
+        # num/den * 10^(sig - exp), rounded half to even, or up
         shift = sig - exp
         n, d = num * 10 ** max(shift, 0), den * 10 ** max(-shift, 0)
         digits, rem = divmod(n, d)
-        return digits + (2 * rem > d or (2 * rem == d and digits % 2))
+        return digits + (rem > 0 if up else 2 * rem > d or (2 * rem == d and digits % 2))
 
     # the bit lengths give the decimal exponent to within one
     exp = (num.bit_length() - den.bit_length()) * 30103 // 100000
@@ -331,7 +341,7 @@ def _cmd_zeta(args) -> int:
     places = decimal_places(args.precision)
     z = zeta_value(args.s, args.precision)
     print(f"zeta({args.s}) = {format_fraction(z.mid, places)}")
-    print(f"error_radius <= {_frac_sci(z.radius)}")
+    print(f"error_radius <= {_frac_sci(z.radius, up=True)}")
     print(f"depth = {z.depth}")
     return 0
 
@@ -456,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="two-window non-decay ratio from a scan CSV")
     p.add_argument("--split", type=_pos_int, required=True)
     p.add_argument("--input", default=None, help="scan CSV path (default: stdin)")
-    p.add_argument("--min-ratio", dest="min_ratio", type=float, default=None)
+    p.add_argument("--min-ratio", dest="min_ratio", type=_finite_float, default=None)
 
     return parser
 

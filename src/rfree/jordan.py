@@ -9,10 +9,10 @@ prime q does). Two closed forms exist and are cross-checked on every call:
 
 For k = 0 both collapse to the r-free indicator of n. Partial sums
 sum_{n<=x} J_{k-1}^r(n) come in a direct reference loop and a Bernoulli
-expansion: summing Faulhaber's formula for sum_{m<=q} m^(k-1) over the
-divisor sum gives
+expansion: summing Faulhaber's polynomial F_k(q) = sum_{m<=q} m^(k-1) =
+sum_i a_i q^i / den over the divisor sum gives
 
-    (1/k) sum_{j=0}^{k-1} C(k, j) B_j T_{k-j}(x),
+    sum_{i=0}^{k} a_i T_i(x) / den,
 
 with T_e(x) = sum_{d <= x^(1/r)} mu(d) floor(x/d^r)^e the power sums of
 MobiusTable.power_sums, the kernel count_fast reads too. partial_sum_range
@@ -22,22 +22,24 @@ gives every x of a range from a segmented Euler-product sieve, without mu.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate, islice, product
 
 from .arith import (
     MobiusTable,
     bernoulli_numbers,
+    exact_quotient,
     factorize,
+    faulhaber_vector,
     integer_root,
     mobius,
     primes_upto,
     rfree_sieve,
 )
 from .errors import InvariantViolationError, ResourceLimitError
-from .lattice import SCAN_CHUNK
+from .lattice import MAX_SCAN_RECORDS, SCAN_CHUNK
 
 DEFAULT_TUPLE_BUDGET = 10**7
 
@@ -75,15 +77,13 @@ def _jordan_divisor_sum(n: int, r: int, k: int, factors: dict[int, int]) -> int:
 
 
 def _jordan_euler_product(n: int, r: int, k: int, factors: dict[int, int]) -> int:
-    value = Fraction(n**k)
+    # n^k (1 - p^(-rk)) as n^k / p^(rk) (p^(rk) - 1), the update jordan_segment makes
+    value = n**k
     for p, a in factors.items():
         if a >= r:
-            value *= 1 - Fraction(1, p ** (r * k))
-    if value.denominator != 1:
-        raise InvariantViolationError(
-            f"Euler product for J_{k}^{r}({n}) is non-integral: {value}"
-        )
-    return value.numerator
+            f = p ** (r * k)
+            value = exact_quotient(value, f, "Euler product", n=n, r=r, k=k) * (f - 1)
+    return value
 
 
 def jordan(n: int, params: TotientParams) -> int:
@@ -131,39 +131,38 @@ def jordan_oracle(
 def partial_sum_direct(x: int, params: TotientParams) -> int:
     """sum_{n<=x} J_{k-1}^r(n) by a plain loop; the reference implementation.
 
-    params.k >= 1; the summand dimension is k - 1.
+    params.k >= 1; the summand dimension is k - 1. It factorizes every n <= x,
+    so x above MAX_SCAN_RECORDS raises ResourceLimitError before any work.
     """
     if x < 0:
         raise ValueError("x must be >= 0")
     if params.k < 1:
         raise ValueError("partial sums need k >= 1")
+    if x > MAX_SCAN_RECORDS:
+        raise ResourceLimitError(f"the direct partial sum would factorize {x} integers, "
+                                 f"limit is {MAX_SCAN_RECORDS}; use --method bernoulli")
     inner = TotientParams(r=params.r, k=params.k - 1)
     return sum(jordan(n, inner) for n in range(1, x + 1))
 
 
 def partial_sum_bernoulli(x: int, params: TotientParams, table: MobiusTable) -> int:
-    """sum_{n<=x} J_{k-1}^r(n) via the Bernoulli expansion
-
-        (1/k) sum_{j=0}^{k-1} C(k, j) B_j T_{k-j}(x)
-
-    with B_1 = +1/2 and T_e(x) = sum_{d^r<=x} mu(d) floor(x/d^r)^e from
-    MobiusTable.power_sums. Accumulation is exact, and a non-integral total
-    raises InvariantViolationError.
-    """
+    """sum_{n<=x} J_{k-1}^r(n) via the Bernoulli expansion: the dot product
+    of F_k with T_0..T_k(x) from one MobiusTable.power_sums call."""
     if x < 0:
         raise ValueError("x must be >= 0")
-    k, r = params.k, params.r
-    if k < 1:
+    if params.k < 1:
         raise ValueError("partial sums need k >= 1")
-    T = table.power_sums(x, r, k)
-    B = bernoulli_numbers(k)
-    total = sum(math.comb(k, j) * B[j] * T[k - j] for j in range(k)) / k
-    if total.denominator != 1:
-        raise InvariantViolationError(
-            f"Bernoulli partial sum at x={x}, r={r}, k={k} "
-            f"is non-integral: {total}"
-        )
-    return total.numerator
+    r, k = params.r, params.k
+    return partial_sum_from_sums(table.power_sums(x, r, k), x, r, k)
+
+
+def partial_sum_from_sums(T: list[int], x: int, r: int, k: int) -> int:
+    """sum_{n<=x} J_{k-1}^r(n) = sum_{i<=k} a_i T_i(x) / den for F_k =
+    (den; a_0..a_k), from T = MobiusTable.power_sums(x, r, K) with K >= k.
+    A non-integral total raises InvariantViolationError."""
+    den, a = faulhaber_vector(bernoulli_numbers(k))
+    total = sum(map(operator.mul, a, T))
+    return exact_quotient(total, den, "Bernoulli partial sum", x=x, r=r, k=k)
 
 
 def jordan_segment(

@@ -19,10 +19,11 @@ import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
-from .arith import MobiusTable, integer_root, sieve_mobius
-from .errors import InvariantViolationError, ResourceLimitError
-from .jordan import TotientParams, jordan, partial_sum_bernoulli, partial_sum_range
+from .arith import MobiusTable, exact_quotient, integer_root, sieve_mobius
+from .errors import ResourceLimitError
+from .jordan import TotientParams, jordan, partial_sum_from_sums, partial_sum_range
 from .lattice import MAX_SCAN_RECORDS, CountParams, count_fast, count_oracle, count_range
 
 
@@ -40,13 +41,10 @@ class IdentityCheck:
 
     @property
     def equal(self) -> bool:
-        if self.umbral != self.fast:
-            return False
-        if self.oracle is not None and self.oracle != self.umbral:
-            return False
-        return True
+        return self.umbral == self.fast and (self.oracle is None or self.oracle == self.umbral)
 
 
+@lru_cache(maxsize=None)
 def umbral_coefficients(k: int) -> tuple[Fraction, ...]:
     """Exact coefficients c_0..c_{k+1} of
     ((2X+1)^(k+1) - (2X-1)^(k+1)) / (2(k+1)).
@@ -56,35 +54,20 @@ def umbral_coefficients(k: int) -> tuple[Fraction, ...]:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    coeffs = []
-    for j in range(k + 2):
-        if (k + 1 - j) % 2 == 1:
-            coeffs.append(Fraction(math.comb(k + 1, j) * 2**j, k + 1))
-        else:
-            coeffs.append(Fraction(0))
-    return tuple(coeffs)
+    return tuple(
+        Fraction(math.comb(k + 1, j) * 2**j, k + 1) if (k + 1 - j) % 2 else Fraction(0)
+        for j in range(k + 2)
+    )
 
 
-def umbral_weights(k: int) -> tuple[int, int, dict[int, int]]:
-    """The coefficients as integers: (den, den c_0, {j - 1: den c_j j}) over
-    the nonzero c_j with j >= 1, where den is their least common denominator
-    and j - 1 is the Jordan index that X^j reads."""
-    coeffs = umbral_coefficients(k)
+@lru_cache(maxsize=None)
+def umbral_weights(coeffs: tuple[Fraction, ...]) -> tuple[int, int, tuple[tuple[int, int], ...]]:
+    """umbral_coefficients as integers: (den, den c_0, ((j - 1, den c_j j), ...))
+    over the nonzero c_j with j >= 1, where den is their least common
+    denominator and j - 1 is the Jordan index that X^j reads."""
     den = math.lcm(*(c.denominator for c in coeffs))
     scaled = [int(c * den) for c in coeffs]
-    return den, scaled[0], {j - 1: w * j for j, w in enumerate(scaled) if j and w}
-
-
-def _umbral_value(total: int, den: int, r: int, k: int, x: int) -> int:
-    """total / den, the umbral value at x; a remainder raises
-    InvariantViolationError."""
-    umbral, rem = divmod(total, den)
-    if rem:
-        raise InvariantViolationError(
-            f"umbral evaluation at r={r}, k={k}, x={x} is non-integral: "
-            f"{Fraction(total, den)} (convention mismatch)"
-        )
-    return umbral
+    return den, scaled[0], tuple((j - 1, w * j) for j, w in enumerate(scaled) if j and w)
 
 
 def umbral_eval(
@@ -94,7 +77,8 @@ def umbral_eval(
     table: MobiusTable | None = None,
     constant_substitution: int = 0,
 ) -> int:
-    """Evaluate the polynomial with X^j -> j * sum_{n<=x} J_{j-1}^r(n).
+    """Evaluate the polynomial with X^j -> j * sum_{n<=x} J_{j-1}^r(n), each
+    partial sum the F_j dot product with one power_sums(x, r, k) call.
 
     ``constant_substitution`` is the value assigned to X^0 and exists only
     for the negative control; the identity requires 0 there. Must equal
@@ -107,12 +91,12 @@ def umbral_eval(
         raise ValueError("r and k must be >= 1")
     if table is None:
         table = sieve_mobius(max(integer_root(x, r), 1))
-    den, constant, weights = umbral_weights(k)
+    den, constant, weights = umbral_weights(umbral_coefficients(k))
+    T = table.power_sums(x, r, k)
     total = constant * constant_substitution + sum(
-        w * partial_sum_bernoulli(x, TotientParams(r=r, k=e + 1), table)
-        for e, w in weights.items()
+        w * partial_sum_from_sums(T, x, r, e + 1) for e, w in weights
     )
-    return _umbral_value(total, den, r, k, x)
+    return exact_quotient(total, den, "umbral evaluation", r=r, k=k, x=x)
 
 
 def zero_coordinate_expansion(x: int, r: int, k: int) -> int:
@@ -127,19 +111,12 @@ def zero_coordinate_expansion(x: int, r: int, k: int) -> int:
         raise ValueError("x must be >= 0")
     if r < 1 or k < 1:
         raise ValueError("r and k must be >= 1")
-    jmax = k - 1
-    sums = [0] * (jmax + 1)
-    for n in range(1, x + 1):
-        for j in range(jmax + 1):
-            sums[j] += jordan(n, TotientParams(r=r, k=j))
-    total = 0
-    for i in range(k):
-        inner = 0
-        for j in range(k - i):
-            sign = -1 if (k - i - 1 - j) % 2 else 1
-            inner += sign * math.comb(k - i, j) * sums[j]
-        total += math.comb(k, i) * 2 ** (k - i) * inner
-    return total
+    sums = [sum(jordan(n, TotientParams(r=r, k=j)) for n in range(1, x + 1)) for j in range(k)]
+    return sum(
+        math.comb(k, i) * 2 ** (k - i)
+        * sum((-1) ** (k - i - 1 - j) * math.comb(k - i, j) * sums[j] for j in range(k - i))
+        for i in range(k)
+    )
 
 
 def identity_check(
@@ -159,9 +136,7 @@ def identity_check(
     oracle = None
     if oracle_budget is not None and (2 * x + 1) ** k <= oracle_budget:
         oracle = count_oracle(CountParams(r=r, k=k, x=x), budget=oracle_budget)
-    zero_split = None
-    if lhs != rhs:
-        zero_split = zero_coordinate_expansion(x, r, k)
+    zero_split = None if lhs == rhs else zero_coordinate_expansion(x, r, k)
     return IdentityCheck(
         r=r, k=k, x=x, umbral=lhs, fast=rhs, oracle=oracle, zero_split=zero_split
     )
@@ -180,11 +155,13 @@ def identity_range(
         raise ResourceLimitError(
             f"identity would check {len(xs)} values, limit is {MAX_SCAN_RECORDS}"
         )
-    den, _, weights = umbral_weights(k)
+    den, _, pairs = umbral_weights(umbral_coefficients(k))
+    es, weights = zip(*pairs)
     if table is None:
         table = sieve_mobius(max(integer_root(x_max, r), 1))
-    sums = partial_sum_range(r, tuple(weights), x_min, x_max, table)
+    sums = partial_sum_range(r, es, x_min, x_max, table)
     for x, S, V in zip(xs, sums, count_range(r, k, xs, table)):
-        umbral = _umbral_value(sum(map(operator.mul, weights.values(), S)), den, r, k, x)
+        total = sum(map(operator.mul, weights, S))
+        umbral = exact_quotient(total, den, "umbral evaluation", r=r, k=k, x=x)
         zero_split = None if umbral == V else zero_coordinate_expansion(x, r, k)
         yield IdentityCheck(r=r, k=k, x=x, umbral=umbral, fast=V, zero_split=zero_split)

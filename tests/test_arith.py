@@ -20,7 +20,9 @@ from rfree import (
 from rfree import arith
 from rfree.arith import (
     FACTOR_BOUND,
+    exact_quotient,
     factorize,
+    faulhaber_vector,
     format_ratio,
     primes_upto,
     rfree_sieve,
@@ -253,6 +255,23 @@ def test_faulhaber_matches_naive_full_grid():
                 running[e] += upper**e
         for e in range(9):
             assert faulhaber_sum(upper, e) == running[e]
+
+
+def test_faulhaber_vector_matches_naive_sums():
+    # F_k = (den; a_0..a_k) against sum_{m<=q} m^(k-1), term by term
+    for k in range(1, 16):
+        den, a = faulhaber_vector(bernoulli_numbers(k))
+        assert len(a) == k + 1 and a[0] == 0 and den > 0
+        total = 0
+        for q in range(61):
+            total += q ** (k - 1) if q else 0
+            assert sum(c * q**i for i, c in enumerate(a)) == total * den
+
+
+def test_exact_quotient_names_its_inputs():
+    assert exact_quotient(-12, 4, "unused", x=1) == -3
+    with pytest.raises(InvariantViolationError, match=r"^a sum at x=7, k=2 is non-integral: 13/4$"):
+        exact_quotient(13, 4, "a sum", x=7, k=2)
 
 
 # ---------------------------------------------------------------------------

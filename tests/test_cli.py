@@ -95,6 +95,24 @@ def test_partial_sum_command(capsys):
     assert direct[0].split(" = ")[1] == bern[0].split(" = ")[1]
 
 
+def test_partial_sum_direct_route_has_a_budget(capsys, monkeypatch):
+    import importlib
+
+    jordan_module = importlib.import_module("rfree.jordan")
+    monkeypatch.setattr(jordan_module, "jordan", lambda n, params: pytest.fail("factorized"))
+    for method in ("both", "direct"):
+        argv = ["partial-sum", "--x", "100000000", "--r", "2", "--k", "2", "--method", method]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: the direct partial sum would factorize 100000000 integers, "
+            "limit is 1000000; use --method bernoulli\n"
+        )
+    argv = ["partial-sum", "--x", "100000000", "--r", "2", "--k", "2", "--method", "bernoulli"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0 and out.startswith("bernoulli = ")
+
+
 def test_identity_command(capsys):
     code, out, _ = run_cli(["identity", "--r", "2", "--k", "3", "--x-max", "40"], capsys)
     assert code == 0
@@ -297,6 +315,29 @@ def test_report_empty_window_fails(capsys, tmp_path):
     assert "window" in err
 
 
+@pytest.mark.parametrize(
+    "row",
+    ["5,1,1.0,abc,2.5,0.5", "5,1,1.0,1.0,2.5", "5,1,1.0,1.0,NaN,0.5"],
+    ids=["non-numeric", "five-fields", "nan"],
+)
+def test_report_rejects_bad_rows(capsys, tmp_path, row):
+    csv_path = tmp_path / "rows.csv"
+    csv_path.write_text(",".join(CSV_COLUMNS) + "\n1,1,1.0,1.0,2.5,0.5\n" + row + "\n")
+    code, out, err = run_cli(["report", "--split", "5", "--input", str(csv_path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: scan CSV line 3 is not six finite numbers: {row!r}\n"
+
+
+def test_report_rejects_nan_min_ratio_before_output(capsys, tmp_path):
+    csv_path = tmp_path / "rows.csv"
+    csv_path.write_text(",".join(CSV_COLUMNS) + "\n1,1,1.0,1.0,2.5,0.5\n9,1,1.0,1.0,2.5,0.5\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "--split", "5", "--input", str(csv_path), "--min-ratio", "nan"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert "error: argument --min-ratio: expected a finite number, got nan" in err
+
+
 def test_report_missing_input_reports_path(capsys, tmp_path):
     missing = tmp_path / "nope.csv"
     code, _, err = run_cli(["report", "--split", "5", "--input", str(missing)], capsys)
@@ -379,6 +420,18 @@ def test_zeta_radius_below_float_range(capsys):
     # six digits after the point: within half a unit of the 7th significant digit
     assert 0 < printed <= Fraction(1, 10**900)
     assert abs(printed - z.radius) <= printed / 10**6
+
+
+def test_zeta_radius_line_is_an_upper_bound(capsys):
+    # rounded toward +infinity: half-even printed 4.972468e-59 for s = 8 at
+    # 1e-58, below its radius 4.97246802...e-59
+    for s in range(2, 9):
+        for places in range(1, 60):
+            code, out, _ = run_cli(["zeta", "--s", str(s), "--precision", f"1e-{places}"], capsys)
+            assert code == 0
+            printed = Fraction(Decimal(out.splitlines()[1].removeprefix("error_radius <= ")))
+            radius = zeta_value(s, Fraction(1, 10**places)).radius
+            assert radius <= printed <= radius * (1 + Fraction(1, 10**6)), (s, places)
 
 
 @pytest.mark.parametrize(

@@ -16,8 +16,9 @@ from rfree import (
     zeta_value,
 )
 from rfree.arith import primes_upto, rfree_sieve
-from rfree.errors import ResourceLimitError
+from rfree.errors import InvariantViolationError, ResourceLimitError
 from rfree.jordan import jordan_segment, partial_sum_range
+from rfree.lattice import MAX_SCAN_RECORDS
 
 jordan_module = importlib.import_module("rfree.jordan")  # rfree.jordan is the function
 
@@ -129,6 +130,39 @@ def test_partial_sum_direct_examples(x, r, k, expected):
 def test_partial_sum_requires_k_at_least_one():
     with pytest.raises(ValueError):
         partial_sum_direct(10, TotientParams(r=1, k=0))
+
+
+def test_partial_sum_direct_refuses_more_than_the_record_limit(monkeypatch):
+    def no_jordan(n, params):
+        raise AssertionError("factorized past the limit")
+
+    monkeypatch.setattr(jordan_module, "jordan", no_jordan)
+    with pytest.raises(ResourceLimitError, match=f"limit is {MAX_SCAN_RECORDS}; use --method bernoulli"):
+        partial_sum_direct(MAX_SCAN_RECORDS + 1, TotientParams(r=2, k=2))
+    with pytest.raises(AssertionError):
+        partial_sum_direct(MAX_SCAN_RECORDS, TotientParams(r=2, k=2))
+
+
+def test_partial_sum_bernoulli_reads_one_power_sums_call(monkeypatch, tables):
+    t = tables(100)
+    calls = []
+    power_sums = type(t).power_sums
+
+    def counting(self, x, r, k):
+        calls.append((x, r, k))
+        return power_sums(self, x, r, k)
+
+    monkeypatch.setattr(type(t), "power_sums", counting)
+    for k in range(1, 6):
+        calls.clear()
+        partial_sum_bernoulli(1000, TotientParams(r=2, k=k), t)
+        assert calls == [(1000, 2, k)]
+
+
+def test_euler_product_non_integral_names_its_inputs():
+    # factors that do not multiply to n: 2^2 does not divide 6
+    with pytest.raises(InvariantViolationError, match=r"^Euler product at n=6, r=2, k=1 is non-integral: 3/2$"):
+        jordan_module._jordan_euler_product(6, 2, 1, {2: 2, 3: 1})
 
 
 def test_partial_sum_bernoulli_examples(tables):

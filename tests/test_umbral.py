@@ -64,6 +64,23 @@ def test_umbral_eval_matches_count_fast(tables):
     assert umbral_eval(0, 1, 4, table=t) == 0
 
 
+def test_umbral_eval_reads_one_power_sums_call(monkeypatch, tables):
+    t = tables(100)
+    calls = []
+    power_sums = type(t).power_sums
+
+    def counting(self, x, r, k):
+        calls.append((x, r, k))
+        return power_sums(self, x, r, k)
+
+    monkeypatch.setattr(type(t), "power_sums", counting)
+    for k in range(1, 6):
+        calls.clear()
+        value = umbral_eval(1000, 2, k, table=t)
+        assert calls == [(1000, 2, k)]
+        assert value == count_fast(CountParams(2, k, 1000), t)
+
+
 def test_constant_substitution_negative_control():
     # X^0 -> 1 must break the identity at k = 2; here the 1/3 coefficient
     # surfaces as a non-integral total.
