@@ -28,6 +28,7 @@ from .errors import InvariantViolationError, ResourceLimitError
 
 FACTOR_BOUND = 10**6  # largest trial divisor of factorize
 SIEVE_LIMIT = 10**7  # largest sieve_mobius limit, ~12 bytes per entry at peak
+BERNOULLI_LIMIT = 400  # largest bernoulli_numbers count, about 1 s at the limit
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +223,12 @@ def integer_root(x: int, r: int) -> int:
 
 @lru_cache(maxsize=None)
 def bernoulli_numbers(count: int) -> tuple[Fraction, ...]:
-    """B_0 .. B_{count-1} as exact Fractions, second convention (B_1 = +1/2)."""
+    """B_0 .. B_{count-1} as exact Fractions, second convention (B_1 = +1/2).
+    Raises ResourceLimitError before any work for count > BERNOULLI_LIMIT."""
     if count < 1:
         raise ValueError("count must be >= 1")
+    if count > BERNOULLI_LIMIT:
+        raise ResourceLimitError(f"need {count} Bernoulli numbers, limit is {BERNOULLI_LIMIT}")
     # Akiyama-Tanigawa; yields the B_1 = +1/2 convention directly.
     row = [Fraction(0)] * count
     out = []
@@ -357,6 +361,11 @@ class ZetaValue(Enclosure):
         return Enclosure.between(1 / self.hi, 1 / self.lo)
 
 
+def _zeta_radius(s: int, n: int) -> tuple[int, int]:
+    # zeta_enclosure(s, n)'s radius 3 / ((29/5)^n (1 - 2^(1-s))) as num, den
+    return 3 * 2 ** (s - 1) * 5**n, (2 ** (s - 1) - 1) * 29**n
+
+
 def zeta_enclosure(s: int, depth: int) -> ZetaValue:
     """zeta(s) at a fixed truncation depth n.
 
@@ -385,10 +394,8 @@ def zeta_enclosure(s: int, depth: int) -> ZetaValue:
     for k in range(n):
         t = Fraction(d[k] - d[n], (k + 1) ** s)
         acc += -t if k % 2 else t
-    one_minus = Fraction(2 ** (s - 1) - 1, 2 ** (s - 1))
-    value = -acc / (d[n] * one_minus)
-    radius = Fraction(3) / (Fraction(29, 5) ** n * one_minus)
-    return ZetaValue(s=s, mid=value, radius=radius, depth=n)
+    value = -acc / (d[n] * Fraction(2 ** (s - 1) - 1, 2 ** (s - 1)))
+    return ZetaValue(s=s, mid=value, radius=Fraction(*_zeta_radius(s, n)), depth=n)
 
 
 @lru_cache(maxsize=None)
@@ -399,10 +406,11 @@ def zeta_value(s: int, target_precision: Fraction = Fraction(1, 10**30)) -> Zeta
     target = Fraction(target_precision)
     if target <= 0:
         raise ValueError("target_precision must be positive")
-    one_minus = Fraction(2 ** (s - 1) - 1, 2 ** (s - 1))
-    depth = 1
-    while Fraction(3) / (Fraction(29, 5) ** depth * one_minus) > target:
-        depth += 1
+    # the smallest depth with radius num/den <= target, by running powers
+    num, den = _zeta_radius(s, 1)
+    lhs, rhs, depth = num * target.denominator, den * target.numerator, 1
+    while lhs > rhs:
+        lhs, rhs, depth = lhs * 5, rhs * 29, depth + 1
     return zeta_enclosure(s, depth)
 
 

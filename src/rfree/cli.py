@@ -312,28 +312,19 @@ def _cmd_witness(args, parser: argparse.ArgumentParser) -> int:
             parser.error(str(exc))
         reports.append(certify_witness(x, args.r, 1, cutoff=args.cutoff or 100))
     status = 0
-    # The exact fractions are printed in full: lift Python's cap on int -> str
-    # digits (4300 by default, absent before 3.10.7) while printing them.
-    digit_cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if digit_cap:
-        sys.set_int_max_str_digits(0)
-    try:
-        for rep in reports:
-            print(f"x = {rep.x}")
-            print(f"finite_part = {rep.finite_part} ({_frac_sci(rep.finite_part)})")
-            print(f"tail_bound = {rep.tail_bound} ({_frac_sci(rep.tail_bound)})")
-            print(f"upper_bound = {rep.upper_bound} ({_frac_sci(rep.upper_bound)})")
-            print(f"verdict = {rep.verdict}")
-            if rep.target_bound is not None:
-                print(
-                    f"target_bound = {rep.target_bound} ({_frac_sci(rep.target_bound)})"
-                    f" met = {'true' if rep.upper_bound < rep.target_bound else 'false'}"
-                )
-            if not rep.negative:
-                status = 1
-    finally:
-        if digit_cap:
-            sys.set_int_max_str_digits(digit_cap)
+    for rep in reports:
+        print(f"x = {rep.x}")
+        print(f"finite_part = {rep.finite_part} ({_frac_sci(rep.finite_part)})")
+        print(f"tail_bound = {rep.tail_bound} ({_frac_sci(rep.tail_bound)})")
+        print(f"upper_bound = {rep.upper_bound} ({_frac_sci(rep.upper_bound)})")
+        print(f"verdict = {rep.verdict}")
+        if rep.target_bound is not None:
+            print(
+                f"target_bound = {rep.target_bound} ({_frac_sci(rep.target_bound)})"
+                f" met = {'true' if rep.upper_bound < rep.target_bound else 'false'}"
+            )
+        if not rep.negative:
+            status = 1
     return status
 
 
@@ -476,6 +467,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "format", "text") not in OUTPUT_FORMATS:  # argparse checks only flags
         parser.error(f"invalid RFREE_OUTPUT_FORMAT {args.format!r}")
+    # Exact integers are printed and parsed in full: lift Python's cap on
+    # int <-> str digits (4300 by default, absent before 3.10.7) until return.
+    digit_cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digit_cap:
+        sys.set_int_max_str_digits(0)
     try:
         if args.command == "count":
             return _cmd_count(args)
@@ -504,6 +500,9 @@ def main(argv: list[str] | None = None) -> int:
         # the flush at exit neither fails nor prints.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    finally:
+        if digit_cap:
+            sys.set_int_max_str_digits(digit_cap)
     raise AssertionError("unreachable")
 
 

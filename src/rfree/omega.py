@@ -13,7 +13,7 @@ seventy-plus digits, where floats carry no information at all.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -23,7 +23,6 @@ from .arith import (
     MobiusTable,
     ZetaValue,
     integer_root,
-    mobius,
     primes_upto,
     sieve_mobius,
     zeta_value,
@@ -63,49 +62,48 @@ class FracSumParams:
             raise ValueError("x must be >= 0")
 
 
-def _frac_sum_upto(
-    params: FracSumParams, top: int, mu_of: Callable[[int], int]
-) -> Fraction:
-    # sum_{d <= top} mu(d) d^(-rj) {x / d^r}^i, exactly
-    r, j, i, x = params.r, params.j, params.i, params.x
-    total = Fraction(0)
+def _frac_sum_upto(params: FracSumParams, top: int, table: MobiusTable | None) -> Fraction:
+    # sum_{d <= top} mu(d) d^(-rj) {x / d^r}^i, exactly, with mu from table
+    # (sieved to top when None). The terms are integers over one denominator
+    # L = P^(r(i+j)), P the product of the primes <= top: every squarefree
+    # d <= top divides P, so d^(r(i+j)) divides L.
+    if top > EXACT_ROOT_LIMIT:
+        raise ResourceLimitError(
+            f"frac-sum over d <= {top} exceeds exact-sum guard {EXACT_ROOT_LIMIT}; "
+            f"truncate at a smaller cutoff"
+        )
+    if table is None:
+        table = sieve_mobius(max(top, 1))
+    table.require(top)
+    r, i, x, mu = params.r, params.i, params.x, table.mu
+    e = r * (i + params.j)
+    L = math.prod(primes_upto(top)) ** e
+    total = 0
     for d in range(1, top + 1):
-        m = mu_of(d)
-        if not m:
-            continue
-        drr = d**r
-        rem = x % drr
-        if i and not rem:
-            continue
-        term = Fraction(rem, drr) ** i / d ** (r * j)
-        total += term if m == 1 else -term
-    return total
+        if mu[d]:
+            rem = x % d**r
+            if rem or not i:
+                total += mu[d] * rem**i * (L // d**e)
+    return Fraction(total, L)
 
 
 def frac_sum(params: FracSumParams, table: MobiusTable) -> Fraction:
-    """The full sum over d <= floor(x^(1/r)), exactly.
+    """The full sum over d <= floor(x^(1/r)), exactly, with mu from ``table``.
 
-    Guarded at floor(x^(1/r)) <= 1e5; beyond that use truncated_frac_sum.
+    Guarded at floor(x^(1/r)) <= EXACT_ROOT_LIMIT; beyond that use
+    truncated_frac_sum.
     """
-    root = integer_root(params.x, params.r)
-    if root > EXACT_ROOT_LIMIT:
-        raise ResourceLimitError(
-            f"floor(x^(1/r)) = {root} exceeds exact-sum guard "
-            f"{EXACT_ROOT_LIMIT}; use truncated_frac_sum"
-        )
-    table.require(root)
-    return _frac_sum_upto(params, root, table.mu.__getitem__)
+    return _frac_sum_upto(params, integer_root(params.x, params.r), table)
 
 
-def truncated_frac_sum(
-    params: FracSumParams, cutoff: int
-) -> tuple[Fraction, Fraction]:
+def truncated_frac_sum(params: FracSumParams, cutoff: int) -> tuple[Fraction, Fraction]:
     """(finite part over d <= cutoff, rigorous bound on the rest).
 
     Tail bound: |sum_{d > D} mu(d) d^(-rj) {..}^i| <= sum_{d > D} d^(-rj)
     <= D^(1-rj)/(rj - 1), needing rj >= 2. Only x mod d^r for d <= cutoff is
     computed, so x may be arbitrarily large. When cutoff already covers
-    floor(x^(1/r)) the tail is exactly zero.
+    floor(x^(1/r)) the tail is exactly zero. The finite part sieves mu to
+    min(cutoff, floor(x^(1/r))), which must not exceed EXACT_ROOT_LIMIT.
     """
     rj = params.r * params.j
     if rj < 2:
@@ -113,11 +111,8 @@ def truncated_frac_sum(
     if cutoff < 2:
         raise ValueError("cutoff must be >= 2")
     root = integer_root(params.x, params.r)
-    finite = _frac_sum_upto(params, min(cutoff, root), mobius)
-    if cutoff >= root:
-        tail = Fraction(0)
-    else:
-        tail = Fraction(1, cutoff ** (rj - 1) * (rj - 1))
+    finite = _frac_sum_upto(params, min(cutoff, root), None)
+    tail = Fraction(0) if cutoff >= root else Fraction(1, cutoff ** (rj - 1) * (rj - 1))
     return finite, tail
 
 
@@ -199,7 +194,7 @@ def certify_witness(x: int, r: int, k: int, cutoff: int | None = None) -> Witnes
         raise ValueError("x must be >= 0")
     root = integer_root(x, r)
     if cutoff is None:
-        cutoff = root if 2 <= root <= EXACT_ROOT_LIMIT else max(100, 2)
+        cutoff = root if 2 <= root <= EXACT_ROOT_LIMIT else 100
     params = FracSumParams(r=r, j=k, i=1, x=x)
     finite, tail = truncated_frac_sum(params, cutoff)
     upper = finite + tail
@@ -230,20 +225,20 @@ class _ResidualSum:
 
     extended one d at a time as n grows."""
 
-    def __init__(self, s: int, zeta: ZetaValue, mu_of: Callable[[int], int]) -> None:
+    def __init__(self, s: int, zeta: ZetaValue, mu: list[int]) -> None:
         if zeta.s != s:
             raise ValueError(f"zeta enclosure is for s={zeta.s}, not {s}")
         recip = zeta.reciprocal()
-        self.s, self.mu_of, self.n = s, mu_of, 0
+        self.s, self.mu, self.n = s, mu, 0
         self.lo = -math.ceil(recip.hi * _SCALE)
         self.hi = -math.floor(recip.lo * _SCALE)
 
     def upto(self, n: int) -> tuple[int, int]:
         """(lo, hi) for the sum over d <= n; n never decreases."""
-        d, lo, hi, s, mu_of = self.n, self.lo, self.hi, self.s, self.mu_of
+        d, lo, hi, s, mu = self.n, self.lo, self.hi, self.s, self.mu
         while d < n:
             d += 1
-            m = mu_of(d)
+            m = mu[d]
             if not m:
                 continue
             q, rem = divmod(_SCALE, d**s)
@@ -269,10 +264,10 @@ def mertens_residual(
         raise ValueError("x must be >= 1")
     if s < 2:
         raise ValueError("s must be >= 2")
-    if table is not None:
-        table.require(x)
-    mu_of = table.mu.__getitem__ if table is not None else mobius
-    lo, hi = _ResidualSum(s, zeta, mu_of).upto(x)
+    if table is None:
+        table = sieve_mobius(x)
+    table.require(x)
+    lo, hi = _ResidualSum(s, zeta, table.mu).upto(x)
     return Enclosure.between(Fraction(lo, _SCALE), Fraction(hi, _SCALE))
 
 
@@ -281,18 +276,10 @@ def mertens_residual_scan(
 ) -> Iterator[tuple[int, Fraction]]:
     """Yield (x, sup |residual| * x^(s-1)) for x = 1..x_max, incrementally."""
     table.require(x_max)
-    residual = _ResidualSum(s, zeta, table.mu.__getitem__)
+    residual = _ResidualSum(s, zeta, table.mu)
     for x in range(1, x_max + 1):
         lo, hi = residual.upto(x)
         yield x, Fraction(max(hi, -lo) * x ** (s - 1), _SCALE)
-
-
-def _root_interval(x: int, r: int) -> Enclosure:
-    # An enclosure of the real x^(1/r), via a scaled integer root.
-    if r == 1:
-        return Enclosure(mid=Fraction(x), radius=Fraction(0))
-    t = integer_root(x * _ROOT_SCALE**r, r)
-    return Enclosure.between(Fraction(t, _ROOT_SCALE), Fraction(t + 1, _ROOT_SCALE))
 
 
 def proposition_residual(
@@ -307,12 +294,15 @@ def proposition_residual(
     if r * k < 2:
         raise ValueError("requires r*k >= 2")
     root = integer_root(x, r)
-    if table is not None:
-        table.require(root)
-    mu_of = table.mu.__getitem__ if table is not None else mobius
-    lo, hi = _ResidualSum(r * k, zeta, mu_of).upto(root)
+    if table is None:
+        table = sieve_mobius(root)
+    table.require(root)
+    lo, hi = _ResidualSum(r * k, zeta, table.mu).upto(root)
     numer = Enclosure.between(Fraction(lo, _SCALE), Fraction(hi, _SCALE)).scale(x**k)
-    return numer.div_pos(_root_interval(x, r))
+    # x^(1/r) lies in [t, t + 1] / _ROOT_SCALE, and is t / _ROOT_SCALE for r = 1
+    t = integer_root(x * _ROOT_SCALE**r, r)
+    x_root = Enclosure.between(Fraction(t, _ROOT_SCALE), Fraction(t + (r > 1), _ROOT_SCALE))
+    return numer.div_pos(x_root)
 
 
 def proposition_residual_scan(
@@ -320,11 +310,13 @@ def proposition_residual_scan(
 ) -> Iterator[tuple[int, Fraction]]:
     """Yield (x, sup of the scaled |residual|) for x = 1..x_max."""
     table.require(integer_root(x_max, r))
-    residual = _ResidualSum(r * k, zeta, table.mu.__getitem__)
+    residual = _ResidualSum(r * k, zeta, table.mu)
     for x in range(1, x_max + 1):
         lo, hi = residual.upto(integer_root(x, r))
-        # proposition_residual(x, ...).abs().hi, from the integer bounds
-        yield x, Fraction(max(hi, -lo) * x**k, _SCALE) / _root_interval(x, r).lo
+        # proposition_residual(x, ...).abs().hi from integers: it divides by
+        # the lower end t / _ROOT_SCALE of x^(1/r)
+        t = integer_root(x * _ROOT_SCALE**r, r)
+        yield x, Fraction(max(hi, -lo) * x**k * _ROOT_SCALE, _SCALE * t)
 
 
 # ---------------------------------------------------------------------------

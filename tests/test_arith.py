@@ -237,6 +237,17 @@ def test_bernoulli_rejects_nonpositive_count():
         bernoulli_numbers(0)
 
 
+def test_bernoulli_budget_is_checked_before_any_work(monkeypatch):
+    over = arith.BERNOULLI_LIMIT + 1
+    monkeypatch.setattr(arith, "Fraction", lambda *args: pytest.fail("computed"))
+    message = f"need {over} Bernoulli numbers, limit is {arith.BERNOULLI_LIMIT}"
+    with pytest.raises(ResourceLimitError, match=message):
+        bernoulli_numbers(over)
+    # the Faulhaber sums reach it through bernoulli_numbers(e + 1)
+    with pytest.raises(ResourceLimitError, match=message):
+        faulhaber_sum(10, arith.BERNOULLI_LIMIT)
+
+
 @pytest.mark.parametrize("upper,e,expected", [(10, 1, 55), (5, 2, 55), (0, 3, 0)])
 def test_faulhaber_examples(upper, e, expected):
     assert faulhaber_sum(upper, e) == expected
@@ -305,6 +316,31 @@ def test_zeta_enclosures_at_two_depths_intersect():
 def test_zeta_radius_decreases_with_depth():
     radii = [zeta_enclosure(3, n).radius for n in range(5, 30, 5)]
     assert all(b < a for a, b in zip(radii, radii[1:]))
+
+
+def _linear_zeta_depth(s, target):
+    # zeta_value's earlier depth search: one Fraction radius per depth
+    one_minus = Fraction(2 ** (s - 1) - 1, 2 ** (s - 1))
+    depth = 1
+    while Fraction(3) / (Fraction(29, 5) ** depth * one_minus) > target:
+        depth += 1
+    return depth
+
+
+@pytest.mark.parametrize("s", range(2, 9))
+def test_zeta_depth_matches_the_linear_search(monkeypatch, s):
+    monkeypatch.setattr(arith, "zeta_enclosure", lambda s, depth: depth)
+    targets = [Fraction(1, 10**p) for p in [*range(1, 60), 100, 300, 900, 1000]]
+    targets += [Fraction(1, 2), Fraction(3, 10**7), Fraction(7, 3)]
+    for target in targets:
+        assert zeta_value.__wrapped__(s, target) == _linear_zeta_depth(s, target), target
+
+
+def test_zeta_radius_formula():
+    for s in (2, 3, 8):
+        one_minus = Fraction(2 ** (s - 1) - 1, 2 ** (s - 1))
+        for n in (1, 2, 7, 40):
+            assert zeta_enclosure(s, n).radius == Fraction(3) / (Fraction(29, 5) ** n * one_minus)
 
 
 def test_zeta_rejects_small_s():

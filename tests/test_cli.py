@@ -113,6 +113,13 @@ def test_partial_sum_direct_route_has_a_budget(capsys, monkeypatch):
     assert code == 0 and out.startswith("bernoulli = ")
 
 
+def test_partial_sum_bernoulli_route_has_a_budget(capsys):
+    argv = ["partial-sum", "--x", "1000", "--r", "2", "--k", "2000", "--method", "bernoulli"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: need 2000 Bernoulli numbers, limit is 400\n"
+
+
 def test_identity_command(capsys):
     code, out, _ = run_cli(["identity", "--r", "2", "--k", "3", "--x-max", "40"], capsys)
     assert code == 0
@@ -388,6 +395,55 @@ def test_witness_small_prints_long_fractions_in_full(capsys):
         assert Fraction(printed) == expected
     finally:
         sys.set_int_max_str_digits(cap)
+
+
+def test_witness_cutoff_past_the_guard_fails_before_output(capsys, monkeypatch):
+    import rfree.omega
+
+    monkeypatch.setattr(rfree.omega, "sieve_mobius", lambda n: pytest.fail("sieved"))
+    argv = ["witness", "--small", "--r", "2", "--m", "1", "--cutoff", "20000000"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: frac-sum over d <= 20000000 exceeds exact-sum guard 100000")
+
+
+@pytest.fixture
+def digit_cap_4300():
+    # the interpreter's default cap on int <-> str digits, restored after
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(cap)
+
+
+def test_count_and_jordan_print_past_the_digit_cap(capsys, digit_cap_4300):
+    from rfree.jordan import TotientParams, jordan
+
+    code, out, err = run_cli(["count", "--r", "2", "--k", "2000", "--x", "1000"], capsys)
+    assert (code, err) == (0, "")
+    V = re.search(r"^V = (\d+)$", out, re.MULTILINE).group(1)
+    code, out, err = run_cli(["jordan", "--n", "6", "--r", "1", "--k", "10000"], capsys)
+    assert (code, err) == (0, "")
+    J = out.removeprefix("J(r=1, k=10000, n=6) = ").strip()
+    assert sys.get_int_max_str_digits() == 4300  # lifted only inside main
+    assert len(V) > 4300 and len(J) > 4300
+    sys.set_int_max_str_digits(0)
+    assert int(V) == count_fast(CountParams(r=2, k=2000, x=1000), sieve_mobius(31))
+    assert int(J) == jordan(6, TotientParams(r=1, k=10000))
+
+
+def test_scan_past_the_digit_cap_round_trips_through_report(tmp_path, capsys, digit_cap_4300):
+    # both V have 4,622 digits, past the default cap, in one CSV row each
+    argv = ["scan", "--r", "2", "--k", "1400", "--x-min", "999", "--x-max", "1000"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "")
+    assert out.startswith("x,V,") and len(out.splitlines()) == 3
+    path = tmp_path / "scan.csv"
+    path.write_text(out)
+    code, out, err = run_cli(["report", "--split", "1000", "--input", str(path)], capsys)
+    assert (code, err) == (0, "")
+    assert out.startswith("split = 1000\n")
+    assert sys.get_int_max_str_digits() == 4300
 
 
 def test_witness_small_rejects_even_m(capsys):

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rfree import lattice
+from rfree import lattice, omega
 from rfree import (
     CountParams,
     FracSumParams,
@@ -26,7 +26,7 @@ from rfree import (
     witness_small,
     zeta_value,
 )
-from rfree.arith import integer_root, ln_decimal
+from rfree.arith import integer_root, ln_decimal, mobius
 from rfree.errors import ResourceLimitError
 from rfree.lattice import SCAN_CHUNK
 
@@ -98,6 +98,73 @@ def test_frac_sum_rejects_small_table():
     t = sieve_mobius(2)
     with pytest.raises(ValueError):
         frac_sum(FracSumParams(r=2, j=2, i=1, x=1000), t)
+
+
+def _per_term_frac_sum(p, top):
+    # one Fraction per term, mu by trial division: independent of the sieve
+    # and of the integer sum over one denominator
+    return sum(
+        (mobius(d) * Fraction(p.x % d**p.r, d**p.r) ** p.i / d ** (p.r * p.j)
+         for d in range(1, top + 1)),
+        Fraction(0),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    r=st.integers(1, 3),
+    j=st.integers(0, 3),
+    i=st.integers(0, 3),
+    x=st.one_of(st.integers(0, 5000), st.integers(10**30, 10**40)),
+    cutoff=st.integers(2, 80),
+)
+def test_frac_sums_match_per_term_fractions(tables, r, j, i, x, cutoff):
+    p = FracSumParams(r=r, j=j, i=i, x=x)
+    root = integer_root(x, r)
+    if root <= 5000:
+        assert frac_sum(p, tables(5000)) == _per_term_frac_sum(p, root)
+    if r * j >= 2:
+        finite, tail = truncated_frac_sum(p, cutoff)
+        assert finite == _per_term_frac_sum(p, min(cutoff, root))
+        assert tail == (0 if cutoff >= root else Fraction(1, cutoff ** (r * j - 1) * (r * j - 1)))
+
+
+def test_frac_sum_builds_one_fraction(monkeypatch, tables):
+    p = FracSumParams(r=2, j=2, i=1, x=3000)
+    expected = _per_term_frac_sum(p, integer_root(p.x, p.r))
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(omega, "Fraction", counting)
+    assert frac_sum(p, tables(100)) == expected
+    assert len(built) == 1
+
+
+def test_frac_sum_guard_rejects_before_any_work(monkeypatch):
+    small, witness = sieve_mobius(10), witness_small(2, 1)
+    monkeypatch.setattr(omega, "sieve_mobius", lambda n: pytest.fail("sieved"))
+    monkeypatch.setattr(omega, "primes_upto", lambda n: pytest.fail("primes listed"))
+    big = FracSumParams(r=2, j=1, i=1, x=10**40)
+    message = f"frac-sum over d <= {omega.EXACT_ROOT_LIMIT + 1} exceeds exact-sum guard"
+    with pytest.raises(ResourceLimitError, match=message):
+        truncated_frac_sum(big, omega.EXACT_ROOT_LIMIT + 1)
+    with pytest.raises(ResourceLimitError, match="frac-sum over d <= 100000000000000000000 "):
+        frac_sum(big, small)
+    with pytest.raises(ResourceLimitError):
+        certify_witness(witness, 2, 1, cutoff=2 * 10**7)
+
+
+def test_frac_sum_guard_counts_terms(monkeypatch):
+    # the guard is on min(cutoff, floor(x^(1/r))) terms, not on x or cutoff
+    monkeypatch.setattr(omega, "EXACT_ROOT_LIMIT", 50)
+    p = FracSumParams(r=2, j=1, i=1, x=witness_small(2, 1))
+    assert truncated_frac_sum(p, 50)[0] == _per_term_frac_sum(p, 50)
+    with pytest.raises(ResourceLimitError):
+        truncated_frac_sum(p, 51)
+    assert truncated_frac_sum(FracSumParams(r=2, j=1, i=1, x=2500), 10**6)[1] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +401,31 @@ def test_proposition_residual_scan_matches_pointwise(tables, r, k):
     rows = dict(proposition_residual_scan(300, k, r, z, t))
     for x in range(1, 301):
         assert rows[x] == proposition_residual(x, k, r, z, table=t).abs().hi
+
+
+def test_tableless_residuals_sieve_what_they_need(monkeypatch):
+    limits = []
+
+    def recording(n):
+        limits.append(n)
+        return sieve_mobius(n)
+
+    monkeypatch.setattr(omega, "sieve_mobius", recording)
+    z2, z4 = zeta_value(2), zeta_value(4)
+    assert mertens_residual(50, 2, z2) == mertens_residual(50, 2, z2, table=sieve_mobius(50))
+    assert proposition_residual(1000, 2, 2, z4) == proposition_residual(
+        1000, 2, 2, z4, table=sieve_mobius(31)
+    )
+    assert limits == [50, 31]
+
+
+@pytest.mark.parametrize("r,k", [(1, 3), (2, 2), (3, 1)])
+def test_proposition_residual_scan_builds_no_enclosure(monkeypatch, tables, r, k):
+    t = tables(300)
+    z = zeta_value(r * k)
+    expected = [(x, proposition_residual(x, k, r, z, table=t).abs().hi) for x in range(1, 301)]
+    monkeypatch.setattr(omega, "Enclosure", None)
+    assert list(proposition_residual_scan(300, k, r, z, t)) == expected
 
 
 # ---------------------------------------------------------------------------
