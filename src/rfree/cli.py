@@ -3,10 +3,11 @@ zeta, report.
 
 Each subcommand declares only the flags it reads. Those flags fall back to
 RFREE_-prefixed environment variables (RFREE_PRECISION,
-RFREE_ENUMERATION_BUDGET, RFREE_OUTPUT_FORMAT, RFREE_OUTPUT_PATH). Exit
-status is 0 iff every check in the invocation passed; usage errors exit 2.
-Exact integers are always printed in full decimal, never scientific
-notation.
+RFREE_ENUMERATION_BUDGET, RFREE_OUTPUT_FORMAT, RFREE_OUTPUT_PATH). main
+picks the subcommand from COMMANDS and is the one place a failure becomes
+an exit status: 0 iff every check in the invocation passed, 1 for a failed
+check, budget, cross-check, read or write, 2 for a usage error. Exact
+integers are always printed in full decimal, never scientific notation.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from decimal import Decimal, DecimalException
+from decimal import (MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, ROUND_UP, Context, Decimal,
+                     DecimalException, localcontext)
 from fractions import Fraction
 from itertools import chain
 
@@ -46,11 +48,16 @@ def _parse_precision(text: str) -> Fraction:
     return value
 
 
-def _nonneg_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text}")
-    return value
+def _int_at_least(low: int, kind: str):
+    def integer(text: str) -> int:  # argparse: "invalid integer value: 'abc'"
+        if (value := int(text)) < low:
+            raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text}")
+        return value
+
+    return integer
+
+
+_pos_int, _nonneg_int = _int_at_least(1, "positive"), _int_at_least(0, "nonnegative")
 
 
 def _finite_float(text: str) -> float:
@@ -59,43 +66,37 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _pos_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
-    return value
-
-
 # ---------------------------------------------------------------------------
 # Record rendering
 # ---------------------------------------------------------------------------
 
-def record_fields(rec: CountRecord, places: int) -> dict[str, str]:
+def record_fields(rec: CountRecord) -> dict[str, str]:
     """The CSV/JSON projection of a record; exact integers as full-decimal
-    strings, high-precision values with ``places`` fractional digits."""
+    strings, high-precision values with the record's ``places`` fractional
+    digits."""
     main, error, den = rec.midpoints()
     return {
         "x": str(rec.x),
         "V": str(rec.V),
-        "main_term": format_ratio(main, den, places),
-        "error": format_ratio(error, den, places),
+        "main_term": format_ratio(main, den, rec.places),
+        "error": format_ratio(error, den, rec.places),
         "normalized_error": str(rec.normalized_error),
-        "density": format_ratio(rec.V, (2 * rec.x + 1) ** rec.params.k, places),
+        "density": format_ratio(rec.V, (2 * rec.x + 1) ** rec.params.k, rec.places),
     }
 
 
-def records_to_csv(records, places: int, out) -> None:
+def records_to_csv(records, out) -> None:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for rec in records:
-        fields = record_fields(rec, places)
+        fields = record_fields(rec)
         writer.writerow([fields[c] for c in CSV_COLUMNS])
 
 
-def records_to_json(records, places: int, out) -> None:
+def records_to_json(records, out) -> None:
     import json
 
-    out.write(json.dumps([record_fields(r, places) for r in records], indent=2))
+    out.write(json.dumps([record_fields(r) for r in records], indent=2))
     out.write("\n")
 
 
@@ -135,115 +136,68 @@ def parse_scan_csv(lines) -> list[ScanRow]:
     return rows
 
 
-class ResourceWriteError(RuntimeError):
-    pass
-
-
-def _open_output(path: str | None):
-    if path is None:
-        return sys.stdout, False
-    try:
-        return open(path, "w", encoding="utf-8"), True
-    except OSError as exc:
-        raise ResourceWriteError(f"cannot write {path}: {exc}") from exc
-
-
 def _frac_sci(q: Fraction, sig: int = 6, up: bool = False) -> str:
     """q as d.dddddde+XX with ``sig`` digits after the point, rounded half
     to even from the exact rational: the text float formatting gives for
     every q a float holds exactly, without its underflow or overflow. With
-    ``up``, a q > 0 is rounded toward +infinity instead, so the text bounds q."""
+    ``up``, q is rounded away from zero instead, so for q > 0 the text bounds q."""
     if q == 0:
         return "0"
-    num, den = abs(q.numerator), q.denominator
+    rounding = ROUND_UP if up else ROUND_HALF_EVEN
+    with localcontext(Context(prec=sig + 1, rounding=rounding, Emax=MAX_EMAX, Emin=MIN_EMIN)):
+        digits, exp = f"{Decimal(q.numerator) / q.denominator:.{sig}e}".split("e")
+    return f"{digits}e{int(exp):+03d}"
 
-    def digits_at(exp: int) -> int:
-        # num/den * 10^(sig - exp), rounded half to even, or up
-        shift = sig - exp
-        n, d = num * 10 ** max(shift, 0), den * 10 ** max(-shift, 0)
-        digits, rem = divmod(n, d)
-        return digits + (rem > 0 if up else 2 * rem > d or (2 * rem == d and digits % 2))
 
-    # the bit lengths give the decimal exponent to within one
-    exp = (num.bit_length() - den.bit_length()) * 30103 // 100000
-    while (digits := digits_at(exp)) >= 10 ** (sig + 1):
-        exp += 1
-    while digits < 10**sig:
-        exp -= 1
-        digits = digits_at(exp)
-    text = str(digits)
-    sign = "-" if q < 0 else ""
-    return f"{sign}{text[0]}.{text[1:]}e{exp:+03d}"
+def _agreement(value, oracle) -> int:
+    """Print whether the two routes agree; the exit status that implies."""
+    print(f"agreement = {'true' if value == oracle else 'false'}")
+    return 0 if value == oracle else 1
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each takes (args, parser) and returns its exit status
 # ---------------------------------------------------------------------------
 
-def _cmd_count(args) -> int:
+def _cmd_count(args, parser: argparse.ArgumentParser) -> int:
     params = CountParams(r=args.r, k=args.k, x=args.x)
-    places = decimal_places(args.precision)
-    rec = count_record(params, args.precision, places=places)
-    fields = record_fields(rec, places)
-    status = 0
-    lines = [f"r={args.r} k={args.k} x={args.x}"]
-    lines += [f"{name} = {fields[name]}" for name in CSV_COLUMNS[1:]]
-    oracle = None
-    if args.oracle:
-        try:
-            oracle = count_oracle(params, budget=args.budget)
-        except ResourceLimitError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        agree = oracle == rec.V
-        lines.append(f"oracle = {oracle}")
-        lines.append(f"agreement = {'true' if agree else 'false'}")
-        if not agree:
-            status = 1
-    if args.format == "json":
-        records_to_json([rec], places, sys.stdout)
-    elif args.format == "csv":
-        records_to_csv([rec], places, sys.stdout)
-    else:
-        print("\n".join(lines))
-    return status
+    rec = count_record(params, args.precision)
+    oracle = count_oracle(params, budget=args.budget) if args.oracle else None
+    if args.format != "text":
+        (records_to_json if args.format == "json" else records_to_csv)([rec], sys.stdout)
+        return 0 if oracle in (None, rec.V) else 1
+    fields = record_fields(rec)
+    print(f"r={args.r} k={args.k} x={args.x}")
+    for name in CSV_COLUMNS[1:]:
+        print(f"{name} = {fields[name]}")
+    if oracle is None:
+        return 0
+    print(f"oracle = {oracle}")
+    return _agreement(rec.V, oracle)
 
 
-def _cmd_jordan(args) -> int:
+def _cmd_jordan(args, parser: argparse.ArgumentParser) -> int:
     params = TotientParams(r=args.r, k=args.k)
     value = jordan(args.n, params)
     print(f"J(r={args.r}, k={args.k}, n={args.n}) = {value}")
-    if args.oracle:
-        try:
-            oracle = jordan_oracle(args.n, params, budget=args.budget)
-        except ResourceLimitError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        agree = oracle == value
-        print(f"oracle = {oracle}")
-        print(f"agreement = {'true' if agree else 'false'}")
-        if not agree:
-            return 1
-    return 0
+    if not args.oracle:
+        return 0
+    oracle = jordan_oracle(args.n, params, budget=args.budget)
+    print(f"oracle = {oracle}")
+    return _agreement(value, oracle)
 
 
-def _cmd_partial_sum(args) -> int:
+def _cmd_partial_sum(args, parser: argparse.ArgumentParser) -> int:
     params = TotientParams(r=args.r, k=args.k)
-    method = args.method
     values = {}
-    if method in ("direct", "both"):
+    if args.method in ("direct", "both"):
         values["direct"] = partial_sum_direct(args.x, params)
-    if method in ("bernoulli", "both"):
+    if args.method in ("bernoulli", "both"):
         table = sieve_mobius(max(integer_root(args.x, args.r), 1))
         values["bernoulli"] = partial_sum_bernoulli(args.x, params, table)
     for name, value in values.items():
         print(f"{name} = {value}")
-    if len(values) == 2:
-        agree = values["direct"] == values["bernoulli"]
-        print(f"agreement = {'true' if agree else 'false'}")
-        if not agree:
-            return 1
-    return 0
+    return _agreement(*values.values()) if len(values) == 2 else 0
 
 
 def _cmd_identity(args, parser: argparse.ArgumentParser) -> int:
@@ -267,23 +221,14 @@ def _cmd_scan(args, parser: argparse.ArgumentParser) -> int:
     records = error_scan(
         args.r, args.k, args.x_min, args.x_max, step=args.step, precision=args.precision
     )
-    places = decimal_places(args.precision)
-    try:
-        # Drawing the first record checks the arguments before any output.
-        first = next(records)
-        out, close = _open_output(args.output)
-        try:
-            if args.format == "json":
-                records_to_json(chain([first], records), places, out)
-            else:
-                records_to_csv(chain([first], records), places, out)
-            out.flush()
-        finally:
-            if close:
-                out.close()
-    except ResourceWriteError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    # Drawing the first record checks the arguments before any output.
+    records = chain([next(records)], records)
+    render = records_to_json if args.format == "json" else records_to_csv
+    if args.output is None:
+        render(records, sys.stdout)
+    else:
+        with open(args.output, "w", encoding="utf-8") as out:
+            render(records, out)
     return 0
 
 
@@ -328,7 +273,7 @@ def _cmd_witness(args, parser: argparse.ArgumentParser) -> int:
     return status
 
 
-def _cmd_zeta(args) -> int:
+def _cmd_zeta(args, parser: argparse.ArgumentParser) -> int:
     places = decimal_places(args.precision)
     z = zeta_value(args.s, args.precision)
     print(f"zeta({args.s}) = {format_fraction(z.mid, places)}")
@@ -337,21 +282,17 @@ def _cmd_zeta(args) -> int:
     return 0
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(args, parser: argparse.ArgumentParser) -> int:
     if args.input:
-        try:
-            with open(args.input, "r", encoding="utf-8") as fh:
-                rows = parse_scan_csv(fh)
-        except OSError as exc:
-            print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
-            return 1
+        with open(args.input, "r", encoding="utf-8") as fh:
+            rows = parse_scan_csv(fh)
     else:
         rows = parse_scan_csv(sys.stdin)
-    try:
-        report = omega_ratio_report(rows, args.split)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    # an empty window is a failed check (exit 1), not a bad argument (exit 2)
+    if len({row.x < args.split for row in rows}) < 2:
+        print("error: both scan windows must be nonempty", file=sys.stderr)
         return 1
+    report = omega_ratio_report(rows, args.split)
     print(f"split = {report.split}")
     print(f"max_early = {report.max_early}")
     print(f"max_late = {report.max_late}")
@@ -360,6 +301,18 @@ def _cmd_report(args) -> int:
         print(f"ratio below threshold {args.min_ratio}", file=sys.stderr)
         return 1
     return 0
+
+
+COMMANDS = {
+    "count": _cmd_count,
+    "jordan": _cmd_jordan,
+    "partial-sum": _cmd_partial_sum,
+    "identity": _cmd_identity,
+    "scan": _cmd_scan,
+    "witness": _cmd_witness,
+    "zeta": _cmd_zeta,
+    "report": _cmd_report,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +415,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _release_stdout() -> None:
+    """After a failed read or write: if stdout still holds text it cannot
+    take, point it at devnull, so the flush at exit neither fails nor prints."""
+    try:
+        sys.stdout.flush()
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def main(argv: list[str] | None = None) -> int:
+    """The one dispatch point, and the one place an exception becomes an
+    exit status: 1 for a budget, a failed cross-check or a failed read or
+    write, 2 for a bad argument."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "format", "text") not in OUTPUT_FORMATS:  # argparse checks only flags
@@ -473,37 +438,24 @@ def main(argv: list[str] | None = None) -> int:
     if digit_cap:
         sys.set_int_max_str_digits(0)
     try:
-        if args.command == "count":
-            return _cmd_count(args)
-        if args.command == "jordan":
-            return _cmd_jordan(args)
-        if args.command == "partial-sum":
-            return _cmd_partial_sum(args)
-        if args.command == "identity":
-            return _cmd_identity(args, parser)
-        if args.command == "scan":
-            return _cmd_scan(args, parser)
-        if args.command == "witness":
-            return _cmd_witness(args, parser)
-        if args.command == "zeta":
-            return _cmd_zeta(args)
-        if args.command == "report":
-            return _cmd_report(args)
+        try:
+            return COMMANDS[args.command](args, parser)
+        finally:
+            sys.stdout.flush()  # a buffered write fails here, not at exit
     except (ResourceLimitError, InvariantViolationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BrokenPipeError:
-        # The reader closed stdout: drop what is still buffered for it, so
-        # the flush at exit neither fails nor prints.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except OSError as exc:
+        if not isinstance(exc, BrokenPipeError):  # the reader closed stdout: quiet
+            print(f"error: {exc}", file=sys.stderr)
+        _release_stdout()
         return 1
     finally:
         if digit_cap:
             sys.set_int_max_str_digits(digit_cap)
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -69,13 +69,15 @@ class CountParams:
 
 @dataclass(frozen=True)
 class CountRecord:
-    """One scan row: exact count, the shared 1/zeta(rk) enclosure, and the
-    normalized error for the applicable asymptotic case."""
+    """One scan row: exact count, the shared 1/zeta(rk) enclosure, the
+    normalized error for the applicable asymptotic case, and the number of
+    fractional digits every high-precision field is rendered with."""
 
     params: CountParams
     V: int
     reciprocal: Enclosure
     normalized_error: Decimal
+    places: int
 
     @property
     def x(self) -> int:
@@ -121,7 +123,11 @@ def count_fast(params: CountParams, table: MobiusTable) -> int:
     """V by Mobius inversion over d <= floor(x^(1/r)); exact."""
     k = params.k
     T = table.power_sums(params.x, params.r, k)
-    return sum(math.comb(k, e) * 2**e * T[e] for e in range(1, k + 1))
+    total, c = 0, 1
+    for e in range(1, k + 1):
+        c = c * 2 * (k - e + 1) // e  # C(k, e) 2^e
+        total += c * T[e]
+    return total
 
 
 # Cost of one unit of count_progression's increment work (one d of its
@@ -227,7 +233,8 @@ def count_record(
     The main term (2x)^k / zeta(rk) and the error V - main are enclosures
     propagating the zeta radius; normalized_error is the midpoint of |error|
     over the case denominator, rounded half-up by format_ratio like every
-    other field. ``places`` defaults to the digit count of ``precision``.
+    other field. ``places``, which the record keeps for rendering, defaults
+    to the digit count of ``precision``.
     ``V`` is the exact count when the caller already has it; otherwise
     count_fast computes it from ``table``.
     """
@@ -258,7 +265,7 @@ def count_record(
             error, den = error * rad_den + wide * den, 2 * den * rad_den
         normalized = Decimal(format_ratio(error * norm_den, den * num, places))
     return CountRecord(
-        params=params, V=V, reciprocal=reciprocal, normalized_error=normalized
+        params=params, V=V, reciprocal=reciprocal, normalized_error=normalized, places=places
     )
 
 

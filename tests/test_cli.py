@@ -288,6 +288,52 @@ def test_scan_into_closed_pipe_exits_quietly():
     assert (proc.returncode, err) == (1, b"")
 
 
+def test_count_oracle_over_budget_is_one_error_line(capsys):
+    argv = ["count", "--r", "2", "--k", "3", "--x", "1000", "--oracle", "--budget", "10"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: count_oracle needs 8012006001 tuples, budget is 10\n"
+
+
+def test_jordan_oracle_over_budget_keeps_the_value_line(capsys):
+    argv = ["jordan", "--n", "100", "--r", "1", "--k", "3", "--oracle", "--budget", "10"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (1, "J(r=1, k=3, n=100) = 868000\n")
+    assert err == "error: jordan_oracle needs 1000000 tuples, budget is 10\n"
+
+
+def _assert_one_error_line(err: str) -> None:
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_scan_to_a_full_device_is_one_error_line(capsys):
+    argv = ["scan", "--r", "2", "--k", "2", "--x-min", "2", "--x-max", "20",
+            "--output", "/dev/full"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (1, "")
+    _assert_one_error_line(err)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_count_into_a_full_stdout_is_one_error_line(unbuffered):
+    # buffered, the write fails only when stdout is flushed; unbuffered, in print
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "rfree.cli", "count", "--r", "2", "--k", "2", "--x", "10"],
+            stdout=full, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    assert proc.returncode == 1
+    _assert_one_error_line(proc.stderr.decode())
+
+
 def test_scan_to_file_and_report(tmp_path, capsys):
     out_path = tmp_path / "scan.csv"
     code, _, _ = run_cli(
@@ -506,6 +552,56 @@ def test_frac_sci_outside_float_range():
     assert _frac_sci(Fraction(0)) == "0"
 
 
+def _frac_sci_by_digit_loop(q: Fraction, sig: int = 6, up: bool = False) -> str:
+    """The reference: the leading sig + 1 digits of |q| found by integer
+    division at a decimal exponent guessed from bit lengths, rounded half to
+    even, or away from zero with ``up``."""
+    if q == 0:
+        return "0"
+    num, den = abs(q.numerator), q.denominator
+
+    def digits_at(exp: int) -> int:
+        shift = sig - exp
+        n, d = num * 10 ** max(shift, 0), den * 10 ** max(-shift, 0)
+        digits, rem = divmod(n, d)
+        return digits + (rem > 0 if up else 2 * rem > d or (2 * rem == d and digits % 2))
+
+    exp = (num.bit_length() - den.bit_length()) * 30103 // 100000
+    while (digits := digits_at(exp)) >= 10 ** (sig + 1):
+        exp += 1
+    while digits < 10**sig:
+        exp -= 1
+        digits = digits_at(exp)
+    text = str(digits)
+    sign = "-" if q < 0 else ""
+    return f"{sign}{text[0]}.{text[1:]}e{exp:+03d}"
+
+
+_big_terms = st.integers(-(10**60), 10**60)
+_scales = st.integers(-1200, 1200)
+
+
+@st.composite
+def _rationals_past_float_range(draw):
+    num = draw(_big_terms.filter(bool))
+    den = draw(st.integers(1, 10**60))
+    exp = draw(_scales)
+    # ties and carries: d.dddddd5 and 9.9999995 at a random exponent
+    num = draw(st.sampled_from([num, 10**7 * (num % 10**6) + 5, 99_999_995, -99_999_995]))
+    return Fraction(num, den) * Fraction(10) ** exp
+
+
+@settings(max_examples=400, deadline=None)
+@given(q=_rationals_past_float_range(), up=st.booleans(), sig=st.sampled_from([6, 6, 1, 12]))
+@example(q=Fraction(1, 2**5999), up=False, sig=6)
+@example(q=Fraction(1, 2**5999), up=True, sig=6)
+@example(q=Fraction(99_999_995, 10**7), up=False, sig=6)
+@example(q=Fraction(99_999_991, 10**7), up=True, sig=6)
+@example(q=Fraction(0), up=True, sig=6)
+def test_frac_sci_matches_the_digit_loop(q, up, sig):
+    assert _frac_sci(q, sig, up) == _frac_sci_by_digit_loop(q, sig, up)
+
+
 def test_precision_env_fallback(capsys, monkeypatch):
     monkeypatch.setenv("RFREE_PRECISION", "1e-6")
     code, out, _ = run_cli(
@@ -688,7 +784,7 @@ def _check_integer_row(tables, r, k, x, V, precision):
     rec = count_record(params, precision, zeta=zeta, places=places, V=V)
     main_term, error, fields = _fraction_route(params, V, zeta, places)
     assert (rec.main_term, rec.error) == (main_term, error)
-    assert record_fields(rec, places) == fields
+    assert rec.places == places and record_fields(rec) == fields
     assert str(rec.normalized_error) == fields["normalized_error"]
     return rec
 
@@ -740,7 +836,7 @@ def test_integer_rows_cover_nan_negative_and_straddle(tables, r, k, x, V, precis
     if case == "nan":
         assert rec.normalized_error.is_nan()
     elif case == "negative":
-        assert error.hi < 0 and record_fields(rec, 30)["error"].startswith("-")
+        assert error.hi < 0 and record_fields(rec)["error"].startswith("-")
     else:
         # the ball holds 0, so |error|'s midpoint is (|mid| + radius) / 2
         assert error.lo < 0 < error.hi

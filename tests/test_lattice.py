@@ -84,6 +84,17 @@ def test_count_fast_is_the_written_out_inversion(tables, r, k, root, offset):
     assert count_fast(CountParams(r=r, k=k, x=x), t) == written_out
 
 
+@pytest.mark.parametrize("r,k,x", [(2, 300, 1000), (1, 300, 200), (2, 1000, 1000), (3, 1000, 5000)])
+def test_count_fast_at_large_k_is_the_written_out_inversion(tables, r, k, x):
+    # the running binomial C(k, e) 2^e over e = 1..k, against the per-d form
+    t = tables(1000)
+    root = max(d for d in range(1, 1001) if d**r <= x)
+    written_out = sum(
+        t.mu[d] * ((2 * (x // d**r) + 1) ** k - 1) for d in range(1, root + 1)
+    )
+    assert count_fast(CountParams(r=r, k=k, x=x), t) == written_out
+
+
 def test_count_fast_table_too_small():
     t = sieve_mobius(2)
     with pytest.raises(ValueError):
