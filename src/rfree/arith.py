@@ -431,11 +431,17 @@ def format_ratio(num: int, den: int, places: int) -> str:
     """
     if places < 0:
         raise ValueError("places must be >= 0")
-    sign = "-" if num < 0 else ""
     scaled, rem = divmod(abs(num) * 10**places, den)
     if 2 * rem >= den:
         scaled += 1
-    digits = str(scaled)
+    return fixed_point(scaled, places, num < 0)
+
+
+def fixed_point(units: int, places: int, negative: bool = False) -> str:
+    """units / 10^places, units >= 0, as fixed-point text with ``places``
+    fractional digits, signed "-" when ``negative``."""
+    sign = "-" if negative else ""
+    digits = str(units)
     if places == 0:
         return sign + digits
     digits = digits.rjust(places + 1, "0")

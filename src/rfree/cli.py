@@ -23,14 +23,15 @@ from decimal import (MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, ROUND_UP, Context, Dec
 from fractions import Fraction
 from itertools import chain
 
-from .arith import format_fraction, format_ratio, integer_root, sieve_mobius, zeta_value
+from .arith import format_fraction, integer_root, sieve_mobius, zeta_value
 from .errors import InvariantViolationError, ResourceLimitError
 from .jordan import TotientParams, jordan, jordan_oracle, partial_sum_bernoulli, partial_sum_direct
-from .lattice import CountParams, CountRecord, count_oracle, count_record, decimal_places
+from .lattice import (CountParams, CountRecord, RowDigits, count_oracle, count_record,
+                      decimal_places)
 from .omega import error_scan, certify_witness, omega_ratio_report, witness_large, witness_small
 from .umbral import identity_range
 
-CSV_COLUMNS = ["x", "V", "main_term", "error", "normalized_error", "density"]
+CSV_COLUMNS = ["x", "V", *RowDigits._fields]
 OUTPUT_FORMATS = ("text", "csv", "json")
 
 
@@ -72,25 +73,16 @@ def _finite_float(text: str) -> float:
 
 def record_fields(rec: CountRecord) -> dict[str, str]:
     """The CSV/JSON projection of a record; exact integers as full-decimal
-    strings, high-precision values with the record's ``places`` fractional
-    digits."""
-    main, error, den = rec.midpoints()
-    return {
-        "x": str(rec.x),
-        "V": str(rec.V),
-        "main_term": format_ratio(main, den, rec.places),
-        "error": format_ratio(error, den, rec.places),
-        "normalized_error": str(rec.normalized_error),
-        "density": format_ratio(rec.V, (2 * rec.x + 1) ** rec.params.k, rec.places),
-    }
+    strings, high-precision values as the record's fixed-point digits."""
+    return dict(zip(CSV_COLUMNS, (str(rec.x), str(rec.V), *rec.digits)))
 
 
 def records_to_csv(records, out) -> None:
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
+    # No field holds a comma, quote or newline, so these lines are csv.writer's
+    # without its per-character quoting scan, which cost more than a row's digits.
+    out.write(",".join(CSV_COLUMNS) + "\n")
     for rec in records:
-        fields = record_fields(rec)
-        writer.writerow([fields[c] for c in CSV_COLUMNS])
+        out.write(",".join(record_fields(rec).values()) + "\n")
 
 
 def records_to_json(records, out) -> None:
@@ -126,7 +118,7 @@ def parse_scan_csv(lines) -> list[ScanRow]:
         try:
             x, V, main_term, error, normalized, density = row
             decimals = Decimal(main_term), Decimal(error), Decimal(normalized), Decimal(density)
-            if not sum(decimals).is_finite():
+            if not all(map(Decimal.is_finite, decimals)):
                 raise ValueError
             rows.append(ScanRow(int(x), int(V), *decimals))
         except (DecimalException, ValueError):
@@ -283,11 +275,15 @@ def _cmd_zeta(args, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_report(args, parser: argparse.ArgumentParser) -> int:
-    if args.input:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            rows = parse_scan_csv(fh)
-    else:
-        rows = parse_scan_csv(sys.stdin)
+    try:
+        if args.input:
+            with open(args.input, "r", encoding="utf-8") as fh:
+                rows = parse_scan_csv(fh)
+        else:
+            rows = parse_scan_csv(sys.stdin)
+    except OSError as exc:  # a failed read names what was read
+        exc.filename = exc.filename or args.input or "<stdin>"
+        raise
     # an empty window is a failed check (exit 1), not a bad argument (exit 2)
     if len({row.x < args.split for row in rows}) < 2:
         print("error: both scan windows must be nonempty", file=sys.stderr)
@@ -450,6 +446,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except OSError as exc:
         if not isinstance(exc, BrokenPipeError):  # the reader closed stdout: quiet
+            if exc.filename is None:  # a failed write: name the stream written
+                exc.filename = getattr(args, "output", None) or "<stdout>"
             print(f"error: {exc}", file=sys.stderr)
         _release_stdout()
         return 1

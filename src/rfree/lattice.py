@@ -15,11 +15,11 @@ where T_e(x) = sum_d mu(d) q_d^e comes from MobiusTable.power_sums, the
 kernel that partial_sum_bernoulli reads too. count_progression takes one
 count from count_fast and the rest by an independent route, the increments
 V(y) - V(y-1). The error term is measured against (2x)^k / zeta(rk). A
-scan's records share one enclosure of 1/zeta(rk), midpoint N/D: they are
-assembled and rendered from the integers (2x)^k N and V D - (2x)^k N over D,
-and build the exact main-term and error enclosures only when these are read.
-Every record field is one round-half-up format_ratio of integers: the
-normalized error divides |error| by error_normalization's exact ratio.
+scan's records share one row_scale: 1/zeta(rk), midpoint N/D, with N 10^p
+and its radius 10^p for p printed places. A row's digits cost one divmod of
+(2x)^k N 10^p by D, whose quotient and remainder give the main term, the
+error and, over error_normalization's exact ratio, the normalized error,
+each rounded half-up; the exact enclosures are built only when read.
 """
 
 from __future__ import annotations
@@ -30,11 +30,12 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from itertools import product
+from typing import NamedTuple
 
 from .arith import (
     Enclosure,
     MobiusTable,
-    ZetaValue,
+    fixed_point,
     format_ratio,
     integer_root,
     ln_decimal,
@@ -67,17 +68,49 @@ class CountParams:
             raise ValueError("x must be >= 0")
 
 
-@dataclass(frozen=True)
-class CountRecord:
-    """One scan row: exact count, the shared 1/zeta(rk) enclosure, the
-    normalized error for the applicable asymptotic case, and the number of
-    fractional digits every high-precision field is rendered with."""
+class RowScale(NamedTuple):
+    """The 1/zeta(rk) enclosure a scan's rows share, and its midpoint N/D
+    and radius R/R_den as the integers a row's digits are cut from at
+    p = ``places`` fractional digits."""
+
+    reciprocal: Enclosure
+    places: int
+    unit: int  # 10^p
+    mid_num: int  # N 10^p
+    mid_den: int  # D
+    rad_num: int  # R 10^p
+    rad_den: int
+
+
+def row_scale(s: int, precision: Fraction) -> RowScale:
+    """The RowScale of 1/zeta(s) at ``precision``, printed to its digit count."""
+    places = decimal_places(precision)
+    reciprocal = zeta_value(s, Fraction(precision)).reciprocal()
+    unit, mid, rad = 10**places, reciprocal.mid, reciprocal.radius
+    return RowScale(reciprocal, places, unit, mid.numerator * unit, mid.denominator,
+                    rad.numerator * unit, rad.denominator)
+
+
+class RowDigits(NamedTuple):
+    """A record's rendered fields, fixed-point text with the record's
+    ``places`` fractional digits; the CSV columns after x and V, in order."""
+
+    main_term: str
+    error: str
+    normalized_error: str
+    density: str
+
+
+class CountRecord(NamedTuple):
+    """One scan row: exact count, the shared 1/zeta(rk) enclosure, and the
+    main_term, error and normalized_error midpoints and the density as
+    fixed-point text with ``places`` fractional digits."""
 
     params: CountParams
     V: int
     reciprocal: Enclosure
-    normalized_error: Decimal
     places: int
+    digits: RowDigits
 
     @property
     def x(self) -> int:
@@ -92,15 +125,13 @@ class CountRecord:
         return self.main_term.rsub(self.V)
 
     @property
+    def normalized_error(self) -> Decimal:
+        return Decimal(self.digits.normalized_error)
+
+    @property
     def density(self) -> Fraction:
         """V / (2x+1)^k, the box density; converges to 1/zeta(rk)."""
         return Fraction(self.V, (2 * self.params.x + 1) ** self.params.k)
-
-    def midpoints(self) -> tuple[int, int, int]:
-        """(main, error, den) with main_term.mid = main/den, error.mid = error/den."""
-        mid = self.reciprocal.mid
-        main = (2 * self.params.x) ** self.params.k * mid.numerator
-        return main, self.V * mid.denominator - main, mid.denominator
 
 
 def count_oracle(params: CountParams, budget: int = DEFAULT_BOX_BUDGET) -> int:
@@ -224,49 +255,68 @@ def count_record(
     params: CountParams,
     precision: Fraction = DEFAULT_PRECISION,
     table: MobiusTable | None = None,
-    zeta: ZetaValue | None = None,
-    places: int | None = None,
     V: int | None = None,
+    scale: RowScale | None = None,
 ) -> CountRecord:
     """Assemble the full record for one (r, k, x).
 
     The main term (2x)^k / zeta(rk) and the error V - main are enclosures
-    propagating the zeta radius; normalized_error is the midpoint of |error|
-    over the case denominator, rounded half-up by format_ratio like every
-    other field. ``places``, which the record keeps for rendering, defaults
-    to the digit count of ``precision``.
+    propagating the zeta radius; the record prints their midpoints and
+    normalized_error, the midpoint of |error| over the case denominator, each
+    rounded half-up. ``scale`` is the row_scale(rk, precision) a scan shares;
+    without it, one is built from ``precision``.
     ``V`` is the exact count when the caller already has it; otherwise
     count_fast computes it from ``table``.
     """
     x, k, r = params.x, params.k, params.r
     if x < 1:
         raise ValueError("count_record needs x >= 1")
-    if places is None:
-        places = decimal_places(precision)
-    if zeta is None:
-        zeta = zeta_value(r * k, Fraction(precision))
+    if scale is None:
+        scale = row_scale(r * k, precision)
     if V is None:
         if table is None:
             table = sieve_mobius(max(integer_root(x, r), 1))
         V = count_fast(params, table)
-    reciprocal = zeta.reciprocal()
+    places, D = scale.places, scale.mid_den
+    size = (2 * x) ** k
+    q, rem = divmod(size * scale.mid_num, D)  # main_term 10^p = q + rem/D
+    # error 10^p = lead - rem/D, of magnitude whole + frac/D with 0 <= frac < D
+    lead = V * scale.unit - q
+    negative = lead < 0 or (lead == 0 and rem > 0)
+    if negative:
+        whole, frac = -lead, rem
+    elif rem:
+        whole, frac = lead - 1, D - rem
+    else:
+        whole, frac = lead, 0
     if r == 1 and k == 2 and x < 2:
         # x log x vanishes at x = 1; the count is fine, the ratio is not.
-        normalized = Decimal("NaN")
+        normalized = "NaN"
     else:
         num, norm_den = error_normalization(params, places)
-        scale, mid, rad = (2 * x) ** k, reciprocal.mid, reciprocal.radius
-        den, rad_den, wide = mid.denominator, rad.denominator, scale * rad.numerator
-        error = abs(V * den - scale * mid.numerator)
-        # |error.mid| = error/den; when the ball, radius wide/rad_den, holds 0,
-        # abs() is [0, error/den + wide/rad_den] (bit lengths settle most rows)
-        if (error.bit_length() + rad_den.bit_length() <= wide.bit_length() + den.bit_length() + 1
-                and error * rad_den < wide * den):
-            error, den = error * rad_den + wide * den, 2 * den * rad_den
-        normalized = Decimal(format_ratio(error * norm_den, den * num, places))
-    return CountRecord(
-        params=params, V=V, reciprocal=reciprocal, normalized_error=normalized, places=places
+        # Enclosure.abs(): when the error ball, radius size R/R_den over 10^p,
+        # holds 0, |error| is [0, |mid| + radius] (bit lengths settle most rows)
+        wide, rad_den = size * scale.rad_num, scale.rad_den
+        holds = (whole.bit_length() + rad_den.bit_length() < wide.bit_length() + 2
+                 and (whole * D + frac) * rad_den < wide * D)
+        if norm_den == 1 and not holds:
+            # |error| 10^p / x^(k-1), with a, b = divmod(whole, x^(k-1))
+            a, b = divmod(whole, num)
+            units = a + (2 * b + (2 * frac >= D) >= num)
+        else:
+            top, bottom = whole * D + frac, D  # |error|'s midpoint 10^p = top/bottom
+            if holds:
+                top, bottom = top * rad_den + wide * D, 2 * D * rad_den
+            a, b = divmod(top * norm_den, bottom * num)
+            units = a + (2 * b >= bottom * num)
+        normalized = fixed_point(units, places)
+    digits = RowDigits(
+        main_term=fixed_point(q + (2 * rem >= D), places),
+        error=fixed_point(whole + (2 * frac >= D), places, negative),
+        normalized_error=normalized,
+        density=format_ratio(V, (2 * x + 1) ** k, places),
     )
+    return CountRecord(params, V, scale.reciprocal, places, digits)
 
 
 def decimal_places(precision: Fraction) -> int:

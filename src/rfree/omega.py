@@ -25,7 +25,6 @@ from .arith import (
     integer_root,
     primes_upto,
     sieve_mobius,
-    zeta_value,
 )
 from .errors import ResourceLimitError
 from .lattice import (
@@ -35,7 +34,7 @@ from .lattice import (
     CountRecord,
     count_range,
     count_record,
-    decimal_places,
+    row_scale,
 )
 
 EXACT_ROOT_LIMIT = 10**5
@@ -353,14 +352,11 @@ def error_scan(
             f"scan would emit {len(xs)} records, limit is {MAX_SCAN_RECORDS}"
         )
     precision = Fraction(precision)
-    places = decimal_places(precision)
+    scale = row_scale(r * k, precision)
     if table is None:
         table = sieve_mobius(integer_root(x_max, r))
-    zeta = zeta_value(r * k, precision)
     for x, V in zip(xs, count_range(r, k, xs, table)):
-        yield count_record(
-            CountParams(r=r, k=k, x=x), precision, table, zeta, places, V=V
-        )
+        yield count_record(CountParams(r=r, k=k, x=x), V=V, scale=scale)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import io
 import json
@@ -15,8 +16,9 @@ from hypothesis import example, given, settings, strategies as st
 import rfree.arith
 from rfree import sieve_mobius, zeta_value
 from rfree.arith import format_fraction, integer_root
-from rfree.cli import _frac_sci, main, parse_scan_csv, record_fields, CSV_COLUMNS
-from rfree.lattice import CountParams, count_fast, count_record, decimal_places
+from rfree.cli import _frac_sci, main, parse_scan_csv, record_fields, records_to_csv, CSV_COLUMNS
+from rfree.lattice import SCAN_CHUNK, CountParams, count_fast, count_record, decimal_places
+from rfree.omega import error_scan
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -314,6 +316,7 @@ def test_scan_to_a_full_device_is_one_error_line(capsys):
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (1, "")
     _assert_one_error_line(err)
+    assert err == "error: [Errno 28] No space left on device: '/dev/full'\n"
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
@@ -332,6 +335,20 @@ def test_count_into_a_full_stdout_is_one_error_line(unbuffered):
         )
     assert proc.returncode == 1
     _assert_one_error_line(proc.stderr.decode())
+    assert proc.stderr == b"error: [Errno 28] No space left on device: '<stdout>'\n"
+
+
+class _FailingStream(io.StringIO):
+    def __next__(self):
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+
+def test_report_from_a_failing_stdin_names_stdin(capsys, monkeypatch):
+    # a read error carries no filename: the line names the stream read, not stdout
+    monkeypatch.setattr(sys, "stdin", _FailingStream())
+    code, out, err = run_cli(["report", "--split", "5"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: [Errno 5] Input/output error: '<stdin>'\n"
 
 
 def test_scan_to_file_and_report(tmp_path, capsys):
@@ -379,6 +396,15 @@ def test_report_rejects_bad_rows(capsys, tmp_path, row):
     code, out, err = run_cli(["report", "--split", "5", "--input", str(csv_path)], capsys)
     assert (code, out) == (2, "")
     assert err == f"error: scan CSV line 3 is not six finite numbers: {row!r}\n"
+
+
+def test_report_accepts_finite_rows_whose_sum_overflows(capsys, tmp_path):
+    # each value is finite; their sum overflows Decimal's default context
+    csv_path = tmp_path / "rows.csv"
+    csv_path.write_text(",".join(CSV_COLUMNS) + "\n5,1,9e999999,9e999999,1,1\n9,1,1.0,1.0,2,0.5\n")
+    code, out, err = run_cli(["report", "--split", "9", "--input", str(csv_path)], capsys)
+    assert (code, err) == (0, "")
+    assert "max_early = 1\nmax_late = 2\nratio = 2\n" in out
 
 
 def test_report_rejects_nan_min_ratio_before_output(capsys, tmp_path):
@@ -555,23 +581,26 @@ def test_frac_sci_outside_float_range():
 def _frac_sci_by_digit_loop(q: Fraction, sig: int = 6, up: bool = False) -> str:
     """The reference: the leading sig + 1 digits of |q| found by integer
     division at a decimal exponent guessed from bit lengths, rounded half to
-    even, or away from zero with ``up``."""
+    even, or away from zero with ``up``. The exponent is fixed by the
+    truncated digits, before rounding can carry into a new digit."""
     if q == 0:
         return "0"
     num, den = abs(q.numerator), q.denominator
 
-    def digits_at(exp: int) -> int:
+    def digits_at(exp: int) -> tuple[int, int, int]:
         shift = sig - exp
         n, d = num * 10 ** max(shift, 0), den * 10 ** max(-shift, 0)
-        digits, rem = divmod(n, d)
-        return digits + (rem > 0 if up else 2 * rem > d or (2 * rem == d and digits % 2))
+        return (*divmod(n, d), d)
 
     exp = (num.bit_length() - den.bit_length()) * 30103 // 100000
-    while (digits := digits_at(exp)) >= 10 ** (sig + 1):
+    while digits_at(exp)[0] >= 10 ** (sig + 1):
         exp += 1
-    while digits < 10**sig:
+    while digits_at(exp)[0] < 10**sig:
         exp -= 1
-        digits = digits_at(exp)
+    digits, rem, d = digits_at(exp)
+    digits += rem > 0 if up else 2 * rem > d or (2 * rem == d and digits % 2)
+    if digits == 10 ** (sig + 1):  # 9.99..95 carried to 10.00..0
+        digits, exp = 10**sig, exp + 1
     text = str(digits)
     sign = "-" if q < 0 else ""
     return f"{sign}{text[0]}.{text[1:]}e{exp:+03d}"
@@ -770,7 +799,7 @@ def _fraction_route(params, V, zeta, places):
         "V": str(V),
         "main_term": format_fraction(main_term.mid, places),
         "error": format_fraction(error.mid, places),
-        "normalized_error": str(normalized),
+        "normalized_error": format(normalized, "f"),
         "density": format_fraction(Fraction(V, (2 * x + 1) ** k), places),
     }
     return main_term, error, fields
@@ -781,11 +810,11 @@ def _check_integer_row(tables, r, k, x, V, precision):
     if V is None:
         V = count_fast(params, tables(max(integer_root(x, r), 1)))
     zeta, places = zeta_value(r * k, precision), decimal_places(precision)
-    rec = count_record(params, precision, zeta=zeta, places=places, V=V)
+    rec = count_record(params, precision, V=V)
     main_term, error, fields = _fraction_route(params, V, zeta, places)
     assert (rec.main_term, rec.error) == (main_term, error)
     assert rec.places == places and record_fields(rec) == fields
-    assert str(rec.normalized_error) == fields["normalized_error"]
+    assert format(rec.normalized_error, "f") == fields["normalized_error"]
     return rec
 
 
@@ -841,3 +870,41 @@ def test_integer_rows_cover_nan_negative_and_straddle(tables, r, k, x, V, precis
         # the ball holds 0, so |error|'s midpoint is (|mid| + radius) / 2
         assert error.lo < 0 < error.hi
         assert error.abs().mid == (abs(error.mid) + error.radius) / 2
+
+
+@pytest.mark.parametrize(
+    "r,x,normalized",
+    [(2, 67490, "0.000000801639080291676408046591"),
+     (3, 138620, "0.000000497058725533297186495905")],
+)
+def test_normalized_error_below_one_millionth_prints_in_fixed_point(tables, capsys, r, x, normalized):
+    # str() of a Decimal switches to E notation below 1e-6; a field keeps its places
+    code, out, _ = run_cli(["count", "--r", str(r), "--k", "1", "--x", str(x)], capsys)
+    assert code == 0 and f"\nnormalized_error = {normalized}\n" in out
+    _check_integer_row(tables, r, 1, x, None, Fraction(1, 10**30))
+
+
+@pytest.mark.parametrize(
+    "r,k,x_min,x_max,step,precision",
+    [
+        (2, 2, 2, 3 * SCAN_CHUNK + 40, 1, Fraction(1, 10**30)),  # x^(k-1)
+        (2, 2, 500, 500 + 5 * (3 * SCAN_CHUNK), 5, Fraction(1, 2)),  # balls holding 0
+        (2, 3, 2, 3 * (2 * SCAN_CHUNK + 9), 3, Fraction(1, 2)),
+        (2, 1, 100, 100 + 7 * (2 * SCAN_CHUNK + 3), 7, Fraction(1, 10**30)),  # x^(1/r)
+        (3, 1, 2, 2 * SCAN_CHUNK + 5, 1, Fraction(1, 10**12)),
+        (1, 2, 2, 900, 3, Fraction(1, 10**30)),  # x log x
+    ],
+)
+def test_scan_rows_are_count_record_rows(tables, r, k, x_min, x_max, step, precision):
+    # a scan's shared row_scale and count_range counts give, across chunk
+    # boundaries, the rows of count_record with its own count and scale
+    out = io.StringIO()
+    records_to_csv(error_scan(r, k, x_min, x_max, step=step, precision=precision), out)
+    table = tables(max(integer_root(x_max, r), 1))
+    records = [count_record(CountParams(r=r, k=k, x=x), precision, table)
+               for x in range(x_min, x_max + 1, step)]
+    lines = [",".join(CSV_COLUMNS)]
+    lines += [",".join(record_fields(rec).values()) for rec in records]
+    assert out.getvalue() == "\n".join(lines) + "\n"
+    if precision == Fraction(1, 2):
+        assert sum(rec.error.lo < 0 < rec.error.hi for rec in records) > 10

@@ -267,11 +267,10 @@ def test_count_record_invariants(tables):
 
 def test_count_record_with_given_count(tables):
     t = tables(1000)
-    z = zeta_value(4)
     for x in (2, 999, 10**6):
         params = CountParams(r=2, k=2, x=x)
         given_count = count_fast(params, t)
-        assert count_record(params, zeta=z, V=given_count) == count_record(params, table=t, zeta=z)
+        assert count_record(params, V=given_count) == count_record(params, table=t)
 
 
 def test_count_record_x_bounds():
@@ -318,9 +317,8 @@ def test_normalized_error_boundedness_per_normalization_case(tables, fixture_sto
         "normalized_error_max_r2_k2": (2, 2),  # x^(k-1)
     }
     for key, (r, k) in cases.items():
-        z = zeta_value(r * k)
         observed = Decimal(0)
         for x in range(2, 5001):
-            rec = count_record(CountParams(r=r, k=k, x=x), table=t, zeta=z)
+            rec = count_record(CountParams(r=r, k=k, x=x), table=t)
             observed = max(observed, abs(rec.normalized_error))
         fixture_store.check(key, observed)

@@ -479,13 +479,12 @@ def test_error_scan_matches_count_record_across_chunks(rk, step, x_min, extra):
     r, k = rk
     x_max = x_min + step * (3 * SCAN_CHUNK + extra)
     table = sieve_mobius(x_max)
-    zeta = zeta_value(r * k)
     records = list(error_scan(r, k, x_min, x_max, step=step))
     assert [rec.x for rec in records] == list(range(x_min, x_max + 1, step))
     for rec in records:
         params = CountParams(r=r, k=k, x=rec.x)
         V = count_fast(params, table)
-        assert rec == count_record(params, table=table, zeta=zeta, V=V)
+        assert rec == count_record(params, table=table, V=V)
 
 
 @pytest.mark.parametrize(
