@@ -19,10 +19,11 @@ floats never touch a quantity that a test compares exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import InvariantViolationError, ResourceLimitError
 
@@ -35,8 +36,7 @@ BERNOULLI_LIMIT = 400  # largest bernoulli_numbers count, about 1 s at the limit
 # Mobius sieve
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MobiusTable:
+class MobiusTable(NamedTuple):
     """Sieved mu values, 1-indexed.
 
     mu[n] is mu(n) for 1 <= n <= limit (index 0 is an unused sentinel).
@@ -279,19 +279,31 @@ def faulhaber_sum(upper: int, e: int) -> int:
 # Rational enclosures
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, kw_only=True)
-class Enclosure:
+def _checked_radius(radius: Fraction) -> Fraction:
+    if radius < 0:
+        raise ValueError(f"negative enclosure radius {radius}")
+    return radius
+
+
+class Enclosure(namedtuple("Enclosure", "mid radius")):
     """Closed ball [mid - radius, mid + radius] of exact rationals containing
     a real value: the midpoint-radius form of F. Johansson's Arb (IEEE Trans.
     Computers 66, 2017). Being exact, each operation gives the endpoints of
-    the interval formula."""
+    the interval formula. Fields are keyword-only."""
 
-    mid: Fraction
-    radius: Fraction
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.radius < 0:
-            raise ValueError(f"negative enclosure radius {self.radius}")
+    def __new__(cls, *, mid: Fraction, radius: Fraction) -> "Enclosure":
+        return super().__new__(cls, mid, _checked_radius(radius))
+
+    def __getnewargs_ex__(self):
+        return (), self._asdict()  # copy and pickle pass the fields by keyword
+
+    def _no_arithmetic(self, other):
+        raise TypeError("an Enclosure has no + or *; use scale, rsub or div_pos")
+
+    # tuple's + and * would concatenate or repeat the fields
+    __add__ = __radd__ = __mul__ = __rmul__ = _no_arithmetic
 
     @staticmethod
     def between(lo, hi) -> "Enclosure":
@@ -343,21 +355,18 @@ class Enclosure:
 # zeta(s) with rigorous enclosure
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, kw_only=True)
-class ZetaValue(Enclosure):
+class ZetaValue(namedtuple("ZetaValue", "mid radius s depth"), Enclosure):
     """An enclosure of zeta(s). ``depth`` is the truncation depth of the
     accelerated alternating series; the radius shrinks geometrically in it."""
 
-    s: int
-    depth: int
+    __slots__ = ()
+
+    def __new__(cls, *, mid: Fraction, radius: Fraction, s: int, depth: int) -> "ZetaValue":
+        return super().__new__(cls, mid, _checked_radius(radius), s, depth)
 
     def reciprocal(self) -> Enclosure:
         """Enclosure of 1/zeta(s); valid because zeta(s) > 1 > 0 for s >= 2.
-        Computed once per value: scans multiply every row by it."""
-        return self._reciprocal
-
-    @cached_property
-    def _reciprocal(self) -> Enclosure:
+        A scan takes it once, in lattice.row_scale, for all its rows."""
         return Enclosure.between(1 / self.hi, 1 / self.lo)
 
 

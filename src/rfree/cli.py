@@ -17,11 +17,11 @@ import csv
 import math
 import os
 import sys
-from dataclasses import dataclass
 from decimal import (MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, ROUND_UP, Context, Decimal,
                      DecimalException, localcontext)
 from fractions import Fraction
 from itertools import chain
+from typing import NamedTuple
 
 from .arith import format_fraction, integer_root, sieve_mobius, zeta_value
 from .errors import InvariantViolationError, ResourceLimitError
@@ -33,6 +33,7 @@ from .umbral import identity_range
 
 CSV_COLUMNS = ["x", "V", *RowDigits._fields]
 OUTPUT_FORMATS = ("text", "csv", "json")
+BLOCK_ROWS = 256  # CSV lines joined into one write after the first row
 
 
 def _env(name: str, default: str | None) -> str | None:
@@ -78,11 +79,21 @@ def record_fields(rec: CountRecord) -> dict[str, str]:
 
 
 def records_to_csv(records, out) -> None:
+    """Write the header and the first row at once, then the later rows in
+    blocks of BLOCK_ROWS lines. Pending rows are written before an
+    exception propagates."""
     # No field holds a comma, quote or newline, so these lines are csv.writer's
     # without its per-character quoting scan, which cost more than a row's digits.
-    out.write(",".join(CSV_COLUMNS) + "\n")
-    for rec in records:
-        out.write(",".join(record_fields(rec).values()) + "\n")
+    lines, block = [",".join(CSV_COLUMNS)], 2
+    try:
+        for rec in records:
+            lines.append(",".join(record_fields(rec).values()))
+            if len(lines) >= block:
+                text, lines, block = "\n".join(lines) + "\n", [], BLOCK_ROWS
+                out.write(text)
+    finally:
+        if lines:
+            out.write("\n".join(lines) + "\n")
 
 
 def records_to_json(records, out) -> None:
@@ -92,8 +103,7 @@ def records_to_json(records, out) -> None:
     out.write("\n")
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(NamedTuple):
     """A parsed scan row; numeric fields as exact ints and Decimals."""
 
     x: int

@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 from itertools import accumulate, islice, product
 
 from .arith import (
@@ -44,18 +44,17 @@ from .lattice import MAX_SCAN_RECORDS, SCAN_CHUNK
 DEFAULT_TUPLE_BUDGET = 10**7
 
 
-@dataclass(frozen=True)
-class TotientParams:
+class TotientParams(namedtuple("TotientParams", "r k")):
     """Power r >= 1 and dimension k >= 0 of a generalized Jordan totient."""
 
-    r: int
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.r < 1:
+    def __new__(cls, r: int, k: int) -> "TotientParams":
+        if r < 1:
             raise ValueError("r must be >= 1")
-        if self.k < 0:
+        if k < 0:
             raise ValueError("k must be >= 0")
+        return super().__new__(cls, r, k)
 
 
 def _jordan_divisor_sum(n: int, r: int, k: int, factors: dict[int, int]) -> int:

@@ -25,8 +25,8 @@ each rounded half-up; the exact enclosures are built only when read.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from itertools import product
@@ -51,21 +51,19 @@ MAX_SCAN_RECORDS = 10**6  # most rows of one scan or identity range
 SCAN_CHUNK = 256  # fewest rows per count_range chunk
 
 
-@dataclass(frozen=True)
-class CountParams:
+class CountParams(namedtuple("CountParams", "r k x")):
     """Power r >= 1, dimension k >= 1, box half-width x >= 0."""
 
-    r: int
-    k: int
-    x: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.r < 1:
+    def __new__(cls, r: int, k: int, x: int) -> "CountParams":
+        if r < 1:
             raise ValueError("r must be >= 1")
-        if self.k < 1:
+        if k < 1:
             raise ValueError("k must be >= 1")
-        if self.x < 0:
+        if x < 0:
             raise ValueError("x must be >= 0")
+        return super().__new__(cls, r, k, x)
 
 
 class RowScale(NamedTuple):
@@ -325,9 +323,12 @@ def decimal_places(precision: Fraction) -> int:
     precision = Fraction(precision)
     if precision <= 0:
         raise ValueError("precision must be positive")
-    if precision < Fraction(1, 10**1000):
+    num, den = precision.numerator, precision.denominator
+    if num * 10**1000 < den:
         raise ValueError("precision finer than 1e-1000 is not supported")
-    places = 1
-    while Fraction(1, 10**places) > precision:
+    # the least p >= 1 with num 10^p >= den; 0.30102 < log10(2), so the
+    # digit count estimated from the bit lengths starts at most 2 below it
+    places = max(1, (den.bit_length() - num.bit_length() - 1) * 30102 // 100000)
+    while num * 10**places < den:
         places += 1
     return places

@@ -13,10 +13,11 @@ seventy-plus digits, where floats carry no information at all.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arith import (
     Enclosure,
@@ -42,23 +43,20 @@ _SCALE = 10**45        # fixed-point denominator for residual enclosures
 _ROOT_SCALE = 10**12   # fixed-point denominator for real r-th roots
 
 
-@dataclass(frozen=True)
-class FracSumParams:
+class FracSumParams(namedtuple("FracSumParams", "r j i x")):
     """Parameters of the normalized fractional-part sum: weight d^(-r*j),
     fractional part raised to the i-th power, evaluated at x."""
 
-    r: int
-    j: int
-    i: int
-    x: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.r < 1:
+    def __new__(cls, r: int, j: int, i: int, x: int) -> "FracSumParams":
+        if r < 1:
             raise ValueError("r must be >= 1")
-        if self.j < 0 or self.i < 0:
+        if j < 0 or i < 0:
             raise ValueError("exponents must be >= 0")
-        if self.x < 0:
+        if x < 0:
             raise ValueError("x must be >= 0")
+        return super().__new__(cls, r, j, i, x)
 
 
 def _frac_sum_upto(params: FracSumParams, top: int, table: MobiusTable | None) -> Fraction:
@@ -156,8 +154,7 @@ def witness_small(r: int, m: int) -> int:
     return x
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(NamedTuple):
     """Certified evaluation of the fractional-part sum at one witness x.
 
     upper_bound = finite_part + tail_bound is a rigorous upper bound on the
@@ -355,12 +352,12 @@ def error_scan(
     scale = row_scale(r * k, precision)
     if table is None:
         table = sieve_mobius(integer_root(x_max, r))
+    CountParams(r=r, k=k, x=x_min)  # checks r and k once; every x of xs is valid
     for x, V in zip(xs, count_range(r, k, xs, table)):
-        yield count_record(CountParams(r=r, k=k, x=x), V=V, scale=scale)
+        yield count_record(CountParams._make((r, k, x)), V=V, scale=scale)
 
 
-@dataclass(frozen=True)
-class OmegaRatioReport:
+class OmegaRatioReport(NamedTuple):
     """Two-window non-decay summary of |normalized_error| over a scan."""
 
     split: int

@@ -17,9 +17,9 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .arith import MobiusTable, exact_quotient, integer_root, sieve_mobius
 from .errors import ResourceLimitError
@@ -27,8 +27,7 @@ from .jordan import TotientParams, jordan, partial_sum_from_sums, partial_sum_ra
 from .lattice import MAX_SCAN_RECORDS, CountParams, count_fast, count_oracle, count_range
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(NamedTuple):
     """Outcome of one identity comparison; both sides kept for diagnosis."""
 
     r: int

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import rfree.arith
-from rfree import sieve_mobius, zeta_value
+from rfree import InvariantViolationError, sieve_mobius, zeta_value
 from rfree.arith import format_fraction, integer_root
 from rfree.cli import _frac_sci, main, parse_scan_csv, record_fields, records_to_csv, CSV_COLUMNS
 from rfree.lattice import SCAN_CHUNK, CountParams, count_fast, count_record, decimal_places
@@ -908,3 +908,56 @@ def test_scan_rows_are_count_record_rows(tables, r, k, x_min, x_max, step, preci
     assert out.getvalue() == "\n".join(lines) + "\n"
     if precision == Fraction(1, 2):
         assert sum(rec.error.lo < 0 < rec.error.hi for rec in records) > 10
+
+
+class _WriteLog:
+    """A text stream that keeps the text of each write call."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+
+def _csv_row(rec):
+    return ",".join(record_fields(rec).values()) + "\n"
+
+
+def _csv_text(records):
+    return ",".join(CSV_COLUMNS) + "\n" + "".join(map(_csv_row, records))
+
+
+def test_csv_header_and_first_row_are_written_before_the_second_record_is_drawn():
+    out = _WriteLog()
+    first, *rest = error_scan(2, 2, 2, 20)
+
+    def records():
+        yield first
+        assert out.writes == [_csv_text([first])]
+        yield from rest
+
+    records_to_csv(records(), out)
+    assert "".join(out.writes) == _csv_text([first, *rest])
+
+
+def test_csv_rows_are_written_in_blocks():
+    rows = list(error_scan(2, 2, 2, 1001))
+    out = _WriteLog()
+    records_to_csv(rows, out)
+    assert "".join(out.writes) == _csv_text(rows)
+    assert len(rows) == 1000 and len(out.writes) <= -(-1000 // 256) + 3
+
+
+def test_csv_rows_drawn_before_an_exception_are_written():
+    rows = list(error_scan(2, 2, 2, 11))
+
+    def failing():
+        yield from rows
+        raise InvariantViolationError("row 11")
+
+    out = _WriteLog()
+    with pytest.raises(InvariantViolationError, match="row 11"):
+        records_to_csv(failing(), out)
+    assert len(rows) == 10 and "".join(out.writes) == _csv_text(rows)
+

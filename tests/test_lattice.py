@@ -308,6 +308,33 @@ def test_decimal_places():
         decimal_places(Fraction(0))
 
 
+def _decimal_places_by_loop(precision):
+    # the place-by-place loop decimal_places replaced, kept as the reference
+    precision = Fraction(precision)
+    if precision <= 0:
+        raise ValueError("precision must be positive")
+    if precision < Fraction(1, 10**1000):
+        raise ValueError("precision finer than 1e-1000 is not supported")
+    places = 1
+    while Fraction(1, 10**places) > precision:
+        places += 1
+    return places
+
+
+def test_decimal_places_matches_the_place_by_place_loop():
+    precisions = [Fraction(1, 10**p) for p in range(1, 1001)]
+    precisions += [Fraction(3, 10**7), Fraction(1, 2), Fraction(1),
+                   Fraction(10**1100 + 7, 3 * 10**1500), Fraction(10**900 + 1, 10**900)]
+    precisions += [Fraction(1, 2**b) for b in range(1, 200)]
+    precisions += [Fraction(1, 10**p + c) for p in range(1, 60) for c in (-1, 1)]
+    for precision in precisions:
+        assert decimal_places(precision) == _decimal_places_by_loop(precision), precision
+    for finer in (Fraction(1, 10**1000 + 1), Fraction(9, 10**1001)):
+        for places in (decimal_places, _decimal_places_by_loop):
+            with pytest.raises(ValueError, match="finer than 1e-1000 is not supported"):
+                places(finer)
+
+
 def test_normalized_error_boundedness_per_normalization_case(tables, fixture_store):
     # One scan per asymptotic case; maxima recorded, regression-checked at 1%.
     t = tables(5000)
