@@ -20,7 +20,7 @@ from .arith import (
     zeta_enclosure,
     zeta_value,
 )
-from .errors import InvariantViolationError, ResourceLimitError
+from .errors import EmptyWindowError, InvariantViolationError, ResourceLimitError
 from .jordan import (
     TotientParams,
     jordan,
@@ -63,6 +63,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CountParams",
     "CountRecord",
+    "EmptyWindowError",
     "Enclosure",
     "FracSumParams",
     "IdentityCheck",

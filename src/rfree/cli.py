@@ -17,6 +17,8 @@ import csv
 import math
 import os
 import sys
+from collections.abc import Iterator
+from contextlib import nullcontext
 from decimal import (MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, ROUND_UP, Context, Decimal,
                      DecimalException, localcontext)
 from fractions import Fraction
@@ -24,7 +26,7 @@ from itertools import chain
 from typing import NamedTuple
 
 from .arith import format_fraction, integer_root, sieve_mobius, zeta_value
-from .errors import InvariantViolationError, ResourceLimitError
+from .errors import EmptyWindowError, InvariantViolationError, ResourceLimitError
 from .jordan import TotientParams, jordan, jordan_oracle, partial_sum_bernoulli, partial_sum_direct
 from .lattice import (CountParams, CountRecord, RowDigits, count_oracle, count_record,
                       decimal_places)
@@ -72,35 +74,63 @@ def _finite_float(text: str) -> float:
 # Record rendering
 # ---------------------------------------------------------------------------
 
-def record_fields(rec: CountRecord) -> dict[str, str]:
-    """The CSV/JSON projection of a record; exact integers as full-decimal
-    strings, high-precision values as the record's fixed-point digits."""
-    return dict(zip(CSV_COLUMNS, (str(rec.x), str(rec.V), *rec.digits)))
+def record_fields(rec: CountRecord) -> tuple[str, ...]:
+    """The CSV/JSON projection of a record, in CSV_COLUMNS order; exact
+    integers as full-decimal strings, high-precision values as the record's
+    fixed-point digits."""
+    return (str(rec.x), str(rec.V), *rec.digits)
+
+
+def _write_blocks(pieces, out) -> None:
+    """Write the first piece of text at once, then the later pieces in
+    blocks of BLOCK_ROWS. Pending pieces are written before an exception
+    propagates."""
+    pending, block = [], 1
+    try:
+        for piece in pieces:
+            pending.append(piece)
+            if len(pending) >= block:
+                text, pending, block = "".join(pending), [], BLOCK_ROWS
+                out.write(text)
+    finally:
+        if pending:
+            out.write("".join(pending))
 
 
 def records_to_csv(records, out) -> None:
     """Write the header and the first row at once, then the later rows in
-    blocks of BLOCK_ROWS lines. Pending rows are written before an
-    exception propagates."""
+    blocks of BLOCK_ROWS lines, holding no more than one block."""
     # No field holds a comma, quote or newline, so these lines are csv.writer's
     # without its per-character quoting scan, which cost more than a row's digits.
-    lines, block = [",".join(CSV_COLUMNS)], 2
-    try:
+    def lines():
+        head = ",".join(CSV_COLUMNS) + "\n"
         for rec in records:
-            lines.append(",".join(record_fields(rec).values()))
-            if len(lines) >= block:
-                text, lines, block = "\n".join(lines) + "\n", [], BLOCK_ROWS
-                out.write(text)
-    finally:
-        if lines:
-            out.write("\n".join(lines) + "\n")
+            yield head + ",".join(record_fields(rec)) + "\n"
+            head = ""
+        if head:  # no record: the header alone
+            yield head
+
+    _write_blocks(lines(), out)
 
 
 def records_to_json(records, out) -> None:
-    import json
+    """Write the records as json.dumps(list, indent=2) does, plus a newline,
+    one object per record: the first at once, then blocks of BLOCK_ROWS,
+    holding no more than one block. A scan that fails part-way leaves the
+    objects written so far, an array without its closing bracket."""
+    from json.encoder import encode_basestring_ascii as quoted  # json.dumps's quoting
 
-    out.write(json.dumps([record_fields(r) for r in records], indent=2))
-    out.write("\n")
+    # one object as json.dumps(list, indent=2) lays it out, fields left open
+    layout = "{{\n    " + ",\n    ".join(f"{quoted(c)}: {{}}" for c in CSV_COLUMNS) + "\n  }}"
+
+    def pieces():
+        sep = "[\n  "
+        for rec in records:
+            yield sep + layout.format(*map(quoted, record_fields(rec)))
+            sep = ",\n  "
+        yield "[]\n" if sep == "[\n  " else "\n]\n"
+
+    _write_blocks(pieces(), out)
 
 
 class ScanRow(NamedTuple):
@@ -114,14 +144,15 @@ class ScanRow(NamedTuple):
     density: Decimal
 
 
-def parse_scan_csv(lines) -> list[ScanRow]:
-    """The rows of a scan CSV. A header other than CSV_COLUMNS, or a row
-    that is not six finite numbers, raises ValueError naming its line."""
+def parse_scan_csv(lines) -> Iterator[ScanRow]:
+    """Yield the rows of a scan CSV one at a time, as ``lines`` are read. A
+    header other than CSV_COLUMNS, or a row that is not six finite numbers,
+    raises ValueError naming its line when it is reached; the rows before it
+    have been yielded by then."""
     reader = csv.reader(lines)
     header = next(reader, None)
     if header != CSV_COLUMNS:
         raise ValueError(f"unexpected scan header {header!r}")
-    rows = []
     for row in reader:
         if not row:
             continue
@@ -130,12 +161,12 @@ def parse_scan_csv(lines) -> list[ScanRow]:
             decimals = Decimal(main_term), Decimal(error), Decimal(normalized), Decimal(density)
             if not all(map(Decimal.is_finite, decimals)):
                 raise ValueError
-            rows.append(ScanRow(int(x), int(V), *decimals))
+            parsed = ScanRow(int(x), int(V), *decimals)
         except (DecimalException, ValueError):
             raise ValueError(
                 f"scan CSV line {reader.line_num} is not six finite numbers: {','.join(row)!r}"
             ) from None
-    return rows
+        yield parsed
 
 
 def _frac_sci(q: Fraction, sig: int = 6, up: bool = False) -> str:
@@ -168,10 +199,9 @@ def _cmd_count(args, parser: argparse.ArgumentParser) -> int:
     if args.format != "text":
         (records_to_json if args.format == "json" else records_to_csv)([rec], sys.stdout)
         return 0 if oracle in (None, rec.V) else 1
-    fields = record_fields(rec)
     print(f"r={args.r} k={args.k} x={args.x}")
-    for name in CSV_COLUMNS[1:]:
-        print(f"{name} = {fields[name]}")
+    for name, value in zip(CSV_COLUMNS[1:], record_fields(rec)[1:]):
+        print(f"{name} = {value}")
     if oracle is None:
         return 0
     print(f"oracle = {oracle}")
@@ -237,7 +267,6 @@ def _cmd_scan(args, parser: argparse.ArgumentParser) -> int:
 def _cmd_witness(args, parser: argparse.ArgumentParser) -> int:
     if args.large == args.small:
         parser.error("choose exactly one of --large / --small")
-    reports = []
     if args.large:
         if args.r is None or args.k is None:
             parser.error("--large requires --r and --k")
@@ -246,30 +275,35 @@ def _cmd_witness(args, parser: argparse.ArgumentParser) -> int:
                 "--large applies to r >= 2 with r*k >= 4 "
                 "(use --small for the (r, k) = (2, 1) and (3, 1) cases)"
             )
-        for x in witness_large(args.r, args.k, args.count):
-            reports.append(certify_witness(x, args.r, args.k, cutoff=args.cutoff))
+        xs, k, cutoff = witness_large(args.r, args.k, args.count), args.k, args.cutoff
     else:
         if args.r is None or args.m is None:
             parser.error("--small requires --r and --m")
         if args.r not in (2, 3):
             parser.error("--small applies to r in {2, 3} with k = 1")
         try:
-            x = witness_small(args.r, args.m)
+            xs = [witness_small(args.r, args.m)]
         except ValueError as exc:
             parser.error(str(exc))
-        reports.append(certify_witness(x, args.r, 1, cutoff=args.cutoff or 100))
+        k, cutoff = 1, args.cutoff or 100
     status = 0
-    for rep in reports:
-        print(f"x = {rep.x}")
-        print(f"finite_part = {rep.finite_part} ({_frac_sci(rep.finite_part)})")
-        print(f"tail_bound = {rep.tail_bound} ({_frac_sci(rep.tail_bound)})")
-        print(f"upper_bound = {rep.upper_bound} ({_frac_sci(rep.upper_bound)})")
-        print(f"verdict = {rep.verdict}")
+    for x in xs:
+        rep = certify_witness(x, args.r, k, cutoff=cutoff)
+        lines = [
+            f"x = {rep.x}",
+            f"finite_part = {rep.finite_part} ({_frac_sci(rep.finite_part)})",
+            f"tail_bound = {rep.tail_bound} ({_frac_sci(rep.tail_bound)})",
+            f"upper_bound = {rep.upper_bound} ({_frac_sci(rep.upper_bound)})",
+            f"verdict = {rep.verdict}",
+        ]
         if rep.target_bound is not None:
-            print(
+            lines.append(
                 f"target_bound = {rep.target_bound} ({_frac_sci(rep.target_bound)})"
                 f" met = {'true' if rep.upper_bound < rep.target_bound else 'false'}"
             )
+        # one write per certificate, as soon as it is certified: unbuffered,
+        # a write per line would be a system call per line
+        sys.stdout.write("\n".join(lines) + "\n")
         if not rep.negative:
             status = 1
     return status
@@ -285,20 +319,15 @@ def _cmd_zeta(args, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_report(args, parser: argparse.ArgumentParser) -> int:
+    # Rows are parsed and folded one at a time, so a bad row (exit 2) or an
+    # empty window (EmptyWindowError, exit 1) is found before any output.
     try:
-        if args.input:
-            with open(args.input, "r", encoding="utf-8") as fh:
-                rows = parse_scan_csv(fh)
-        else:
-            rows = parse_scan_csv(sys.stdin)
+        with (open(args.input, "r", encoding="utf-8") if args.input
+              else nullcontext(sys.stdin)) as fh:
+            report = omega_ratio_report(parse_scan_csv(fh), args.split)
     except OSError as exc:  # a failed read names what was read
         exc.filename = exc.filename or args.input or "<stdin>"
         raise
-    # an empty window is a failed check (exit 1), not a bad argument (exit 2)
-    if len({row.x < args.split for row in rows}) < 2:
-        print("error: both scan windows must be nonempty", file=sys.stderr)
-        return 1
-    report = omega_ratio_report(rows, args.split)
     print(f"split = {report.split}")
     print(f"max_early = {report.max_early}")
     print(f"max_late = {report.max_late}")
@@ -448,7 +477,7 @@ def main(argv: list[str] | None = None) -> int:
             return COMMANDS[args.command](args, parser)
         finally:
             sys.stdout.flush()  # a buffered write fails here, not at exit
-    except (ResourceLimitError, InvariantViolationError) as exc:
+    except (ResourceLimitError, InvariantViolationError, EmptyWindowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

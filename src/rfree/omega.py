@@ -27,7 +27,7 @@ from .arith import (
     primes_upto,
     sieve_mobius,
 )
-from .errors import ResourceLimitError
+from .errors import EmptyWindowError, ResourceLimitError
 from .lattice import (
     DEFAULT_PRECISION,
     MAX_SCAN_RECORDS,
@@ -121,7 +121,8 @@ def witness_large(r: int, k: int, count: int) -> list[int]:
     """First ``count`` integers >= 3^r congruent to 2^r - 1 mod 2^r.
 
     At these x the fractional-part sum with weight d^(-rk) is provably
-    negative; the construction needs r >= 2 and rk >= 4.
+    negative; the construction needs r >= 2 and rk >= 4. A count above
+    MAX_SCAN_RECORDS raises ResourceLimitError before any work.
     """
     if r < 2:
         raise ValueError("witness construction requires r >= 2")
@@ -129,6 +130,10 @@ def witness_large(r: int, k: int, count: int) -> list[int]:
         raise ValueError("witness construction requires r*k >= 4")
     if count < 1:
         raise ValueError("count must be >= 1")
+    if count > MAX_SCAN_RECORDS:
+        raise ResourceLimitError(
+            f"witness would certify {count} values, limit is {MAX_SCAN_RECORDS}"
+        )
     modulus = 2**r
     start = 3**r
     first = start + (modulus - 1 - start) % modulus
@@ -371,8 +376,11 @@ def omega_ratio_report(records: Iterable, window_split: int) -> OmegaRatioReport
 
     ratio = max_late / max_early; a ratio near zero means the normalized
     error decays, which is what the non-decay evidence must rule out.
-    Raises ValueError if either window is empty. ``records`` is anything
+    ``records`` is any iterable, a one-shot generator included, of items
     with .x and .normalized_error attributes (CountRecord or a parsed row).
+    Both maxima are folded in one pass that keeps no record, so memory does
+    not grow with the row count. Raises EmptyWindowError, a ValueError, if
+    either window is empty.
     """
     max_early: Decimal | None = None
     max_late: Decimal | None = None
@@ -383,7 +391,7 @@ def omega_ratio_report(records: Iterable, window_split: int) -> OmegaRatioReport
         else:
             max_late = v if max_late is None else max(max_late, v)
     if max_early is None or max_late is None:
-        raise ValueError("both scan windows must be nonempty")
+        raise EmptyWindowError("both scan windows must be nonempty")
     with localcontext() as ctx:
         ctx.prec = 40
         if max_late == 0:

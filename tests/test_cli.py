@@ -16,7 +16,8 @@ from hypothesis import example, given, settings, strategies as st
 import rfree.arith
 from rfree import InvariantViolationError, sieve_mobius, zeta_value
 from rfree.arith import format_fraction, integer_root
-from rfree.cli import _frac_sci, main, parse_scan_csv, record_fields, records_to_csv, CSV_COLUMNS
+from rfree.cli import (_frac_sci, main, parse_scan_csv, record_fields, records_to_csv,
+                       records_to_json, CSV_COLUMNS)
 from rfree.lattice import SCAN_CHUNK, CountParams, count_fast, count_record, decimal_places
 from rfree.omega import error_scan
 
@@ -64,7 +65,7 @@ def test_count_csv_and_json(capsys):
         ["count", "--r", "2", "--k", "1", "--x", "10", "--format", "csv"], capsys
     )
     assert code == 0
-    rows = parse_scan_csv(io.StringIO(out))
+    rows = list(parse_scan_csv(io.StringIO(out)))
     assert rows[0].x == 10 and rows[0].V == 14
 
     code, out, _ = run_cli(
@@ -226,7 +227,7 @@ def test_scan_row_count_and_round_trip(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert len(lines) == 1 + 111
-    rows = parse_scan_csv(io.StringIO(out))
+    rows = list(parse_scan_csv(io.StringIO(out)))
     assert rows[0].x == 10 and rows[-1].x == 120
     # parsing and re-rendering reproduces the file byte for byte
     rendered = [",".join(CSV_COLUMNS)]
@@ -417,6 +418,51 @@ def test_report_rejects_nan_min_ratio_before_output(capsys, tmp_path):
     assert "error: argument --min-ratio: expected a finite number, got nan" in err
 
 
+def test_parse_scan_csv_yields_each_row_as_it_is_read():
+    def lines():
+        yield ",".join(CSV_COLUMNS)
+        yield "5,1,1.0,1.0,2.5,0.5"
+        yield "9,2,1.0,1.0,2.5,0.5"
+        raise OSError(errno.EIO, "line 4 is unreadable")
+
+    rows = parse_scan_csv(lines())
+    assert next(rows) == (5, 1, Decimal("1.0"), Decimal("1.0"), Decimal("2.5"), Decimal("0.5"))
+    assert next(rows).V == 2
+    with pytest.raises(OSError, match="line 4 is unreadable"):
+        next(rows)
+
+
+# Prints the peak RSS of the command after it, which it forks: a process
+# forked from this test's interpreter would start at the test run's own peak.
+_PEAK_RSS_KB = ("import os, subprocess, sys; child = subprocess.Popen(sys.argv[1:], "
+                "stdout=subprocess.DEVNULL); _, status, usage = os.wait4(child.pid, 0); "
+                "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
+
+
+def _report_peak_kb(tmp_path, rows):
+    path = tmp_path / f"scan-{rows}.csv"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(CSV_COLUMNS) + "\n")
+        for x in range(10**6, 10**6 + rows):
+            digits = f"{x:030d}"
+            fh.write(f"{x},{4 * x * x},{4 * x * x}.{digits},-{x % 997}.{digits},0.{digits},0.{digits}\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    command = [sys.executable, "-c", "import sys; from rfree.cli import main; sys.exit(main())",
+               "report", "--split", str(10**6 + rows // 2), "--input", str(path)]
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", _PEAK_RSS_KB, *command],
+                          env=env, capture_output=True, text=True, check=True)
+    status, peak_kb = map(int, done.stdout.split())
+    assert status == 0
+    return peak_kb
+
+
+def test_report_memory_does_not_grow_with_the_row_count(tmp_path):
+    # a held row costs about 0.6 KB, so 38,000 more held rows would add about 23 MB
+    small, large = _report_peak_kb(tmp_path, 2_000), _report_peak_kb(tmp_path, 40_000)
+    assert abs(large - small) <= 3 * 1024, (small, large)
+
+
 def test_report_missing_input_reports_path(capsys, tmp_path):
     missing = tmp_path / "nope.csv"
     code, _, err = run_cli(["report", "--split", "5", "--input", str(missing)], capsys)
@@ -431,6 +477,33 @@ def test_witness_large_command(capsys):
     assert code == 0
     assert out.count("verdict = negative") == 5
     assert out.count("x = ") == 5
+
+
+def test_witness_prints_each_certificate_before_the_next_is_computed(capsys, monkeypatch):
+    import rfree.cli
+
+    certify, printed = rfree.cli.certify_witness, []
+
+    def certify_after_reading_stdout(x, r, k, cutoff):
+        printed.append(capsys.readouterr().out)
+        return certify(x, r, k, cutoff=cutoff)
+
+    monkeypatch.setattr(rfree.cli, "certify_witness", certify_after_reading_stdout)
+    assert main(["witness", "--large", "--r", "2", "--k", "2", "--count", "3"]) == 0
+    printed.append(capsys.readouterr().out)
+    assert printed[0] == ""
+    assert [out.split("\n", 1)[0] for out in printed[1:]] == ["x = 11", "x = 15", "x = 19"]
+    assert [out.count("verdict = negative") for out in printed] == [0, 1, 1, 1]
+
+
+def test_witness_count_past_the_limit_fails_before_any_certificate(capsys, monkeypatch):
+    import rfree.cli
+
+    monkeypatch.setattr(rfree.cli, "certify_witness", lambda *args, **kw: pytest.fail("certified"))
+    argv = ["witness", "--large", "--r", "2", "--k", "2", "--count", "1000001"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: witness would certify 1000001 values, limit is 1000000\n"
 
 
 def test_witness_large_rejects_small_rk(capsys):
@@ -651,7 +724,7 @@ def test_count_format_env_fallback(capsys, monkeypatch):
     code, out, _ = run_cli(argv, capsys)
     assert code == 0
     assert out == run_cli([*argv, "--format", "csv"], capsys)[1]
-    assert parse_scan_csv(io.StringIO(out))[0].V == 14
+    assert next(parse_scan_csv(io.StringIO(out))).V == 14
     code, out, _ = run_cli([*argv, "--format", "text"], capsys)
     assert (code, out) == (0, text)
 
@@ -813,7 +886,7 @@ def _check_integer_row(tables, r, k, x, V, precision):
     rec = count_record(params, precision, V=V)
     main_term, error, fields = _fraction_route(params, V, zeta, places)
     assert (rec.main_term, rec.error) == (main_term, error)
-    assert rec.places == places and record_fields(rec) == fields
+    assert rec.places == places and dict(zip(CSV_COLUMNS, record_fields(rec))) == fields
     assert format(rec.normalized_error, "f") == fields["normalized_error"]
     return rec
 
@@ -865,7 +938,7 @@ def test_integer_rows_cover_nan_negative_and_straddle(tables, r, k, x, V, precis
     if case == "nan":
         assert rec.normalized_error.is_nan()
     elif case == "negative":
-        assert error.hi < 0 and record_fields(rec)["error"].startswith("-")
+        assert error.hi < 0 and record_fields(rec)[CSV_COLUMNS.index("error")].startswith("-")
     else:
         # the ball holds 0, so |error|'s midpoint is (|mid| + radius) / 2
         assert error.lo < 0 < error.hi
@@ -904,7 +977,7 @@ def test_scan_rows_are_count_record_rows(tables, r, k, x_min, x_max, step, preci
     records = [count_record(CountParams(r=r, k=k, x=x), precision, table)
                for x in range(x_min, x_max + 1, step)]
     lines = [",".join(CSV_COLUMNS)]
-    lines += [",".join(record_fields(rec).values()) for rec in records]
+    lines += [",".join(record_fields(rec)) for rec in records]
     assert out.getvalue() == "\n".join(lines) + "\n"
     if precision == Fraction(1, 2):
         assert sum(rec.error.lo < 0 < rec.error.hi for rec in records) > 10
@@ -921,7 +994,7 @@ class _WriteLog:
 
 
 def _csv_row(rec):
-    return ",".join(record_fields(rec).values()) + "\n"
+    return ",".join(record_fields(rec)) + "\n"
 
 
 def _csv_text(records):
@@ -939,6 +1012,32 @@ def test_csv_header_and_first_row_are_written_before_the_second_record_is_drawn(
 
     records_to_csv(records(), out)
     assert "".join(out.writes) == _csv_text([first, *rest])
+
+
+def _json_text(records):
+    return json.dumps([dict(zip(CSV_COLUMNS, record_fields(rec))) for rec in records], indent=2) + "\n"
+
+
+@pytest.mark.parametrize("rows", [0, 1, 2, 300])
+def test_json_records_are_json_dumps_of_the_list(rows):
+    records = list(error_scan(2, 2, 2, 1 + rows)) if rows else []
+    out = _WriteLog()
+    records_to_json(iter(records), out)
+    assert len(records) == rows and "".join(out.writes) == _json_text(records)
+    assert len(out.writes) <= -(-rows // 256) + 2
+
+
+def test_json_first_record_is_written_before_the_second_is_drawn():
+    out = _WriteLog()
+    first, *rest = error_scan(2, 2, 2, 20)
+
+    def records():
+        yield first
+        assert out.writes == [_json_text([first]).removesuffix("\n]\n")]
+        yield from rest
+
+    records_to_json(records(), out)
+    assert "".join(out.writes) == _json_text([first, *rest])
 
 
 def test_csv_rows_are_written_in_blocks():

@@ -237,6 +237,11 @@ def test_witness_large_sequences():
     assert witness_large(2, 3, 2) == [11, 15]
 
 
+def test_witness_large_count_has_a_budget():
+    with pytest.raises(ResourceLimitError, match="witness would certify 1000001 values, limit is 1000000"):
+        witness_large(2, 2, lattice.MAX_SCAN_RECORDS + 1)
+
+
 def test_witness_large_rejects_small_rk():
     with pytest.raises(ValueError):
         witness_large(2, 1, 3)  # rk = 2
@@ -533,3 +538,10 @@ def test_omega_ratio_decaying_records_flagged():
 def test_omega_ratio_empty_window():
     with pytest.raises(ValueError):
         omega_ratio_report(_fake_records([(1, "1"), (2, "2")]), 5)
+
+
+def test_omega_ratio_report_folds_a_one_shot_generator():
+    rows = (rec for rec in _fake_records([(1, "3"), (4, "-5"), (5, "2"), (9, "-1")]))
+    report = omega_ratio_report(rows, 5)
+    assert (report.max_early, report.max_late, report.ratio) == (5, 2, Decimal("0.4"))
+    assert next(rows, None) is None

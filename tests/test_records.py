@@ -23,7 +23,7 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 def _scan_row():
     out = io.StringIO()
     records_to_csv(error_scan(2, 2, 2, 3), out)
-    return parse_scan_csv(out.getvalue().splitlines())[0]
+    return next(parse_scan_csv(out.getvalue().splitlines()))
 
 
 RECORDS = {
