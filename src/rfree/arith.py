@@ -11,6 +11,7 @@ Provides:
     exact_quotient    -- the one integrality check of the totient algebra
     zeta_value        -- zeta(s) for integer s >= 2 with a rigorous error radius
     Enclosure         -- a closed rational ball guaranteed to contain a value
+    decimal_places    -- the fractional digits an enclosure target prints
 
 Everything that feeds an exact identity is integer or Fraction arithmetic;
 floats never touch a quantity that a test compares exactly.
@@ -30,6 +31,9 @@ from .errors import InvariantViolationError, ResourceLimitError
 FACTOR_BOUND = 10**6  # largest trial divisor of factorize
 SIEVE_LIMIT = 10**7  # largest sieve_mobius limit, ~12 bytes per entry at peak
 BERNOULLI_LIMIT = 400  # largest bernoulli_numbers count, about 1 s at the limit
+MAX_SCAN_RECORDS = 10**6  # most rows of one scan or identity range
+SCAN_CHUNK = 256  # fewest rows per count_range chunk
+DEFAULT_PRECISION = Fraction(1, 10**30)  # zeta enclosure target
 
 
 # ---------------------------------------------------------------------------
@@ -383,32 +387,42 @@ def zeta_enclosure(s: int, depth: int) -> ZetaValue:
     CMS Conf. Proc. 27, 2000, Algorithm 2): with
     d_k = n * sum_{i<=k} (n+i-1)! 4^i / ((n-i)! (2i)!),
 
-        zeta(s) = -1/(d_n (1 - 2^(1-s))) * sum_{k<n} (-1)^k (d_k - d_n)/(k+1)^s
+        zeta(s) = 1/(d_n (1 - 2^(1-s))) * sum_{k<n} (-1)^k (d_n - d_k)/(k+1)^s
                   + err,   |err| <= 3 / ((3+sqrt(8))^n |1 - 2^(1-s)|).
 
-    All arithmetic is exact rational; the radius uses 29/5 < 3+sqrt(8) so the
-    stated bound is itself rigorous.
+    The d_k are integers (term i is 2^(2i-1) times the Lucas-polynomial
+    coefficient 2n/(n+i) C(n+i, 2i)), and the sum runs in fixed point with
+    P fractional bits, 2^P >= (29/5)^n 2^64: each term and the final
+    division are floored, so the midpoint m/2^P is within 2 * 2^-P of the
+    exact truncated sum. The stated radius 3 / ((29/5)^n |1 - 2^(1-s)|)
+    exceeds Borwein's bound by more than 3 (29/5)^-n / 300 (29/5 is 0.5%
+    below 3+sqrt(8)), far more than that rounding, so it stays rigorous.
     """
     if s < 2:
         raise ValueError("zeta enclosure requires integer s >= 2")
     if depth < 1:
         raise ValueError("depth must be >= 1")
     n = depth
-    term = Fraction(1)
-    d = [Fraction(1)]
+    term, d = 1, [1]
     for i in range(1, n + 1):
-        term *= Fraction(4 * (n + i - 1) * (n - i + 1), (2 * i - 1) * (2 * i))
+        term = exact_quotient(term * 4 * (n + i - 1) * (n - i + 1), (2 * i - 1) * (2 * i),
+                              "Borwein weight", n=n, i=i)
         d.append(d[-1] + term)
-    acc = Fraction(0)
+    bits = -(-n * 25361 // 10000) + 64  # log2(29/5) < 2.5361
+    top = d[n] << bits
+    acc = 0
     for k in range(n):
-        t = Fraction(d[k] - d[n], (k + 1) ** s)
-        acc += -t if k % 2 else t
-    value = -acc / (d[n] * Fraction(2 ** (s - 1) - 1, 2 ** (s - 1)))
-    return ZetaValue(s=s, mid=value, radius=Fraction(*_zeta_radius(s, n)), depth=n)
+        v = (top - (d[k] << bits)) // (k + 1) ** s
+        if not v:  # every later term is smaller still
+            break
+        acc += -v if k % 2 else v
+    half = 2 ** (s - 1)
+    mid = Fraction(acc * half // (d[n] * (half - 1)), 1 << bits)
+    return ZetaValue(s=s, mid=mid, radius=Fraction(*_zeta_radius(s, n)), depth=n)
 
 
 @lru_cache(maxsize=None)
-def zeta_value(s: int, target_precision: Fraction = Fraction(1, 10**30)) -> ZetaValue:
+def zeta_value(s: int, target_precision: Fraction = DEFAULT_PRECISION) -> ZetaValue:
     """zeta(s) with radius <= target_precision, depth chosen adaptively."""
     if s < 2:
         raise ValueError("zeta_value requires integer s >= 2")
@@ -426,6 +440,23 @@ def zeta_value(s: int, target_precision: Fraction = Fraction(1, 10**30)) -> Zeta
 # ---------------------------------------------------------------------------
 # Decimal rendering
 # ---------------------------------------------------------------------------
+
+def decimal_places(precision: Fraction) -> int:
+    """Number of fractional digits implied by an enclosure target, e.g.
+    1e-30 -> 30. At least 1; ValueError for a precision finer than 1e-1000."""
+    precision = Fraction(precision)
+    if precision <= 0:
+        raise ValueError("precision must be positive")
+    num, den = precision.numerator, precision.denominator
+    if num * 10**1000 < den:
+        raise ValueError("precision finer than 1e-1000 is not supported")
+    # the least p >= 1 with num 10^p >= den; 0.30102 < log10(2), so the
+    # digit count estimated from the bit lengths starts at most 2 below it
+    places = max(1, (den.bit_length() - num.bit_length() - 1) * 30102 // 100000)
+    while num * 10**places < den:
+        places += 1
+    return places
+
 
 def format_fraction(q: Fraction | int, places: int) -> str:
     """format_ratio of q's numerator and denominator."""

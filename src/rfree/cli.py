@@ -8,6 +8,8 @@ picks the subcommand from COMMANDS and is the one place a failure becomes
 an exit status: 0 iff every check in the invocation passed, 1 for a failed
 check, budget, cross-check, read or write, 2 for a usage error. Exact
 integers are always printed in full decimal, never scientific notation.
+Each subcommand imports the rfree functions it runs, so that a process
+loads only the modules its subcommand needs.
 """
 
 from __future__ import annotations
@@ -25,17 +27,12 @@ from fractions import Fraction
 from itertools import chain
 from typing import NamedTuple
 
-from .arith import format_fraction, integer_root, sieve_mobius, zeta_value
 from .errors import EmptyWindowError, InvariantViolationError, ResourceLimitError
-from .jordan import TotientParams, jordan, jordan_oracle, partial_sum_bernoulli, partial_sum_direct
-from .lattice import (CountParams, CountRecord, RowDigits, count_oracle, count_record,
-                      decimal_places)
-from .omega import error_scan, certify_witness, omega_ratio_report, witness_large, witness_small
-from .umbral import identity_range
 
-CSV_COLUMNS = ["x", "V", *RowDigits._fields]
+# x, V and the fields of lattice.RowDigits
+CSV_COLUMNS = ["x", "V", "main_term", "error", "normalized_error", "density"]
 OUTPUT_FORMATS = ("text", "csv", "json")
-BLOCK_ROWS = 256  # CSV lines joined into one write after the first row
+BLOCK_ROWS = 256  # pieces of output joined into one write after the first
 
 
 def _env(name: str, default: str | None) -> str | None:
@@ -74,8 +71,8 @@ def _finite_float(text: str) -> float:
 # Record rendering
 # ---------------------------------------------------------------------------
 
-def record_fields(rec: CountRecord) -> tuple[str, ...]:
-    """The CSV/JSON projection of a record, in CSV_COLUMNS order; exact
+def record_fields(rec) -> tuple[str, ...]:
+    """The CSV/JSON projection of a lattice.CountRecord, in CSV_COLUMNS order; exact
     integers as full-decimal strings, high-precision values as the record's
     fixed-point digits."""
     return (str(rec.x), str(rec.V), *rec.digits)
@@ -193,6 +190,8 @@ def _agreement(value, oracle) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_count(args, parser: argparse.ArgumentParser) -> int:
+    from .lattice import CountParams, count_oracle, count_record
+
     params = CountParams(r=args.r, k=args.k, x=args.x)
     rec = count_record(params, args.precision)
     oracle = count_oracle(params, budget=args.budget) if args.oracle else None
@@ -209,6 +208,8 @@ def _cmd_count(args, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_jordan(args, parser: argparse.ArgumentParser) -> int:
+    from .jordan import TotientParams, jordan, jordan_oracle
+
     params = TotientParams(r=args.r, k=args.k)
     value = jordan(args.n, params)
     print(f"J(r={args.r}, k={args.k}, n={args.n}) = {value}")
@@ -220,6 +221,9 @@ def _cmd_jordan(args, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_partial_sum(args, parser: argparse.ArgumentParser) -> int:
+    from .arith import integer_root, sieve_mobius
+    from .jordan import TotientParams, partial_sum_bernoulli, partial_sum_direct
+
     params = TotientParams(r=args.r, k=args.k)
     values = {}
     if args.method in ("direct", "both"):
@@ -233,21 +237,30 @@ def _cmd_partial_sum(args, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_identity(args, parser: argparse.ArgumentParser) -> int:
+    from .umbral import identity_range
+
     if args.x_min > args.x_max:
         parser.error("--x-min must not exceed --x-max")
     mismatches = 0
-    for check in identity_range(args.r, args.k, args.x_min, args.x_max):
-        if check.equal:
-            print(f"x={check.x} equal")
-        else:
-            mismatches += 1
-            print(f"x={check.x} MISMATCH umbral={check.umbral} fast={check.fast}"
-                  f" zero_split={check.zero_split}")
-    print(f"checked {args.x_max - args.x_min + 1} values, {mismatches} mismatches")
+
+    def lines():
+        nonlocal mismatches
+        for check in identity_range(args.r, args.k, args.x_min, args.x_max):
+            if check.equal:
+                yield f"x={check.x} equal\n"
+            else:
+                mismatches += 1
+                yield (f"x={check.x} MISMATCH umbral={check.umbral} fast={check.fast}"
+                       f" zero_split={check.zero_split}\n")
+        yield f"checked {args.x_max - args.x_min + 1} values, {mismatches} mismatches\n"
+
+    _write_blocks(lines(), sys.stdout)
     return 1 if mismatches else 0
 
 
 def _cmd_scan(args, parser: argparse.ArgumentParser) -> int:
+    from .omega import error_scan
+
     if args.x_min > args.x_max:
         parser.error("--x-min must not exceed --x-max")
     records = error_scan(
@@ -264,7 +277,26 @@ def _cmd_scan(args, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
+def _certificate(rep) -> list[str]:
+    """The lines of one omega.WitnessReport."""
+    lines = [
+        f"x = {rep.x}",
+        f"finite_part = {rep.finite_part} ({_frac_sci(rep.finite_part)})",
+        f"tail_bound = {rep.tail_bound} ({_frac_sci(rep.tail_bound)})",
+        f"upper_bound = {rep.upper_bound} ({_frac_sci(rep.upper_bound)})",
+        f"verdict = {rep.verdict}",
+    ]
+    if rep.target_bound is not None:
+        lines.append(
+            f"target_bound = {rep.target_bound} ({_frac_sci(rep.target_bound)})"
+            f" met = {'true' if rep.upper_bound < rep.target_bound else 'false'}"
+        )
+    return lines
+
+
 def _cmd_witness(args, parser: argparse.ArgumentParser) -> int:
+    from .omega import certify_witnesses, witness_large, witness_small
+
     if args.large == args.small:
         parser.error("choose exactly one of --large / --small")
     if args.large:
@@ -286,30 +318,22 @@ def _cmd_witness(args, parser: argparse.ArgumentParser) -> int:
         except ValueError as exc:
             parser.error(str(exc))
         k, cutoff = 1, args.cutoff or 100
-    status = 0
-    for x in xs:
-        rep = certify_witness(x, args.r, k, cutoff=cutoff)
-        lines = [
-            f"x = {rep.x}",
-            f"finite_part = {rep.finite_part} ({_frac_sci(rep.finite_part)})",
-            f"tail_bound = {rep.tail_bound} ({_frac_sci(rep.tail_bound)})",
-            f"upper_bound = {rep.upper_bound} ({_frac_sci(rep.upper_bound)})",
-            f"verdict = {rep.verdict}",
-        ]
-        if rep.target_bound is not None:
-            lines.append(
-                f"target_bound = {rep.target_bound} ({_frac_sci(rep.target_bound)})"
-                f" met = {'true' if rep.upper_bound < rep.target_bound else 'false'}"
-            )
-        # one write per certificate, as soon as it is certified: unbuffered,
-        # a write per line would be a system call per line
-        sys.stdout.write("\n".join(lines) + "\n")
-        if not rep.negative:
-            status = 1
-    return status
+    inconclusive = 0
+
+    def lines():
+        nonlocal inconclusive
+        for rep in certify_witnesses(xs, args.r, k, cutoff):
+            inconclusive += not rep.negative
+            for line in _certificate(rep):
+                yield line + "\n"
+
+    _write_blocks(lines(), sys.stdout)
+    return 1 if inconclusive else 0
 
 
 def _cmd_zeta(args, parser: argparse.ArgumentParser) -> int:
+    from .arith import decimal_places, format_fraction, zeta_value
+
     places = decimal_places(args.precision)
     z = zeta_value(args.s, args.precision)
     print(f"zeta({args.s}) = {format_fraction(z.mid, places)}")
@@ -319,6 +343,8 @@ def _cmd_zeta(args, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_report(args, parser: argparse.ArgumentParser) -> int:
+    from .omega import omega_ratio_report
+
     # Rows are parsed and folded one at a time, so a bad row (exit 2) or an
     # empty window (EmptyWindowError, exit 1) is found before any output.
     try:

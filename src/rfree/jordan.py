@@ -28,6 +28,8 @@ from collections.abc import Iterator
 from itertools import accumulate, islice, product
 
 from .arith import (
+    MAX_SCAN_RECORDS,
+    SCAN_CHUNK,
     MobiusTable,
     bernoulli_numbers,
     exact_quotient,
@@ -39,7 +41,6 @@ from .arith import (
     rfree_sieve,
 )
 from .errors import InvariantViolationError, ResourceLimitError
-from .lattice import MAX_SCAN_RECORDS, SCAN_CHUNK
 
 DEFAULT_TUPLE_BUDGET = 10**7
 

@@ -33,8 +33,11 @@ from itertools import product
 from typing import NamedTuple
 
 from .arith import (
+    DEFAULT_PRECISION,
+    SCAN_CHUNK,
     Enclosure,
     MobiusTable,
+    decimal_places,
     fixed_point,
     format_ratio,
     integer_root,
@@ -46,9 +49,6 @@ from .arith import (
 from .errors import ResourceLimitError
 
 DEFAULT_BOX_BUDGET = 10**8
-DEFAULT_PRECISION = Fraction(1, 10**30)
-MAX_SCAN_RECORDS = 10**6  # most rows of one scan or identity range
-SCAN_CHUNK = 256  # fewest rows per count_range chunk
 
 
 class CountParams(namedtuple("CountParams", "r k x")):
@@ -315,20 +315,3 @@ def count_record(
         density=format_ratio(V, (2 * x + 1) ** k, places),
     )
     return CountRecord(params, V, scale.reciprocal, places, digits)
-
-
-def decimal_places(precision: Fraction) -> int:
-    """Number of fractional digits implied by an enclosure target, e.g.
-    1e-30 -> 30. At least 1; ValueError for a precision finer than 1e-1000."""
-    precision = Fraction(precision)
-    if precision <= 0:
-        raise ValueError("precision must be positive")
-    num, den = precision.numerator, precision.denominator
-    if num * 10**1000 < den:
-        raise ValueError("precision finer than 1e-1000 is not supported")
-    # the least p >= 1 with num 10^p >= den; 0.30102 < log10(2), so the
-    # digit count estimated from the bit lengths starts at most 2 below it
-    places = max(1, (den.bit_length() - num.bit_length() - 1) * 30102 // 100000)
-    while num * 10**places < den:
-        places += 1
-    return places

@@ -20,6 +20,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .arith import (
+    DEFAULT_PRECISION,
+    MAX_SCAN_RECORDS,
     Enclosure,
     MobiusTable,
     ZetaValue,
@@ -28,17 +30,12 @@ from .arith import (
     sieve_mobius,
 )
 from .errors import EmptyWindowError, ResourceLimitError
-from .lattice import (
-    DEFAULT_PRECISION,
-    MAX_SCAN_RECORDS,
-    CountParams,
-    CountRecord,
-    count_range,
-    count_record,
-    row_scale,
-)
 
 EXACT_ROOT_LIMIT = 10**5
+# Most d-steps of the exact frac-sums over one witness list, counted as the
+# list's length times the largest d range: --large --r 2 --k 2 --count 20000
+# takes 5.7e6 and runs, --count 30000 would take 1.04e7.
+WITNESS_WORK_LIMIT = 10**7
 _SCALE = 10**45        # fixed-point denominator for residual enclosures
 _ROOT_SCALE = 10**12   # fixed-point denominator for real r-th roots
 
@@ -59,16 +56,22 @@ class FracSumParams(namedtuple("FracSumParams", "r j i x")):
         return super().__new__(cls, r, j, i, x)
 
 
-def _frac_sum_upto(params: FracSumParams, top: int, table: MobiusTable | None) -> Fraction:
-    # sum_{d <= top} mu(d) d^(-rj) {x / d^r}^i, exactly, with mu from table
-    # (sieved to top when None). The terms are integers over one denominator
-    # L = P^(r(i+j)), P the product of the primes <= top: every squarefree
-    # d <= top divides P, so d^(r(i+j)) divides L.
+def _exact_range(top: int) -> int:
+    # the one guard on an exact frac-sum's d range
     if top > EXACT_ROOT_LIMIT:
         raise ResourceLimitError(
             f"frac-sum over d <= {top} exceeds exact-sum guard {EXACT_ROOT_LIMIT}; "
             f"truncate at a smaller cutoff"
         )
+    return top
+
+
+def _frac_sum_upto(params: FracSumParams, top: int, table: MobiusTable | None) -> Fraction:
+    # sum_{d <= top} mu(d) d^(-rj) {x / d^r}^i, exactly, with mu from table
+    # (sieved to top when None). The terms are integers over one denominator
+    # L = P^(r(i+j)), P the product of the primes <= top: every squarefree
+    # d <= top divides P, so d^(r(i+j)) divides L.
+    _exact_range(top)
     if table is None:
         table = sieve_mobius(max(top, 1))
     table.require(top)
@@ -93,14 +96,17 @@ def frac_sum(params: FracSumParams, table: MobiusTable) -> Fraction:
     return _frac_sum_upto(params, integer_root(params.x, params.r), table)
 
 
-def truncated_frac_sum(params: FracSumParams, cutoff: int) -> tuple[Fraction, Fraction]:
+def truncated_frac_sum(
+    params: FracSumParams, cutoff: int, table: MobiusTable | None = None
+) -> tuple[Fraction, Fraction]:
     """(finite part over d <= cutoff, rigorous bound on the rest).
 
     Tail bound: |sum_{d > D} mu(d) d^(-rj) {..}^i| <= sum_{d > D} d^(-rj)
     <= D^(1-rj)/(rj - 1), needing rj >= 2. Only x mod d^r for d <= cutoff is
     computed, so x may be arbitrarily large. When cutoff already covers
-    floor(x^(1/r)) the tail is exactly zero. The finite part sieves mu to
-    min(cutoff, floor(x^(1/r))), which must not exceed EXACT_ROOT_LIMIT.
+    floor(x^(1/r)) the tail is exactly zero. The finite part reads mu from
+    ``table``, or sieves it when None, to min(cutoff, floor(x^(1/r))),
+    which must not exceed EXACT_ROOT_LIMIT.
     """
     rj = params.r * params.j
     if rj < 2:
@@ -108,7 +114,7 @@ def truncated_frac_sum(params: FracSumParams, cutoff: int) -> tuple[Fraction, Fr
     if cutoff < 2:
         raise ValueError("cutoff must be >= 2")
     root = integer_root(params.x, params.r)
-    finite = _frac_sum_upto(params, min(cutoff, root), None)
+    finite = _frac_sum_upto(params, min(cutoff, root), table)
     tail = Fraction(0) if cutoff >= root else Fraction(1, cutoff ** (rj - 1) * (rj - 1))
     return finite, tail
 
@@ -180,12 +186,15 @@ class WitnessReport(NamedTuple):
         return self.verdict == "negative"
 
 
-def certify_witness(x: int, r: int, k: int, cutoff: int | None = None) -> WitnessReport:
+def certify_witness(
+    x: int, r: int, k: int, cutoff: int | None = None, table: MobiusTable | None = None
+) -> WitnessReport:
     """Evaluate sum_d mu(d) d^(-rk) {x/d^r} at a witness with certified tail.
 
     cutoff=None evaluates exactly when floor(x^(1/r)) <= 1e5, else truncates
-    at 100. The applicable target bound is -1/2^(rk+1) + 1/2^(r(k+1)) for
-    r >= 2, rk >= 4, and -1/20 for the (r, k) in {(2,1), (3,1)} cases.
+    at 100; mu comes from ``table``, or is sieved when None. The applicable
+    target bound is -1/2^(rk+1) + 1/2^(r(k+1)) for r >= 2, rk >= 4, and
+    -1/20 for the (r, k) in {(2,1), (3,1)} cases.
     At the witness_small(r, m) witnesses -1/20 is certified for r = 2 only
     from about cutoff 1000 (the tail bound 1/cutoff exceeds the margin at
     100); for r = 3 the whole enclosure lies above -1/20, so the target is
@@ -197,7 +206,7 @@ def certify_witness(x: int, r: int, k: int, cutoff: int | None = None) -> Witnes
     if cutoff is None:
         cutoff = root if 2 <= root <= EXACT_ROOT_LIMIT else 100
     params = FracSumParams(r=r, j=k, i=1, x=x)
-    finite, tail = truncated_frac_sum(params, cutoff)
+    finite, tail = truncated_frac_sum(params, cutoff, table)
     upper = finite + tail
     if r >= 2 and r * k >= 4:
         target = Fraction(-1, 2 ** (r * k + 1)) + Fraction(1, 2 ** (r * (k + 1)))
@@ -213,6 +222,30 @@ def certify_witness(x: int, r: int, k: int, cutoff: int | None = None) -> Witnes
         verdict="negative" if upper < 0 else "inconclusive",
         target_bound=target,
     )
+
+
+def certify_witnesses(
+    xs: list[int], r: int, k: int, cutoff: int | None = None
+) -> Iterator[WitnessReport]:
+    """certify_witness at each x of ``xs``, in order, from one mu table.
+
+    Every x sums over d <= min(cutoff, floor(x^(1/r))), with cutoff None
+    read as EXACT_ROOT_LIMIT, so len(xs) times that range at max(xs) bounds
+    the d-steps of the whole list. A range past the exact-sum guard, or
+    d-steps past WITNESS_WORK_LIMIT, raise ResourceLimitError when the first
+    report is drawn, before any sieve; otherwise mu is sieved once, to that
+    range.
+    """
+    if not xs:
+        return
+    top = _exact_range(min(cutoff or EXACT_ROOT_LIMIT, integer_root(max(xs), r)))
+    if len(xs) * top > WITNESS_WORK_LIMIT:
+        raise ResourceLimitError(
+            f"witness needs {len(xs)} x {top} frac-sum terms, limit is {WITNESS_WORK_LIMIT}"
+        )
+    table = sieve_mobius(max(top, 1))
+    for x in xs:
+        yield certify_witness(x, r, k, cutoff, table)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +366,7 @@ def error_scan(
     precision: Fraction = DEFAULT_PRECISION,
     table: MobiusTable | None = None,
 ) -> Iterator[CountRecord]:
-    """Emit a CountRecord per sampled x, in ascending order.
+    """Emit a lattice.CountRecord per sampled x, in ascending order.
 
     The counts come from count_range, chunk by chunk. Records are built
     one per row as they are drawn, so the scan holds one chunk's counts,
@@ -353,6 +386,9 @@ def error_scan(
         raise ResourceLimitError(
             f"scan would emit {len(xs)} records, limit is {MAX_SCAN_RECORDS}"
         )
+    # imported here, so that witness and report never load lattice
+    from .lattice import CountParams, count_range, count_record, row_scale
+
     precision = Fraction(precision)
     scale = row_scale(r * k, precision)
     if table is None:

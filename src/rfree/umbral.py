@@ -21,10 +21,10 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .arith import MobiusTable, exact_quotient, integer_root, sieve_mobius
+from .arith import MAX_SCAN_RECORDS, MobiusTable, exact_quotient, integer_root, sieve_mobius
 from .errors import ResourceLimitError
 from .jordan import TotientParams, jordan, partial_sum_from_sums, partial_sum_range
-from .lattice import MAX_SCAN_RECORDS, CountParams, count_fast, count_oracle, count_range
+from .lattice import CountParams, count_fast, count_oracle, count_range
 
 
 class IdentityCheck(NamedTuple):

@@ -343,6 +343,37 @@ def test_zeta_radius_formula():
             assert zeta_enclosure(s, n).radius == Fraction(3) / (Fraction(29, 5) ** n * one_minus)
 
 
+def _borwein_exact(s, n):
+    # the exact-Fraction Borwein sum zeta_enclosure summed before it went to
+    # fixed point, kept as the reference for its midpoint
+    term = Fraction(1)
+    d = [Fraction(1)]
+    for i in range(1, n + 1):
+        term *= Fraction(4 * (n + i - 1) * (n - i + 1), (2 * i - 1) * (2 * i))
+        d.append(d[-1] + term)
+    acc = Fraction(0)
+    for k in range(n):
+        t = Fraction(d[k] - d[n], (k + 1) ** s)
+        acc += -t if k % 2 else t
+    return -acc / (d[n] * Fraction(2 ** (s - 1) - 1, 2 ** (s - 1)))
+
+
+@pytest.mark.parametrize("s", [*range(2, 9), 200, 2000, 6000])
+def test_zeta_fixed_point_sum_matches_the_exact_sum(s):
+    one_minus = Fraction(2 ** (s - 1) - 1, 2 ** (s - 1))
+    for n in [*range(1, 61), 1180] if s < 9 else [40]:
+        z, exact = zeta_enclosure(s, n), _borwein_exact(s, n)
+        bits = -(-n * 25361 // 10000) + 64
+        assert 2**bits * 5**n >= 29**n * 2**64
+        assert z.mid.denominator & (z.mid.denominator - 1) == 0  # a power of two
+        assert abs(z.mid - exact) < Fraction(3, 2**bits), (s, n)
+        assert z.contains(exact)
+        # the rounding fits in the slack between the stated radius and
+        # Borwein's 3 / ((3 + sqrt(8))^n |1 - 2^(1-s)|), with 3 + sqrt(8) > 5.828
+        borwein = Fraction(3) / (Fraction(5828, 1000) ** n * one_minus)
+        assert abs(z.mid - exact) + borwein <= z.radius, (s, n)
+
+
 def test_zeta_rejects_small_s():
     with pytest.raises(ValueError):
         zeta_value(1)

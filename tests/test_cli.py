@@ -479,31 +479,60 @@ def test_witness_large_command(capsys):
     assert out.count("x = ") == 5
 
 
-def test_witness_prints_each_certificate_before_the_next_is_computed(capsys, monkeypatch):
-    import rfree.cli
+def test_witness_prints_its_first_line_before_the_next_certificate_is_computed(capsys, monkeypatch):
+    import rfree.omega
 
-    certify, printed = rfree.cli.certify_witness, []
+    certify, printed = rfree.omega.certify_witness, []
 
-    def certify_after_reading_stdout(x, r, k, cutoff):
+    def certify_after_reading_stdout(x, r, k, cutoff, table):
         printed.append(capsys.readouterr().out)
-        return certify(x, r, k, cutoff=cutoff)
+        return certify(x, r, k, cutoff, table)
 
-    monkeypatch.setattr(rfree.cli, "certify_witness", certify_after_reading_stdout)
+    monkeypatch.setattr(rfree.omega, "certify_witness", certify_after_reading_stdout)
     assert main(["witness", "--large", "--r", "2", "--k", "2", "--count", "3"]) == 0
     printed.append(capsys.readouterr().out)
-    assert printed[0] == ""
-    assert [out.split("\n", 1)[0] for out in printed[1:]] == ["x = 11", "x = 15", "x = 19"]
-    assert [out.count("verdict = negative") for out in printed] == [0, 1, 1, 1]
+    # the first line at once, the later ones in blocks of BLOCK_ROWS lines
+    assert printed[:3] == ["", "x = 11\n", ""]
+    assert [line for line in printed[3].splitlines() if line.startswith("x = ")] == \
+        ["x = 15", "x = 19"]
+    assert printed[3].count("verdict = negative") == 3
 
 
 def test_witness_count_past_the_limit_fails_before_any_certificate(capsys, monkeypatch):
-    import rfree.cli
+    import rfree.omega
 
-    monkeypatch.setattr(rfree.cli, "certify_witness", lambda *args, **kw: pytest.fail("certified"))
+    monkeypatch.setattr(rfree.omega, "certify_witness", lambda *args, **kw: pytest.fail("certified"))
     argv = ["witness", "--large", "--r", "2", "--k", "2", "--count", "1000001"]
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (1, "")
     assert err == "error: witness would certify 1000001 values, limit is 1000000\n"
+
+
+def test_witness_work_past_the_budget_fails_before_any_certificate(capsys, monkeypatch):
+    import rfree.omega
+
+    monkeypatch.setattr(rfree.omega, "certify_witness", lambda *args, **kw: pytest.fail("certified"))
+    monkeypatch.setattr(rfree.omega, "sieve_mobius", lambda n: pytest.fail("sieved"))
+    argv = ["witness", "--large", "--r", "2", "--k", "2", "--count", "1000000"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: witness needs 1000000 x 2000 frac-sum terms, limit is 10000000\n"
+
+
+def test_witness_sieves_once_per_run(capsys, monkeypatch):
+    import rfree.omega
+
+    sieve, limits = rfree.omega.sieve_mobius, []
+
+    def recording(limit):
+        limits.append(limit)
+        return sieve(limit)
+
+    monkeypatch.setattr(rfree.omega, "sieve_mobius", recording)
+    code, out, _ = run_cli(["witness", "--large", "--r", "2", "--k", "2", "--count", "40"], capsys)
+    # 40 certificates, the last at x = 167, sum over d <= floor(sqrt(x))
+    assert code == 0 and out.count("verdict = negative") == 40
+    assert limits == [12]
 
 
 def test_witness_large_rejects_small_rk(capsys):
@@ -992,6 +1021,9 @@ class _WriteLog:
     def write(self, text):
         self.writes.append(text)
 
+    def flush(self):
+        pass
+
 
 def _csv_row(rec):
     return ",".join(record_fields(rec)) + "\n"
@@ -1046,6 +1078,61 @@ def test_csv_rows_are_written_in_blocks():
     records_to_csv(rows, out)
     assert "".join(out.writes) == _csv_text(rows)
     assert len(rows) == 1000 and len(out.writes) <= -(-1000 // 256) + 3
+
+
+def test_identity_writes_its_first_line_before_the_second_value_is_checked(monkeypatch):
+    from rfree import umbral
+
+    out, identity_range = _WriteLog(), umbral.identity_range
+
+    def checks(*args):
+        checks = identity_range(*args)
+        yield next(checks)
+        assert out.writes == ["x=0 equal\n"]
+        yield from checks
+
+    monkeypatch.setattr(umbral, "identity_range", checks)
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["identity", "--r", "2", "--k", "3", "--x-max", "20"]) == 0
+    assert "".join(out.writes) == \
+        "".join(f"x={x} equal\n" for x in range(21)) + "checked 21 values, 0 mismatches\n"
+
+
+def test_identity_lines_are_written_in_blocks(monkeypatch):
+    out = _WriteLog()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["identity", "--r", "2", "--k", "3", "--x-max", "6000"]) == 0
+    lines = "".join(out.writes).splitlines()
+    assert lines == [f"x={x} equal" for x in range(6001)] + ["checked 6001 values, 0 mismatches"]
+    assert len(out.writes) <= -(-6002 // 256) + 2
+
+
+def test_witness_lines_are_written_in_blocks(monkeypatch):
+    out = _WriteLog()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["witness", "--large", "--r", "2", "--k", "2", "--count", "800"]) == 0
+    lines = "".join(out.writes).splitlines()
+    assert len(lines) == 6 * 800 and lines.count("verdict = negative") == 800
+    assert out.writes[0] == "x = 11\n" and len(out.writes) <= -(-4800 // 256) + 2
+
+
+def test_identity_mismatch_written_in_blocks_keeps_its_line_and_status(monkeypatch):
+    from rfree import lattice
+
+    original = lattice.count_progression
+
+    def off_by_one(r, k, xs, table):
+        return [V + (x == 500) for x, V in zip(xs, original(r, k, xs, table))]
+
+    monkeypatch.setattr(lattice, "count_progression", off_by_one)
+    out = _WriteLog()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["identity", "--r", "2", "--k", "2", "--x-max", "600"]) == 1
+    lines = "".join(out.writes).splitlines()
+    assert len(lines) == 602 and lines[-1] == "checked 601 values, 1 mismatches"
+    assert [line for line in lines if "MISMATCH" in line] == [lines[500]]
+    assert lines[500].startswith("x=500 MISMATCH umbral=")
+    assert len(out.writes) <= -(-602 // 256) + 2
 
 
 def test_csv_rows_drawn_before_an_exception_are_written():

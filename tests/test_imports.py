@@ -1,0 +1,87 @@
+"""Each CLI subcommand loads only the rfree modules it runs, and the
+package's public names load their module on first use."""
+
+import importlib
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+import rfree
+from rfree.cli import CSV_COLUMNS
+from rfree.lattice import RowDigits
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+
+def _fresh(code: str) -> str:
+    # -S: no site hooks, which could import modules themselves
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, env=env,
+                          timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    return proc.stdout.decode()
+
+
+LOADED = "print(' '.join(sorted(m for m in sys.modules if m.startswith('rfree.'))))"
+
+
+def test_importing_the_cli_loads_no_computing_module():
+    assert _fresh("import sys, rfree.cli; " + LOADED).split() == ["rfree.cli", "rfree.errors"]
+
+
+@pytest.mark.parametrize(
+    "argv,modules",
+    [
+        ("zeta --s 4", "arith"),
+        ("count --r 2 --k 2 --x 10", "arith lattice"),
+        ("jordan --n 12 --r 1 --k 2", "arith jordan"),
+        ("partial-sum --x 10 --r 1 --k 2", "arith jordan"),
+        ("witness --large --r 2 --k 2 --count 2", "arith omega"),
+        ("scan --r 2 --k 2 --x-min 2 --x-max 3", "arith lattice omega"),
+        ("identity --r 2 --k 2 --x-max 3", "arith jordan lattice umbral"),
+    ],
+)
+def test_each_subcommand_loads_only_what_it_runs(argv, modules):
+    code = ("import io, sys, contextlib, rfree.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert rfree.cli.main({argv.split()!r}) == 0\n" + LOADED)
+    expected = sorted(["rfree.cli", "rfree.errors", *(f"rfree.{m}" for m in modules.split())])
+    assert _fresh(code).split() == expected
+
+
+def test_report_loads_no_lattice():
+    code = ("import io, sys, contextlib, rfree.cli\n"
+            "sys.stdin = io.StringIO('x,V,main_term,error,normalized_error,density\\n'\n"
+            "                        '2,8,1.0,1.0,1.0,1.0\\n3,8,1.0,1.0,2.0,1.0\\n')\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert rfree.cli.main(['report', '--split', '3']) == 0\n" + LOADED)
+    assert _fresh(code).split() == ["rfree.arith", "rfree.cli", "rfree.errors", "rfree.omega"]
+
+
+def test_public_names_are_their_modules_objects():
+    for name in rfree.__all__:
+        value = getattr(rfree, name)
+        home = importlib.import_module(value.__module__)
+        assert getattr(home, name) is value, name
+        assert home.__name__.startswith("rfree.")
+    assert set(dir(rfree)) >= set(rfree.__all__)
+    with pytest.raises(AttributeError):
+        rfree.no_such_name
+
+
+def test_jordan_names_the_function_after_its_module_loads():
+    # loading rfree.jordan (here through rfree.umbral) binds the submodule on
+    # the package unless the package keeps the function's name
+    code = ("import sys, rfree.umbral\n"
+            "from rfree import jordan\n"
+            "import rfree\n"
+            "print(callable(jordan), jordan is sys.modules['rfree.jordan'].jordan, rfree.jordan is jordan)")
+    assert _fresh(code) == "True True True\n"
+
+
+def test_csv_columns_are_the_record_fields():
+    assert CSV_COLUMNS == ["x", "V", *RowDigits._fields]

@@ -18,7 +18,7 @@ from rfree import (
 from rfree.arith import primes_upto, rfree_sieve
 from rfree.errors import InvariantViolationError, ResourceLimitError
 from rfree.jordan import jordan_segment, partial_sum_range
-from rfree.lattice import MAX_SCAN_RECORDS
+from rfree.arith import MAX_SCAN_RECORDS
 
 jordan_module = importlib.import_module("rfree.jordan")  # rfree.jordan is the function
 

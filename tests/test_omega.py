@@ -15,6 +15,7 @@ from rfree import (
     error_scan,
     frac_sum,
     certify_witness,
+    certify_witnesses,
     mertens_residual,
     mertens_residual_scan,
     omega_ratio_report,
@@ -239,7 +240,7 @@ def test_witness_large_sequences():
 
 def test_witness_large_count_has_a_budget():
     with pytest.raises(ResourceLimitError, match="witness would certify 1000001 values, limit is 1000000"):
-        witness_large(2, 2, lattice.MAX_SCAN_RECORDS + 1)
+        witness_large(2, 2, omega.MAX_SCAN_RECORDS + 1)
 
 
 def test_witness_large_rejects_small_rk():
@@ -276,6 +277,26 @@ def test_certify_witness_x11():
     assert rep.verdict == "negative"
     assert rep.target_bound == Fraction(-1, 32) + Fraction(1, 64)
     assert rep.upper_bound < rep.target_bound
+
+
+def test_certify_witnesses_match_one_at_a_time_from_one_sieve(monkeypatch):
+    xs = witness_large(3, 2, 30) + [witness_small(2, 1)]
+    expected = [certify_witness(x, 3, 2, cutoff=60) for x in xs]
+    sieve, limits = omega.sieve_mobius, []
+    monkeypatch.setattr(omega, "sieve_mobius", lambda n: limits.append(n) or sieve(n))
+    assert list(certify_witnesses(xs, 3, 2, cutoff=60)) == expected
+    assert limits == [60]
+    assert list(certify_witnesses([], 3, 2)) == []
+
+
+def test_certify_witnesses_check_the_guard_then_the_budget_before_any_sieve(monkeypatch):
+    monkeypatch.setattr(omega, "sieve_mobius", lambda n: pytest.fail("sieved"))
+    x = witness_small(2, 1)
+    with pytest.raises(ResourceLimitError, match="frac-sum over d <= 100001 exceeds"):
+        next(certify_witnesses([x], 2, 1, cutoff=100_001))
+    monkeypatch.setattr(omega, "WITNESS_WORK_LIMIT", 2 * 100_000 - 1)
+    with pytest.raises(ResourceLimitError, match="needs 2 x 100000 frac-sum terms, limit is 199999"):
+        next(certify_witnesses([x, x], 2, 1, cutoff=100_000))
 
 
 def test_certify_witness_large_branch_sweep(tables):
