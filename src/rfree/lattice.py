@@ -82,6 +82,8 @@ class RowScale(NamedTuple):
 
 def row_scale(s: int, precision: Fraction) -> RowScale:
     """The RowScale of 1/zeta(s) at ``precision``, printed to its digit count."""
+    if s < 2:
+        raise ValueError(f"r*k = {s} has no main term: (2x)^k/zeta(rk) needs r*k >= 2")
     places = decimal_places(precision)
     reciprocal = zeta_value(s, Fraction(precision)).reciprocal()
     unit, mid, rad = 10**places, reciprocal.mid, reciprocal.radius

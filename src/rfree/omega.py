@@ -7,14 +7,16 @@ The central sum, in normalized form, is
 
 with the fractional part computed as (x mod d^r) / d^r by big-integer
 modulus, never by floating division. The constructed witnesses can run to
-seventy-plus digits, where floats carry no information at all.
+seventy-plus digits, where floats carry no information at all. Exact sums
+add integers over one denominator L = P^(r(i+j)), so one limit bounds each
+sum and witness list by its d range and the size of L: frac_sum_work.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import NamedTuple
@@ -31,11 +33,9 @@ from .arith import (
 )
 from .errors import EmptyWindowError, ResourceLimitError
 
-EXACT_ROOT_LIMIT = 10**5
-# Most d-steps of the exact frac-sums over one witness list, counted as the
-# list's length times the largest d range: --large --r 2 --k 2 --count 20000
-# takes 5.7e6 and runs, --count 30000 would take 1.04e7.
-WITNESS_WORK_LIMIT = 10**7
+# Most frac_sum_work per exact sum or witness list; the largest accepted
+# ones take about 6.5-9 s of CPU on a 2-vCPU x86 VM (README, `witness`).
+FRAC_SUM_WORK_LIMIT = 2 * 10**10
 _SCALE = 10**45        # fixed-point denominator for residual enclosures
 _ROOT_SCALE = 10**12   # fixed-point denominator for real r-th roots
 
@@ -56,14 +56,21 @@ class FracSumParams(namedtuple("FracSumParams", "r j i x")):
         return super().__new__(cls, r, j, i, x)
 
 
-def _exact_range(top: int) -> int:
-    # the one guard on an exact frac-sum's d range
-    if top > EXACT_ROOT_LIMIT:
+def frac_sum_work(n: int, top: int, e: int) -> int:
+    """Work units of n exact sums over d <= top on L = P^e, P the
+    primorial of top: n (top bits + bits^2/64 + 10^5), with
+    bits = 1.4662 e top + 1 >= the bit length of L by theta(t) < 1.01624 t
+    (Rosser & Schoenfeld, 1962); at least one unit per d-step, e = 0 too."""
+    bits = 14662 * e * top // 10000 + 1
+    return n * (top * bits + bits * bits // 64 + 10**5)
+
+
+def _check_work(n: int, top: int, e: int) -> None:
+    # the one limit on exact frac-sums, checked before any primes or sieve
+    if (work := frac_sum_work(n, top, e)) > FRAC_SUM_WORK_LIMIT:
         raise ResourceLimitError(
-            f"frac-sum over d <= {top} exceeds exact-sum guard {EXACT_ROOT_LIMIT}; "
-            f"truncate at a smaller cutoff"
-        )
-    return top
+            f"{n} exact frac-sum(s) over d <= {top} on P^{e} need {work} work units, "
+            f"limit is {FRAC_SUM_WORK_LIMIT}; pass a smaller cutoff or fewer x")
 
 
 def _frac_sum_upto(params: FracSumParams, top: int, table: MobiusTable | None) -> Fraction:
@@ -71,13 +78,13 @@ def _frac_sum_upto(params: FracSumParams, top: int, table: MobiusTable | None) -
     # (sieved to top when None). The terms are integers over one denominator
     # L = P^(r(i+j)), P the product of the primes <= top: every squarefree
     # d <= top divides P, so d^(r(i+j)) divides L.
-    _exact_range(top)
+    e = params.r * (params.i + params.j)
+    _check_work(1, top, e)
     if table is None:
         table = sieve_mobius(max(top, 1))
     table.require(top)
     r, i, x, mu = params.r, params.i, params.x, table.mu
-    e = r * (i + params.j)
-    L = math.prod(primes_upto(top)) ** e
+    L = math.prod(primes_upto(top)) ** e if e else 1
     total = 0
     for d in range(1, top + 1):
         if mu[d]:
@@ -89,10 +96,8 @@ def _frac_sum_upto(params: FracSumParams, top: int, table: MobiusTable | None) -
 
 def frac_sum(params: FracSumParams, table: MobiusTable) -> Fraction:
     """The full sum over d <= floor(x^(1/r)), exactly, with mu from ``table``.
-
-    Guarded at floor(x^(1/r)) <= EXACT_ROOT_LIMIT; beyond that use
-    truncated_frac_sum.
-    """
+    Past FRAC_SUM_WORK_LIMIT it raises ResourceLimitError before any work;
+    truncated_frac_sum takes a cutoff."""
     return _frac_sum_upto(params, integer_root(params.x, params.r), table)
 
 
@@ -105,8 +110,8 @@ def truncated_frac_sum(
     <= D^(1-rj)/(rj - 1), needing rj >= 2. Only x mod d^r for d <= cutoff is
     computed, so x may be arbitrarily large. When cutoff already covers
     floor(x^(1/r)) the tail is exactly zero. The finite part reads mu from
-    ``table``, or sieves it when None, to min(cutoff, floor(x^(1/r))),
-    which must not exceed EXACT_ROOT_LIMIT.
+    ``table``, or sieves it when None, to min(cutoff, floor(x^(1/r))), if
+    its frac_sum_work is within FRAC_SUM_WORK_LIMIT (else ResourceLimitError).
     """
     rj = params.r * params.j
     if rj < 2:
@@ -123,12 +128,12 @@ def truncated_frac_sum(
 # Witness constructions
 # ---------------------------------------------------------------------------
 
-def witness_large(r: int, k: int, count: int) -> list[int]:
+def witness_large(r: int, k: int, count: int) -> range:
     """First ``count`` integers >= 3^r congruent to 2^r - 1 mod 2^r.
 
     At these x the fractional-part sum with weight d^(-rk) is provably
-    negative; the construction needs r >= 2 and rk >= 4. A count above
-    MAX_SCAN_RECORDS raises ResourceLimitError before any work.
+    negative; the construction needs r >= 2 and rk >= 4. A range, so any
+    count is free until certify_witnesses bounds its work.
     """
     if r < 2:
         raise ValueError("witness construction requires r >= 2")
@@ -136,14 +141,10 @@ def witness_large(r: int, k: int, count: int) -> list[int]:
         raise ValueError("witness construction requires r*k >= 4")
     if count < 1:
         raise ValueError("count must be >= 1")
-    if count > MAX_SCAN_RECORDS:
-        raise ResourceLimitError(
-            f"witness would certify {count} values, limit is {MAX_SCAN_RECORDS}"
-        )
     modulus = 2**r
     start = 3**r
     first = start + (modulus - 1 - start) % modulus
-    return [first + n * modulus for n in range(count)]
+    return range(first, first + count * modulus, modulus)
 
 
 def witness_small(r: int, m: int) -> int:
@@ -191,8 +192,8 @@ def certify_witness(
 ) -> WitnessReport:
     """Evaluate sum_d mu(d) d^(-rk) {x/d^r} at a witness with certified tail.
 
-    cutoff=None evaluates exactly when floor(x^(1/r)) <= 1e5, else truncates
-    at 100; mu comes from ``table``, or is sieved when None. The applicable
+    cutoff=None is exact, and past FRAC_SUM_WORK_LIMIT raises ResourceLimitError
+    (pass a cutoff); mu comes from ``table``, or is sieved when None. The applicable
     target bound is -1/2^(rk+1) + 1/2^(r(k+1)) for r >= 2, rk >= 4, and
     -1/20 for the (r, k) in {(2,1), (3,1)} cases.
     At the witness_small(r, m) witnesses -1/20 is certified for r = 2 only
@@ -204,7 +205,7 @@ def certify_witness(
         raise ValueError("x must be >= 0")
     root = integer_root(x, r)
     if cutoff is None:
-        cutoff = root if 2 <= root <= EXACT_ROOT_LIMIT else 100
+        cutoff = max(2, root)
     params = FracSumParams(r=r, j=k, i=1, x=x)
     finite, tail = truncated_frac_sum(params, cutoff, table)
     upper = finite + tail
@@ -225,24 +226,21 @@ def certify_witness(
 
 
 def certify_witnesses(
-    xs: list[int], r: int, k: int, cutoff: int | None = None
+    xs: Sequence[int], r: int, k: int, cutoff: int | None = None
 ) -> Iterator[WitnessReport]:
     """certify_witness at each x of ``xs``, in order, from one mu table.
 
-    Every x sums over d <= min(cutoff, floor(x^(1/r))), with cutoff None
-    read as EXACT_ROOT_LIMIT, so len(xs) times that range at max(xs) bounds
-    the d-steps of the whole list. A range past the exact-sum guard, or
-    d-steps past WITNESS_WORK_LIMIT, raise ResourceLimitError when the first
-    report is drawn, before any sieve; otherwise mu is sieved once, to that
-    range.
+    Every x sums over d <= min(cutoff, floor(x^(1/r))), cutoff None meaning
+    exact as in certify_witness. The list's length and its largest x (read
+    from the ends of a range, which is never walked) bound its work: past
+    FRAC_SUM_WORK_LIMIT, ResourceLimitError is raised when the first report
+    is drawn, before any sieve; otherwise mu is sieved once, to that range.
     """
     if not xs:
         return
-    top = _exact_range(min(cutoff or EXACT_ROOT_LIMIT, integer_root(max(xs), r)))
-    if len(xs) * top > WITNESS_WORK_LIMIT:
-        raise ResourceLimitError(
-            f"witness needs {len(xs)} x {top} frac-sum terms, limit is {WITNESS_WORK_LIMIT}"
-        )
+    root = integer_root(max(xs[0], xs[-1]) if isinstance(xs, range) else max(xs), r)
+    top = root if cutoff is None else min(cutoff, root)
+    _check_work(len(xs), top, r * (k + 1))
     table = sieve_mobius(max(top, 1))
     for x in xs:
         yield certify_witness(x, r, k, cutoff, table)

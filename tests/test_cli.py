@@ -291,6 +291,14 @@ def test_scan_into_closed_pipe_exits_quietly():
     assert (proc.returncode, err) == (1, b"")
 
 
+@pytest.mark.parametrize("argv", [["count", "--r", "1", "--k", "1", "--x", "5"],
+                                  ["scan", "--r", "1", "--k", "1", "--x-min", "2", "--x-max", "5"]])
+def test_rk_1_has_no_main_term_and_says_so(capsys, argv):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: r*k = 1 has no main term: (2x)^k/zeta(rk) needs r*k >= 2\n"
+
+
 def test_count_oracle_over_budget_is_one_error_line(capsys):
     argv = ["count", "--r", "2", "--k", "3", "--x", "1000", "--oracle", "--budget", "10"]
     code, out, err = run_cli(argv, capsys)
@@ -439,6 +447,18 @@ _PEAK_RSS_KB = ("import os, subprocess, sys; child = subprocess.Popen(sys.argv[1
                 "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
 
 
+def _cli_peak_kb(*argv):
+    # (exit status, peak RSS in KB) of rfree.cli in a fresh process
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    command = [sys.executable, "-c", "import sys; from rfree.cli import main; sys.exit(main())",
+               *argv]
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", _PEAK_RSS_KB, *command],
+                          env=env, capture_output=True, text=True, check=True)
+    status, peak_kb = map(int, done.stdout.split())
+    return status, peak_kb
+
+
 def _report_peak_kb(tmp_path, rows):
     path = tmp_path / f"scan-{rows}.csv"
     with open(path, "w", encoding="utf-8") as fh:
@@ -446,13 +466,7 @@ def _report_peak_kb(tmp_path, rows):
         for x in range(10**6, 10**6 + rows):
             digits = f"{x:030d}"
             fh.write(f"{x},{4 * x * x},{4 * x * x}.{digits},-{x % 997}.{digits},0.{digits},0.{digits}\n")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    command = [sys.executable, "-c", "import sys; from rfree.cli import main; sys.exit(main())",
-               "report", "--split", str(10**6 + rows // 2), "--input", str(path)]
-    done = subprocess.run([sys.executable, "-I", "-S", "-c", _PEAK_RSS_KB, *command],
-                          env=env, capture_output=True, text=True, check=True)
-    status, peak_kb = map(int, done.stdout.split())
+    status, peak_kb = _cli_peak_kb("report", "--split", str(10**6 + rows // 2), "--input", str(path))
     assert status == 0
     return peak_kb
 
@@ -505,7 +519,9 @@ def test_witness_count_past_the_limit_fails_before_any_certificate(capsys, monke
     argv = ["witness", "--large", "--r", "2", "--k", "2", "--count", "1000001"]
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (1, "")
-    assert err == "error: witness would certify 1000001 values, limit is 1000000\n"
+    assert err == ("error: 1000001 exact frac-sum(s) over d <= 2000 on P^6 need "
+                   f"{rfree.omega.frac_sum_work(1000001, 2000, 6)} work units, "
+                   "limit is 20000000000; pass a smaller cutoff or fewer x\n")
 
 
 def test_witness_work_past_the_budget_fails_before_any_certificate(capsys, monkeypatch):
@@ -516,7 +532,31 @@ def test_witness_work_past_the_budget_fails_before_any_certificate(capsys, monke
     argv = ["witness", "--large", "--r", "2", "--k", "2", "--count", "1000000"]
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (1, "")
-    assert err == "error: witness needs 1000000 x 2000 frac-sum terms, limit is 10000000\n"
+    assert err.startswith("error: 1000000 exact frac-sum(s) over d <= 2000 on P^6 need ")
+    assert err.count("\n") == 1 and "limit is 20000000000" in err
+
+
+@pytest.mark.parametrize("k, count", [(60, 10000), (200, 3000)])
+def test_witness_large_k_past_the_work_limit_fails_before_any_certificate(capsys, monkeypatch, k, count):
+    # within the old count and d-step limits, these lists ran for 103 s and 87 s
+    import rfree.omega
+
+    monkeypatch.setattr(rfree.omega, "certify_witness", lambda *args, **kw: pytest.fail("certified"))
+    monkeypatch.setattr(rfree.omega, "sieve_mobius", lambda n: pytest.fail("sieved"))
+    argv = ["witness", "--large", "--r", "2", "--k", str(k), "--count", str(count)]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {count} exact frac-sum(s) over d <= ")
+    assert err.count("\n") == 1 and err.endswith("pass a smaller cutoff or fewer x\n")
+
+
+def test_refused_witness_list_costs_no_memory():
+    # the list is a range, so a refused --count 1000000 peaks as --count 1 does
+    status, one = _cli_peak_kb("witness", "--large", "--r", "2", "--k", "2", "--count", "1")
+    assert status == 0
+    status, refused = _cli_peak_kb("witness", "--large", "--r", "2", "--k", "2", "--count", "1000000")
+    assert status == 1
+    assert abs(refused - one) <= 1024, (one, refused)
 
 
 def test_witness_sieves_once_per_run(capsys, monkeypatch):
@@ -578,7 +618,8 @@ def test_witness_cutoff_past_the_guard_fails_before_output(capsys, monkeypatch):
     argv = ["witness", "--small", "--r", "2", "--m", "1", "--cutoff", "20000000"]
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (1, "")
-    assert err.startswith("error: frac-sum over d <= 20000000 exceeds exact-sum guard 100000")
+    assert err.startswith("error: 1 exact frac-sum(s) over d <= 20000000 on P^4 need ")
+    assert err.count("\n") == 1 and "limit is 20000000000" in err
 
 
 @pytest.fixture

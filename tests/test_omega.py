@@ -1,3 +1,4 @@
+import math
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -27,7 +28,7 @@ from rfree import (
     witness_small,
     zeta_value,
 )
-from rfree.arith import integer_root, ln_decimal, mobius
+from rfree.arith import integer_root, ln_decimal, mobius, primes_upto
 from rfree.errors import ResourceLimitError
 from rfree.lattice import SCAN_CHUNK
 
@@ -144,28 +145,57 @@ def test_frac_sum_builds_one_fraction(monkeypatch, tables):
     assert len(built) == 1
 
 
+def _largest_accepted(work):
+    # the largest n >= 0 with work(n) <= FRAC_SUM_WORK_LIMIT, work increasing in n
+    lo, hi = 0, 1
+    while work(hi) <= omega.FRAC_SUM_WORK_LIMIT:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if work(mid) <= omega.FRAC_SUM_WORK_LIMIT else (lo, mid)
+    return lo
+
+
 def test_frac_sum_guard_rejects_before_any_work(monkeypatch):
     small, witness = sieve_mobius(10), witness_small(2, 1)
     monkeypatch.setattr(omega, "sieve_mobius", lambda n: pytest.fail("sieved"))
     monkeypatch.setattr(omega, "primes_upto", lambda n: pytest.fail("primes listed"))
     big = FracSumParams(r=2, j=1, i=1, x=10**40)
-    message = f"frac-sum over d <= {omega.EXACT_ROOT_LIMIT + 1} exceeds exact-sum guard"
+    # the first cutoff past the limit for one sum on L = P^4
+    top = _largest_accepted(lambda t: omega.frac_sum_work(1, t, 4)) + 1
+    message = (rf"^1 exact frac-sum\(s\) over d <= {top} on P\^4 need "
+               rf"{omega.frac_sum_work(1, top, 4)} work units, limit is 20000000000; "
+               rf"pass a smaller cutoff or fewer x$")
     with pytest.raises(ResourceLimitError, match=message):
-        truncated_frac_sum(big, omega.EXACT_ROOT_LIMIT + 1)
-    with pytest.raises(ResourceLimitError, match="frac-sum over d <= 100000000000000000000 "):
+        truncated_frac_sum(big, top)
+    with pytest.raises(ResourceLimitError, match=r"over d <= 100000000000000000000 on P\^4 "):
         frac_sum(big, small)
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match=r"over d <= 20000000 on P\^4 "):
         certify_witness(witness, 2, 1, cutoff=2 * 10**7)
 
 
 def test_frac_sum_guard_counts_terms(monkeypatch):
-    # the guard is on min(cutoff, floor(x^(1/r))) terms, not on x or cutoff
-    monkeypatch.setattr(omega, "EXACT_ROOT_LIMIT", 50)
+    # the limit is on min(cutoff, floor(x^(1/r))) terms and the size of L,
+    # not on x or cutoff
+    monkeypatch.setattr(omega, "FRAC_SUM_WORK_LIMIT", omega.frac_sum_work(1, 50, 4))
     p = FracSumParams(r=2, j=1, i=1, x=witness_small(2, 1))
     assert truncated_frac_sum(p, 50)[0] == _per_term_frac_sum(p, 50)
     with pytest.raises(ResourceLimitError):
         truncated_frac_sum(p, 51)
     assert truncated_frac_sum(FracSumParams(r=2, j=1, i=1, x=2500), 10**6)[1] == 0
+    # the same 50 terms on the larger L = P^6
+    with pytest.raises(ResourceLimitError, match=r"over d <= 50 on P\^6 "):
+        truncated_frac_sum(p._replace(j=2), 50)
+
+
+def test_frac_sum_work_counts_the_bits_of_every_d_step():
+    # at least one unit per bit of L = P^e per d-step, and per d-step when
+    # e = 0; n sums cost n times one
+    for top in (1, 2, 10, 97, 1000):
+        for e in (0, 1, 4, 6, 122, 402):
+            bits = (math.prod(primes_upto(top)) ** e).bit_length()
+            assert omega.frac_sum_work(1, top, e) >= top * max(bits, 1)
+            assert omega.frac_sum_work(3, top, e) == 3 * omega.frac_sum_work(1, top, e)
 
 
 # ---------------------------------------------------------------------------
@@ -233,14 +263,33 @@ def test_truncated_primorial_witness_cross_check(tables):
 # ---------------------------------------------------------------------------
 
 def test_witness_large_sequences():
-    assert witness_large(2, 2, 3) == [11, 15, 19]
-    assert witness_large(3, 2, 1) == [31]
-    assert witness_large(2, 3, 2) == [11, 15]
+    assert witness_large(2, 2, 3) == range(11, 23, 4)
+    assert list(witness_large(2, 2, 3)) == [11, 15, 19]
+    assert list(witness_large(3, 2, 1)) == [31]
+    assert list(witness_large(2, 3, 2)) == [11, 15]
 
 
-def test_witness_large_count_has_a_budget():
-    with pytest.raises(ResourceLimitError, match="witness would certify 1000001 values, limit is 1000000"):
-        witness_large(2, 2, omega.MAX_SCAN_RECORDS + 1)
+def test_witness_large_count_has_a_budget(monkeypatch):
+    # any count is a range at once, and certify_witnesses reads its length
+    # and largest x from its ends: a walk of 10^15 x would not end
+    assert isinstance(witness_large(2, 2, 1), range)
+    xs = witness_large(2, 2, 10**15)
+    assert (len(xs), xs[-1]) == (10**15, 11 + 4 * (10**15 - 1))
+    monkeypatch.setattr(omega, "sieve_mobius", lambda n: pytest.fail("sieved"))
+    with pytest.raises(ResourceLimitError, match=r"^1000000000000000 exact frac-sum\(s\) "):
+        next(certify_witnesses(xs, 2, 2))
+    with pytest.raises(ResourceLimitError, match=r"^1000001 exact frac-sum\(s\) over d <= 2000 on P\^6 "):
+        next(certify_witnesses(witness_large(2, 2, 10**6 + 1), 2, 2))
+
+
+def test_the_largest_accepted_k2_witness_list_has_at_least_20000_x():
+    # from the work function alone, without certifying the list
+    def work(n):
+        return omega.frac_sum_work(n, integer_root(witness_large(2, 2, n)[-1], 2), 6)
+
+    n = _largest_accepted(work)
+    assert n >= 20_000
+    assert work(n) <= omega.FRAC_SUM_WORK_LIMIT < work(n + 1)
 
 
 def test_witness_large_rejects_small_rk():
@@ -280,7 +329,7 @@ def test_certify_witness_x11():
 
 
 def test_certify_witnesses_match_one_at_a_time_from_one_sieve(monkeypatch):
-    xs = witness_large(3, 2, 30) + [witness_small(2, 1)]
+    xs = [*witness_large(3, 2, 30), witness_small(2, 1)]
     expected = [certify_witness(x, 3, 2, cutoff=60) for x in xs]
     sieve, limits = omega.sieve_mobius, []
     monkeypatch.setattr(omega, "sieve_mobius", lambda n: limits.append(n) or sieve(n))
@@ -289,14 +338,30 @@ def test_certify_witnesses_match_one_at_a_time_from_one_sieve(monkeypatch):
     assert list(certify_witnesses([], 3, 2)) == []
 
 
-def test_certify_witnesses_check_the_guard_then_the_budget_before_any_sieve(monkeypatch):
+def test_certify_witnesses_check_the_work_before_any_sieve(monkeypatch):
     monkeypatch.setattr(omega, "sieve_mobius", lambda n: pytest.fail("sieved"))
     x = witness_small(2, 1)
-    with pytest.raises(ResourceLimitError, match="frac-sum over d <= 100001 exceeds"):
-        next(certify_witnesses([x], 2, 1, cutoff=100_001))
-    monkeypatch.setattr(omega, "WITNESS_WORK_LIMIT", 2 * 100_000 - 1)
-    with pytest.raises(ResourceLimitError, match="needs 2 x 100000 frac-sum terms, limit is 199999"):
-        next(certify_witnesses([x, x], 2, 1, cutoff=100_000))
+    with pytest.raises(ResourceLimitError, match=r"^1 exact frac-sum\(s\) over d <= 100000 on P\^4 "):
+        next(certify_witnesses([x], 2, 1, cutoff=100_000))
+    # two sums that each fit, but not together
+    monkeypatch.setattr(omega, "FRAC_SUM_WORK_LIMIT", 2 * omega.frac_sum_work(1, 1000, 4) - 1)
+    with pytest.raises(ResourceLimitError, match=r"^2 exact frac-sum\(s\) over d <= 1000 on P\^4 "):
+        next(certify_witnesses([x, x], 2, 1, cutoff=1000))
+
+
+def test_certify_witness_without_a_cutoff_is_exact_or_refused(monkeypatch):
+    # cutoff None means exact in certify_witness and certify_witnesses alike:
+    # past the limit both raise, naming the cutoff, and x = 3 (one d) is exact
+    rep = certify_witness(3, 2, 2)
+    assert (rep.finite_part, rep.tail_bound, rep.verdict) == (0, 0, "inconclusive")
+    assert list(certify_witnesses([3], 2, 2)) == [rep]
+    x = witness_small(2, 1)
+    monkeypatch.setattr(omega, "sieve_mobius", lambda n: pytest.fail("sieved"))
+    monkeypatch.setattr(omega, "primes_upto", lambda n: pytest.fail("primes listed"))
+    with pytest.raises(ResourceLimitError, match="pass a smaller cutoff"):
+        certify_witness(x, 2, 1)
+    with pytest.raises(ResourceLimitError, match="pass a smaller cutoff"):
+        next(certify_witnesses([x], 2, 1))
 
 
 def test_certify_witness_large_branch_sweep(tables):
