@@ -27,8 +27,8 @@ _HOMES = {
     "omega": ("FracSumParams", "OmegaRatioReport", "WitnessReport", "certify_witness",
               "certify_witnesses", "error_scan", "frac_sum", "mertens_residual",
               "mertens_residual_scan", "omega_ratio_report", "proposition_residual",
-              "proposition_residual_scan", "truncated_frac_sum", "witness_large",
-              "witness_small"),
+              "proposition_residual_scan", "scan_rows", "truncated_frac_sum",
+              "witness_large", "witness_small"),
     "umbral": ("IdentityCheck", "identity_check", "umbral_coefficients", "umbral_eval"),
 }
 _MODULE_OF = {name: module for module, names in _HOMES.items() for name in names}

@@ -94,25 +94,26 @@ def _write_blocks(pieces, out) -> None:
             out.write("".join(pending))
 
 
-def records_to_csv(records, out) -> None:
-    """Write the header and the first row at once, then the later rows in
-    blocks of BLOCK_ROWS lines, holding no more than one block."""
+def records_to_csv(rows, out) -> None:
+    """Write the header and the first row, a tuple of CSV_COLUMNS fields, at
+    once, then the later rows in blocks of BLOCK_ROWS lines, holding no more
+    than one block."""
     # No field holds a comma, quote or newline, so these lines are csv.writer's
     # without its per-character quoting scan, which cost more than a row's digits.
     def lines():
         head = ",".join(CSV_COLUMNS) + "\n"
-        for rec in records:
-            yield head + ",".join(record_fields(rec)) + "\n"
+        for row in rows:
+            yield head + ",".join(row) + "\n"
             head = ""
-        if head:  # no record: the header alone
+        if head:  # no row: the header alone
             yield head
 
     _write_blocks(lines(), out)
 
 
-def records_to_json(records, out) -> None:
-    """Write the records as json.dumps(list, indent=2) does, plus a newline,
-    one object per record: the first at once, then blocks of BLOCK_ROWS,
+def records_to_json(rows, out) -> None:
+    """Write the rows, tuples of CSV_COLUMNS fields, as json.dumps(dicts,
+    indent=2) does, plus a newline: the first at once, then blocks of BLOCK_ROWS,
     holding no more than one block. A scan that fails part-way leaves the
     objects written so far, an array without its closing bracket."""
     from json.encoder import encode_basestring_ascii as quoted  # json.dumps's quoting
@@ -122,8 +123,8 @@ def records_to_json(records, out) -> None:
 
     def pieces():
         sep = "[\n  "
-        for rec in records:
-            yield sep + layout.format(*map(quoted, record_fields(rec)))
+        for row in rows:
+            yield sep + layout.format(*map(quoted, row))
             sep = ",\n  "
         yield "[]\n" if sep == "[\n  " else "\n]\n"
 
@@ -196,7 +197,8 @@ def _cmd_count(args, parser: argparse.ArgumentParser) -> int:
     rec = count_record(params, args.precision)
     oracle = count_oracle(params, budget=args.budget) if args.oracle else None
     if args.format != "text":
-        (records_to_json if args.format == "json" else records_to_csv)([rec], sys.stdout)
+        render = records_to_json if args.format == "json" else records_to_csv
+        render([record_fields(rec)], sys.stdout)
         return 0 if oracle in (None, rec.V) else 1
     print(f"r={args.r} k={args.k} x={args.x}")
     for name, value in zip(CSV_COLUMNS[1:], record_fields(rec)[1:]):
@@ -259,36 +261,36 @@ def _cmd_identity(args, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_scan(args, parser: argparse.ArgumentParser) -> int:
-    from .omega import error_scan
+    from .omega import scan_rows
 
     if args.x_min > args.x_max:
         parser.error("--x-min must not exceed --x-max")
-    records = error_scan(
+    rows = scan_rows(
         args.r, args.k, args.x_min, args.x_max, step=args.step, precision=args.precision
     )
-    # Drawing the first record checks the arguments before any output.
-    records = chain([next(records)], records)
+    # Drawing the first row checks the arguments before any output.
+    rows = chain([next(rows)], rows)
     render = records_to_json if args.format == "json" else records_to_csv
     if args.output is None:
-        render(records, sys.stdout)
+        render(rows, sys.stdout)
     else:
         with open(args.output, "w", encoding="utf-8") as out:
-            render(records, out)
+            render(rows, out)
     return 0
 
 
-def _certificate(rep) -> list[str]:
-    """The lines of one omega.WitnessReport."""
-    lines = [
-        f"x = {rep.x}",
-        f"finite_part = {rep.finite_part} ({_frac_sci(rep.finite_part)})",
-        f"tail_bound = {rep.tail_bound} ({_frac_sci(rep.tail_bound)})",
-        f"upper_bound = {rep.upper_bound} ({_frac_sci(rep.upper_bound)})",
-        f"verdict = {rep.verdict}",
-    ]
+def _certificate(rep, target: str | None) -> list[str]:
+    """The lines of one omega.WitnessReport; ``target``, its target_bound's
+    text, is the same for every report of a list."""
+    finite = f"{rep.finite_part} ({_frac_sci(rep.finite_part)})"
+    # with no tail the upper bound is the finite part
+    upper = f"{rep.upper_bound} ({_frac_sci(rep.upper_bound)})" if rep.tail_bound else finite
+    lines = [f"x = {rep.x}", f"finite_part = {finite}",
+             f"tail_bound = {rep.tail_bound} ({_frac_sci(rep.tail_bound)})",
+             f"upper_bound = {upper}", f"verdict = {rep.verdict}"]
     if rep.target_bound is not None:
         lines.append(
-            f"target_bound = {rep.target_bound} ({_frac_sci(rep.target_bound)})"
+            f"target_bound = {target}"
             f" met = {'true' if rep.upper_bound < rep.target_bound else 'false'}"
         )
     return lines
@@ -322,9 +324,12 @@ def _cmd_witness(args, parser: argparse.ArgumentParser) -> int:
 
     def lines():
         nonlocal inconclusive
+        target = None
         for rep in certify_witnesses(xs, args.r, k, cutoff):
             inconclusive += not rep.negative
-            for line in _certificate(rep):
+            if target is None and rep.target_bound is not None:
+                target = f"{rep.target_bound} ({_frac_sci(rep.target_bound)})"
+            for line in _certificate(rep, target):
                 yield line + "\n"
 
     _write_blocks(lines(), sys.stdout)
@@ -439,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x-max", dest="x_max", type=_nonneg_int, required=True)
     p.add_argument("--x-min", dest="x_min", type=_nonneg_int, default=0)
 
-    p = sub.add_parser("scan", help="CountRecord stream over an x range")
+    p = sub.add_parser("scan", help="count rows (V, main term, error) over an x range")
     p.add_argument("--r", type=_pos_int, required=True)
     p.add_argument("--k", type=_pos_int, required=True)
     p.add_argument("--x-min", dest="x_min", type=_pos_int, required=True)

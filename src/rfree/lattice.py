@@ -15,18 +15,19 @@ where T_e(x) = sum_d mu(d) q_d^e comes from MobiusTable.power_sums, the
 kernel that partial_sum_bernoulli reads too. count_progression takes one
 count from count_fast and the rest by an independent route, the increments
 V(y) - V(y-1). The error term is measured against (2x)^k / zeta(rk). A
-scan's records share one row_scale: 1/zeta(rk), midpoint N/D, with N 10^p
-and its radius 10^p for p printed places. A row's digits cost one divmod of
-(2x)^k N 10^p by D, whose quotient and remainder give the main term, the
-error and, over error_normalization's exact ratio, the normalized error,
-each rounded half-up; the exact enclosures are built only when read.
+scan's rows share one row_scale: 1/zeta(rk), midpoint N/D, with N 10^p
+and its radius 10^p for p printed places. In count_rows, the one row kernel,
+a row costs one divmod of (2x)^k N 10^p by D, whose quotient and remainder
+give the main term, the error and, over error_normalization's exact ratio,
+the normalized error, each rounded half-up and formatted as text;
+count_record wraps a row, whose exact enclosures are built only when read.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from decimal import Decimal
 from fractions import Fraction
 from itertools import product
@@ -38,8 +39,6 @@ from .arith import (
     Enclosure,
     MobiusTable,
     decimal_places,
-    fixed_point,
-    format_ratio,
     integer_root,
     ln_decimal,
     rfree_sieve,
@@ -251,23 +250,65 @@ def error_normalization(params: CountParams, places: int) -> tuple[int, int]:
     return x ** (k - 1), 1
 
 
-def count_record(
-    params: CountParams,
-    precision: Fraction = DEFAULT_PRECISION,
-    table: MobiusTable | None = None,
-    V: int | None = None,
-    scale: RowScale | None = None,
-) -> CountRecord:
-    """Assemble the full record for one (r, k, x).
+def count_rows(r: int, k: int, xs: Iterable[int], Vs: Iterable[int],
+               scale: RowScale) -> Iterator[tuple[str, ...]]:
+    """The fields x, V, main_term, error, normalized_error and density of
+    each x >= 1 of ``xs`` with its count from ``Vs``, as text: the midpoints
+    of the enclosures (2x)^k / zeta(rk) and V - main, of |error| over
+    error_normalization's ratio ("NaN" at (r, k, x) = (1, 2, 1)) and
+    V / (2x+1)^k, rounded half-up to the p places of ``scale``, the
+    row_scale(rk, precision) whose integers are read once per call."""
+    p, unit, N, D = scale.places, scale.unit, scale.mid_num, scale.mid_den
+    R, rad_den, rad_bits = scale.rad_num, scale.rad_den, scale.rad_den.bit_length()
+    fixed = f"%d.%0{p}d"  # units / 10^p as text, from divmod(units, 10^p)
+    log_norm = r == 1 and k == 2  # x log x
+    irrational = log_norm or (r >= 2 and k == 1)  # or x^(1/r)
+    for x, V in zip(xs, Vs):
+        size = (2 * x) ** k
+        q, rem = divmod(size * N, D)  # main_term 10^p = q + rem/D
+        # error 10^p = lead - rem/D, of magnitude whole + frac/D with 0 <= frac < D
+        lead = V * unit - q
+        if lead < 0 or (lead == 0 and rem > 0):
+            sign, whole, frac = "-", -lead, rem
+        elif rem:
+            sign, whole, frac = "", lead - 1, D - rem
+        else:
+            sign, whole, frac = "", lead, 0
+        if log_norm and x < 2:
+            # x log x vanishes at x = 1; the count is fine, the ratio is not.
+            normalized = "NaN"
+        else:
+            num, norm_den = (error_normalization(CountParams._make((r, k, x)), p)
+                             if irrational else (x ** (k - 1), 1))
+            # Enclosure.abs(): when the error ball, radius size R/R_den over 10^p,
+            # holds 0, |error| is [0, |mid| + radius] (bit lengths settle most rows)
+            wide = size * R
+            holds = (whole.bit_length() + rad_bits < wide.bit_length() + 2
+                     and (whole * D + frac) * rad_den < wide * D)
+            if norm_den == 1 and not holds:
+                # |error| 10^p / x^(k-1), with a, b = divmod(whole, x^(k-1))
+                a, b = divmod(whole, num)
+                units = a + (2 * b + (2 * frac >= D) >= num)
+            else:
+                top, bottom = whole * D + frac, D  # |error|'s midpoint 10^p = top/bottom
+                if holds:
+                    top, bottom = top * rad_den + wide * D, 2 * D * rad_den
+                a, b = divmod(top * norm_den, bottom * num)
+                units = a + (2 * b >= bottom * num)
+            normalized = fixed % divmod(units, unit)
+        box = (2 * x + 1) ** k
+        density, drem = divmod(V * unit, box)  # V / (2x+1)^k
+        yield (str(x), str(V), fixed % divmod(q + (2 * rem >= D), unit),
+               sign + fixed % divmod(whole + (2 * frac >= D), unit), normalized,
+               fixed % divmod(density + (2 * drem >= box), unit))
 
-    The main term (2x)^k / zeta(rk) and the error V - main are enclosures
-    propagating the zeta radius; the record prints their midpoints and
-    normalized_error, the midpoint of |error| over the case denominator, each
-    rounded half-up. ``scale`` is the row_scale(rk, precision) a scan shares;
-    without it, one is built from ``precision``.
-    ``V`` is the exact count when the caller already has it; otherwise
-    count_fast computes it from ``table``.
-    """
+
+def count_record(params: CountParams, precision: Fraction = DEFAULT_PRECISION,
+                 table: MobiusTable | None = None, V: int | None = None,
+                 scale: RowScale | None = None) -> CountRecord:
+    """The record of one (r, k, x), count_rows's row wrapped. ``scale`` is
+    the row_scale(rk, precision) a scan shares, built when None; ``V`` the
+    exact count, count_fast's from ``table`` when None."""
     x, k, r = params.x, params.k, params.r
     if x < 1:
         raise ValueError("count_record needs x >= 1")
@@ -277,43 +318,5 @@ def count_record(
         if table is None:
             table = sieve_mobius(max(integer_root(x, r), 1))
         V = count_fast(params, table)
-    places, D = scale.places, scale.mid_den
-    size = (2 * x) ** k
-    q, rem = divmod(size * scale.mid_num, D)  # main_term 10^p = q + rem/D
-    # error 10^p = lead - rem/D, of magnitude whole + frac/D with 0 <= frac < D
-    lead = V * scale.unit - q
-    negative = lead < 0 or (lead == 0 and rem > 0)
-    if negative:
-        whole, frac = -lead, rem
-    elif rem:
-        whole, frac = lead - 1, D - rem
-    else:
-        whole, frac = lead, 0
-    if r == 1 and k == 2 and x < 2:
-        # x log x vanishes at x = 1; the count is fine, the ratio is not.
-        normalized = "NaN"
-    else:
-        num, norm_den = error_normalization(params, places)
-        # Enclosure.abs(): when the error ball, radius size R/R_den over 10^p,
-        # holds 0, |error| is [0, |mid| + radius] (bit lengths settle most rows)
-        wide, rad_den = size * scale.rad_num, scale.rad_den
-        holds = (whole.bit_length() + rad_den.bit_length() < wide.bit_length() + 2
-                 and (whole * D + frac) * rad_den < wide * D)
-        if norm_den == 1 and not holds:
-            # |error| 10^p / x^(k-1), with a, b = divmod(whole, x^(k-1))
-            a, b = divmod(whole, num)
-            units = a + (2 * b + (2 * frac >= D) >= num)
-        else:
-            top, bottom = whole * D + frac, D  # |error|'s midpoint 10^p = top/bottom
-            if holds:
-                top, bottom = top * rad_den + wide * D, 2 * D * rad_den
-            a, b = divmod(top * norm_den, bottom * num)
-            units = a + (2 * b >= bottom * num)
-        normalized = fixed_point(units, places)
-    digits = RowDigits(
-        main_term=fixed_point(q + (2 * rem >= D), places),
-        error=fixed_point(whole + (2 * frac >= D), places, negative),
-        normalized_error=normalized,
-        density=format_ratio(V, (2 * x + 1) ** k, places),
-    )
-    return CountRecord(params, V, scale.reciprocal, places, digits)
+    (row,) = count_rows(r, k, (x,), (V,), scale)
+    return CountRecord(params, V, scale.reciprocal, scale.places, RowDigits._make(row[2:]))

@@ -10,6 +10,7 @@ modulus, never by floating division. The constructed witnesses can run to
 seventy-plus digits, where floats carry no information at all. Exact sums
 add integers over one denominator L = P^(r(i+j)), so one limit bounds each
 sum and witness list by its d range and the size of L: frac_sum_work.
+Error-term scans emit lattice.count_rows's fields (scan_rows) or CountRecords.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 from .arith import (
@@ -73,25 +75,36 @@ def _check_work(n: int, top: int, e: int) -> None:
             f"limit is {FRAC_SUM_WORK_LIMIT}; pass a smaller cutoff or fewer x")
 
 
+_KEPT_BITS = 2**26  # most top * (bits(L) + 1024 for a term's objects) kept: about 8 MB
+_kept: dict = {}  # (top, r, e): (L, terms) of the last sum within _KEPT_BITS
+
+
+def _frac_terms(top: int, r: int, e: int, mu: list[int]):
+    # L = P^e, P the product of the primes <= top, and (d^r, mu(d) L / d^e) for each
+    # squarefree d <= top (d^e | L). They depend on (top, r, e) alone, and a witness
+    # list's x share top in runs, so the last terms within _KEPT_BITS are kept.
+    if (kept := _kept.get((top, r, e))) is not None:
+        return kept
+    L = math.prod(primes_upto(top)) ** e if e else 1
+    terms = ((d**r, mu[d] * (L // d**e)) for d in range(1, top + 1) if mu[d])
+    if top * (L.bit_length() + 1024) > _KEPT_BITS:
+        return L, terms
+    _kept.clear()
+    _kept[top, r, e] = kept = L, tuple(terms)
+    return kept
+
+
 def _frac_sum_upto(params: FracSumParams, top: int, table: MobiusTable | None) -> Fraction:
     # sum_{d <= top} mu(d) d^(-rj) {x / d^r}^i, exactly, with mu from table
-    # (sieved to top when None). The terms are integers over one denominator
-    # L = P^(r(i+j)), P the product of the primes <= top: every squarefree
-    # d <= top divides P, so d^(r(i+j)) divides L.
+    # (sieved to top when None): the integers over L of _frac_terms.
     e = params.r * (params.i + params.j)
     _check_work(1, top, e)
     if table is None:
         table = sieve_mobius(max(top, 1))
     table.require(top)
-    r, i, x, mu = params.r, params.i, params.x, table.mu
-    L = math.prod(primes_upto(top)) ** e if e else 1
-    total = 0
-    for d in range(1, top + 1):
-        if mu[d]:
-            rem = x % d**r
-            if rem or not i:
-                total += mu[d] * rem**i * (L // d**e)
-    return Fraction(total, L)
+    x, i = params.x, params.i
+    L, terms = _frac_terms(top, params.r, e, table.mu)
+    return Fraction(sum([w * (x % dr) ** i for dr, w in terms]), L)
 
 
 def frac_sum(params: FracSumParams, table: MobiusTable) -> Fraction:
@@ -208,21 +221,22 @@ def certify_witness(
         cutoff = max(2, root)
     params = FracSumParams(r=r, j=k, i=1, x=x)
     finite, tail = truncated_frac_sum(params, cutoff, table)
-    upper = finite + tail
-    if r >= 2 and r * k >= 4:
-        target = Fraction(-1, 2 ** (r * k + 1)) + Fraction(1, 2 ** (r * (k + 1)))
-    elif k == 1 and r in (2, 3):
-        target = Fraction(-1, 20)
-    else:
-        target = None
+    upper = finite + tail if tail else finite
     return WitnessReport(
         x=x,
         finite_part=finite,
         tail_bound=tail,
         upper_bound=upper,
         verdict="negative" if upper < 0 else "inconclusive",
-        target_bound=target,
+        target_bound=_target_bound(r, k),
     )
+
+
+@lru_cache(maxsize=None)
+def _target_bound(r: int, k: int) -> Fraction | None:
+    if r >= 2 and r * k >= 4:
+        return Fraction(-1, 2 ** (r * k + 1)) + Fraction(1, 2 ** (r * (k + 1)))
+    return Fraction(-1, 20) if k == 1 and r in (2, 3) else None
 
 
 def certify_witnesses(
@@ -355,24 +369,8 @@ def proposition_residual_scan(
 # Error-term scans
 # ---------------------------------------------------------------------------
 
-def error_scan(
-    r: int,
-    k: int,
-    x_min: int,
-    x_max: int,
-    step: int = 1,
-    precision: Fraction = DEFAULT_PRECISION,
-    table: MobiusTable | None = None,
-) -> Iterator[CountRecord]:
-    """Emit a lattice.CountRecord per sampled x, in ascending order.
-
-    The counts come from count_range, chunk by chunk. Records are built
-    one per row as they are drawn, so the scan holds one chunk's counts,
-    O(x_max^(1/r)) integers like the Mobius table, for any number of rows.
-    Deterministic for fixed arguments: every quantity is exact or
-    derived from the same fixed-precision zeta enclosure. The arguments are
-    checked when the first record is drawn.
-    """
+def _scan(r, k, x_min, x_max, step, precision, table):
+    # a scan's checked xs, their counts (count_range, chunk by chunk) and row_scale
     if x_min < 2:
         raise ValueError("x_min must be >= 2")
     if x_max < x_min:
@@ -382,18 +380,41 @@ def error_scan(
     xs = range(x_min, x_max + 1, step)
     if len(xs) > MAX_SCAN_RECORDS:
         raise ResourceLimitError(
-            f"scan would emit {len(xs)} records, limit is {MAX_SCAN_RECORDS}"
-        )
+            f"scan would emit {len(xs)} records, limit is {MAX_SCAN_RECORDS}")
     # imported here, so that witness and report never load lattice
-    from .lattice import CountParams, count_range, count_record, row_scale
+    from .lattice import CountParams, count_range, row_scale
 
-    precision = Fraction(precision)
-    scale = row_scale(r * k, precision)
+    scale = row_scale(r * k, Fraction(precision))
     if table is None:
         table = sieve_mobius(integer_root(x_max, r))
     CountParams(r=r, k=k, x=x_min)  # checks r and k once; every x of xs is valid
-    for x, V in zip(xs, count_range(r, k, xs, table)):
-        yield count_record(CountParams._make((r, k, x)), V=V, scale=scale)
+    return xs, count_range(r, k, xs, table), scale
+
+
+def scan_rows(r: int, k: int, x_min: int, x_max: int, step: int = 1,
+              precision: Fraction = DEFAULT_PRECISION,
+              table: MobiusTable | None = None) -> Iterator[tuple[str, ...]]:
+    """Emit lattice.count_rows's row, its CSV fields, per sampled x in ascending
+    order, each made as it is drawn: the scan holds one chunk's counts,
+    O(x_max^(1/r)) integers like the Mobius table, for any number of rows.
+    Deterministic; the arguments are checked when the first row is drawn."""
+    from .lattice import count_rows
+
+    xs, counts, scale = _scan(r, k, x_min, x_max, step, precision, table)
+    yield from count_rows(r, k, xs, counts, scale)
+
+
+def error_scan(r: int, k: int, x_min: int, x_max: int, step: int = 1,
+               precision: Fraction = DEFAULT_PRECISION,
+               table: MobiusTable | None = None) -> Iterator[CountRecord]:
+    """scan_rows's rows as lattice.CountRecords, for callers that read the
+    enclosures; the checks, order and memory are scan_rows's."""
+    from .lattice import CountParams, CountRecord, RowDigits, count_rows
+
+    xs, counts, scale = _scan(r, k, x_min, x_max, step, precision, table)
+    for x, row in zip(xs, count_rows(r, k, xs, counts, scale)):
+        yield CountRecord(CountParams._make((r, k, x)), int(row[1]), scale.reciprocal,
+                          scale.places, RowDigits._make(row[2:]))
 
 
 class OmegaRatioReport(NamedTuple):

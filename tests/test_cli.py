@@ -19,7 +19,7 @@ from rfree.arith import format_fraction, integer_root
 from rfree.cli import (_frac_sci, main, parse_scan_csv, record_fields, records_to_csv,
                        records_to_json, CSV_COLUMNS)
 from rfree.lattice import SCAN_CHUNK, CountParams, count_fast, count_record, decimal_places
-from rfree.omega import error_scan
+from rfree.omega import error_scan, scan_rows
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -575,6 +575,32 @@ def test_witness_sieves_once_per_run(capsys, monkeypatch):
     assert limits == [12]
 
 
+def _certificate_text(rep):
+    # each line formatted on its own, as before texts were shared
+    lines = [f"x = {rep.x}"]
+    for name in ("finite_part", "tail_bound", "upper_bound"):
+        lines.append(f"{name} = {getattr(rep, name)} ({_frac_sci(getattr(rep, name))})")
+    lines.append(f"verdict = {rep.verdict}")
+    met = "true" if rep.upper_bound < rep.target_bound else "false"
+    lines.append(f"target_bound = {rep.target_bound} ({_frac_sci(rep.target_bound)}) met = {met}")
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("cutoff", [None, 9])
+def test_witness_list_across_tops_prints_every_certificate(capsys, monkeypatch, cutoff):
+    # x = 11..247 cross 12 tops, or 6 under --cutoff 9, which also mixes
+    # certificates with and without a tail
+    import rfree.omega
+
+    argv = ["witness", "--large", "--r", "2", "--k", "2", "--count", "60"]
+    code, out, _ = run_cli(argv + ([] if cutoff is None else ["--cutoff", str(cutoff)]), capsys)
+    monkeypatch.setattr(rfree.omega, "_KEPT_BITS", 0)
+    xs = rfree.omega.witness_large(2, 2, 60)
+    reports = [rfree.omega.certify_witness(x, 2, 2, cutoff) for x in xs]
+    assert code == 0 and out == "".join(map(_certificate_text, reports))
+    assert len({rep.tail_bound for rep in reports}) == (1 if cutoff is None else 2)
+
+
 def test_witness_large_rejects_small_rk(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["witness", "--large", "--r", "2", "--k", "1"])
@@ -885,6 +911,24 @@ def test_output_bytes_are_golden(capsys, monkeypatch, command):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_OUTPUTS[command]
 
 
+@pytest.mark.parametrize("command", sorted(c for c in GOLDEN_OUTPUTS if c.startswith("scan ")))
+def test_scan_builds_no_record(capsys, monkeypatch, command):
+    # CSV and JSON scans render count_rows's fields: no CountRecord, no
+    # count_record and no record_fields, and the golden bytes
+    import rfree.cli
+    import rfree.lattice
+
+    built = []
+    for module, name in ((rfree.lattice, "CountRecord"), (rfree.lattice, "count_record"),
+                         (rfree.cli, "record_fields")):
+        monkeypatch.setattr(module, name, lambda *args, name=name, **kw: built.append(name))
+    for name in ("PRECISION", "OUTPUT_FORMAT", "OUTPUT_PATH"):
+        monkeypatch.delenv(f"RFREE_{name}", raising=False)
+    code, out, _ = run_cli(command.split(), capsys)
+    assert (code, built) == (0, [])
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_OUTPUTS[command]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -1042,13 +1086,15 @@ def test_scan_rows_are_count_record_rows(tables, r, k, x_min, x_max, step, preci
     # a scan's shared row_scale and count_range counts give, across chunk
     # boundaries, the rows of count_record with its own count and scale
     out = io.StringIO()
-    records_to_csv(error_scan(r, k, x_min, x_max, step=step, precision=precision), out)
+    records_to_csv(scan_rows(r, k, x_min, x_max, step=step, precision=precision), out)
     table = tables(max(integer_root(x_max, r), 1))
     records = [count_record(CountParams(r=r, k=k, x=x), precision, table)
                for x in range(x_min, x_max + 1, step)]
     lines = [",".join(CSV_COLUMNS)]
     lines += [",".join(record_fields(rec)) for rec in records]
     assert out.getvalue() == "\n".join(lines) + "\n"
+    scanned = error_scan(r, k, x_min, x_max, step=step, precision=precision, table=table)
+    assert list(scanned) == records
     if precision == Fraction(1, 2):
         assert sum(rec.error.lo < 0 < rec.error.hi for rec in records) > 10
 
@@ -1066,17 +1112,13 @@ class _WriteLog:
         pass
 
 
-def _csv_row(rec):
-    return ",".join(record_fields(rec)) + "\n"
-
-
-def _csv_text(records):
-    return ",".join(CSV_COLUMNS) + "\n" + "".join(map(_csv_row, records))
+def _csv_text(rows):
+    return ",".join(CSV_COLUMNS) + "\n" + "".join(",".join(row) + "\n" for row in rows)
 
 
 def test_csv_header_and_first_row_are_written_before_the_second_record_is_drawn():
     out = _WriteLog()
-    first, *rest = error_scan(2, 2, 2, 20)
+    first, *rest = scan_rows(2, 2, 2, 20)
 
     def records():
         yield first
@@ -1087,13 +1129,13 @@ def test_csv_header_and_first_row_are_written_before_the_second_record_is_drawn(
     assert "".join(out.writes) == _csv_text([first, *rest])
 
 
-def _json_text(records):
-    return json.dumps([dict(zip(CSV_COLUMNS, record_fields(rec))) for rec in records], indent=2) + "\n"
+def _json_text(rows):
+    return json.dumps([dict(zip(CSV_COLUMNS, row)) for row in rows], indent=2) + "\n"
 
 
 @pytest.mark.parametrize("rows", [0, 1, 2, 300])
 def test_json_records_are_json_dumps_of_the_list(rows):
-    records = list(error_scan(2, 2, 2, 1 + rows)) if rows else []
+    records = list(scan_rows(2, 2, 2, 1 + rows)) if rows else []
     out = _WriteLog()
     records_to_json(iter(records), out)
     assert len(records) == rows and "".join(out.writes) == _json_text(records)
@@ -1102,7 +1144,7 @@ def test_json_records_are_json_dumps_of_the_list(rows):
 
 def test_json_first_record_is_written_before_the_second_is_drawn():
     out = _WriteLog()
-    first, *rest = error_scan(2, 2, 2, 20)
+    first, *rest = scan_rows(2, 2, 2, 20)
 
     def records():
         yield first
@@ -1114,7 +1156,7 @@ def test_json_first_record_is_written_before_the_second_is_drawn():
 
 
 def test_csv_rows_are_written_in_blocks():
-    rows = list(error_scan(2, 2, 2, 1001))
+    rows = list(scan_rows(2, 2, 2, 1001))
     out = _WriteLog()
     records_to_csv(rows, out)
     assert "".join(out.writes) == _csv_text(rows)
@@ -1177,7 +1219,7 @@ def test_identity_mismatch_written_in_blocks_keeps_its_line_and_status(monkeypat
 
 
 def test_csv_rows_drawn_before_an_exception_are_written():
-    rows = list(error_scan(2, 2, 2, 11))
+    rows = list(scan_rows(2, 2, 2, 11))
 
     def failing():
         yield from rows

@@ -5,7 +5,7 @@ from itertools import product
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rfree import lattice
 from rfree import (
@@ -16,7 +16,7 @@ from rfree import (
     sieve_mobius,
     zeta_value,
 )
-from rfree.arith import ln_decimal, rfree_sieve
+from rfree.arith import fixed_point, format_ratio, ln_decimal, rfree_sieve
 from rfree.errors import ResourceLimitError
 from rfree.lattice import (
     SCAN_CHUNK,
@@ -349,3 +349,86 @@ def test_normalized_error_boundedness_per_normalization_case(tables, fixture_sto
             rec = count_record(CountParams(r=r, k=k, x=x), table=t)
             observed = max(observed, abs(rec.normalized_error))
         fixture_store.check(key, observed)
+
+
+# ---------------------------------------------------------------------------
+# The row kernel against the per-record arithmetic it replaced
+# ---------------------------------------------------------------------------
+
+def _reference_fields(r, k, x, V, scale):
+    """count_record's arithmetic before count_rows, kept as the reference:
+    one field at a time through fixed_point, format_ratio and
+    error_normalization."""
+    places, D = scale.places, scale.mid_den
+    size = (2 * x) ** k
+    q, rem = divmod(size * scale.mid_num, D)
+    lead = V * scale.unit - q
+    negative = lead < 0 or (lead == 0 and rem > 0)
+    if negative:
+        whole, frac = -lead, rem
+    elif rem:
+        whole, frac = lead - 1, D - rem
+    else:
+        whole, frac = lead, 0
+    if r == 1 and k == 2 and x < 2:
+        normalized = "NaN"
+    else:
+        num, norm_den = error_normalization(CountParams(r=r, k=k, x=x), places)
+        wide, rad_den = size * scale.rad_num, scale.rad_den
+        holds = (whole.bit_length() + rad_den.bit_length() < wide.bit_length() + 2
+                 and (whole * D + frac) * rad_den < wide * D)
+        if norm_den == 1 and not holds:
+            a, b = divmod(whole, num)
+            units = a + (2 * b + (2 * frac >= D) >= num)
+        else:
+            top, bottom = whole * D + frac, D
+            if holds:
+                top, bottom = top * rad_den + wide * D, 2 * D * rad_den
+            a, b = divmod(top * norm_den, bottom * num)
+            units = a + (2 * b >= bottom * num)
+        normalized = fixed_point(units, places)
+    return (str(x), str(V), fixed_point(q + (2 * rem >= D), places),
+            fixed_point(whole + (2 * frac >= D), places, negative), normalized,
+            format_ratio(V, (2 * x + 1) ** k, places))
+
+
+KERNEL_PRECISIONS = [Fraction(1, 10**30), Fraction(1, 2), Fraction(3, 10**7),
+                     Fraction(1, 10**100), Fraction(1, 10)]
+
+
+@st.composite
+def _kernel_rows(draw):
+    rks = st.tuples(st.integers(1, 4), st.integers(1, 4)).filter(lambda rk: rk[0] * rk[1] >= 2)
+    r, k = draw(rks)
+    x = draw(st.integers(1, 10**6))
+    precision = draw(st.sampled_from(KERNEL_PRECISIONS))
+    scale = lattice.row_scale(r * k, precision)
+    # counts near the main term, whose error balls may hold 0, or any count
+    near = (2 * x) ** k * scale.mid_num // (scale.mid_den * scale.unit)
+    V = draw(st.integers(max(near - 3, 0), near + 3) | st.integers(0, (2 * x + 1) ** k))
+    return r, k, x, V, scale
+
+
+@settings(max_examples=400, deadline=None)
+@given(row=_kernel_rows())
+@example(row=(1, 2, 1, 8, lattice.row_scale(2, KERNEL_PRECISIONS[0])))  # NaN
+@example(row=(1, 2, 10, 300, lattice.row_scale(2, KERNEL_PRECISIONS[3])))  # x log x
+@example(row=(2, 1, 10, 14, lattice.row_scale(2, KERNEL_PRECISIONS[2])))  # x^(1/2)
+@example(row=(3, 1, 50, 92, lattice.row_scale(3, KERNEL_PRECISIONS[0])))  # x^(1/3)
+@example(row=(2, 2, 10, 0, lattice.row_scale(4, KERNEL_PRECISIONS[0])))  # negative
+@example(row=(2, 2, 1000, 3_695_000, lattice.row_scale(4, KERNEL_PRECISIONS[4])))  # holds 0
+@example(row=(2, 3, 77, 0, lattice.row_scale(6, KERNEL_PRECISIONS[1])))
+def test_count_rows_is_the_per_record_arithmetic(row):
+    r, k, x, V, scale = row
+    assert next(lattice.count_rows(r, k, [x], [V], scale)) == _reference_fields(r, k, x, V, scale)
+
+
+@pytest.mark.parametrize("r,k", [(1, 2), (2, 1), (3, 1), (1, 3), (2, 2), (4, 4)])
+@pytest.mark.parametrize("precision", KERNEL_PRECISIONS[:4])
+def test_count_rows_over_a_range_are_the_reference_rows(tables, r, k, precision):
+    # one call over many rows, as a scan makes it, from x = 1 on
+    xs = range(1, 400)
+    Vs = count_progression(r, k, xs, tables(400))
+    scale = lattice.row_scale(r * k, precision)
+    rows = list(lattice.count_rows(r, k, xs, Vs, scale))
+    assert rows == [_reference_fields(r, k, x, V, scale) for x, V in zip(xs, Vs)]

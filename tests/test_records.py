@@ -16,13 +16,14 @@ import pytest
 from rfree import (CountParams, Enclosure, FracSumParams, TotientParams, ZetaValue, certify_witness,
                    error_scan, identity_check, omega_ratio_report, sieve_mobius, zeta_value)
 from rfree.cli import parse_scan_csv, records_to_csv
+from rfree.omega import scan_rows
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def _scan_row():
     out = io.StringIO()
-    records_to_csv(error_scan(2, 2, 2, 3), out)
+    records_to_csv(scan_rows(2, 2, 2, 3), out)
     return next(parse_scan_csv(out.getvalue().splitlines()))
 
 
