@@ -95,9 +95,8 @@ def _write_blocks(pieces, out) -> None:
 
 
 def records_to_csv(rows, out) -> None:
-    """Write the header and the first row, a tuple of CSV_COLUMNS fields, at
-    once, then the later rows in blocks of BLOCK_ROWS lines, holding no more
-    than one block."""
+    """Write the header and the first row (CSV_COLUMNS fields) at once, then
+    the later rows in blocks of BLOCK_ROWS lines, holding no more than one block."""
     # No field holds a comma, quote or newline, so these lines are csv.writer's
     # without its per-character quoting scan, which cost more than a row's digits.
     def lines():
@@ -196,12 +195,12 @@ def _cmd_count(args, parser: argparse.ArgumentParser) -> int:
     params = CountParams(r=args.r, k=args.k, x=args.x)
     rec = count_record(params, args.precision)
     oracle = count_oracle(params, budget=args.budget) if args.oracle else None
+    fields = record_fields(rec)
     if args.format != "text":
-        render = records_to_json if args.format == "json" else records_to_csv
-        render([record_fields(rec)], sys.stdout)
+        (records_to_json if args.format == "json" else records_to_csv)([fields], sys.stdout)
         return 0 if oracle in (None, rec.V) else 1
     print(f"r={args.r} k={args.k} x={args.x}")
-    for name, value in zip(CSV_COLUMNS[1:], record_fields(rec)[1:]):
+    for name, value in zip(CSV_COLUMNS[1:], fields[1:]):
         print(f"{name} = {value}")
     if oracle is None:
         return 0
@@ -265,9 +264,7 @@ def _cmd_scan(args, parser: argparse.ArgumentParser) -> int:
 
     if args.x_min > args.x_max:
         parser.error("--x-min must not exceed --x-max")
-    rows = scan_rows(
-        args.r, args.k, args.x_min, args.x_max, step=args.step, precision=args.precision
-    )
+    rows = scan_rows(args.r, args.k, args.x_min, args.x_max, args.step, args.precision)
     # Drawing the first row checks the arguments before any output.
     rows = chain([next(rows)], rows)
     render = records_to_json if args.format == "json" else records_to_csv

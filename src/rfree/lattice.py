@@ -296,8 +296,7 @@ def count_rows(r: int, k: int, xs: Iterable[int], Vs: Iterable[int],
                 a, b = divmod(top * norm_den, bottom * num)
                 units = a + (2 * b >= bottom * num)
             normalized = fixed % divmod(units, unit)
-        box = (2 * x + 1) ** k
-        density, drem = divmod(V * unit, box)  # V / (2x+1)^k
+        density, drem = divmod(V * unit, box := (2 * x + 1) ** k)  # V / (2x+1)^k
         yield (str(x), str(V), fixed % divmod(q + (2 * rem >= D), unit),
                sign + fixed % divmod(whole + (2 * frac >= D), unit), normalized,
                fixed % divmod(density + (2 * drem >= box), unit))

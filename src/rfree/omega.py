@@ -20,7 +20,6 @@ from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple
 
 from .arith import (
@@ -75,36 +74,33 @@ def _check_work(n: int, top: int, e: int) -> None:
             f"limit is {FRAC_SUM_WORK_LIMIT}; pass a smaller cutoff or fewer x")
 
 
-_KEPT_BITS = 2**26  # most top * (bits(L) + 1024 for a term's objects) kept: about 8 MB
-_kept: dict = {}  # (top, r, e): (L, terms) of the last sum within _KEPT_BITS
-
-
-def _frac_terms(top: int, r: int, e: int, mu: list[int]):
-    # L = P^e, P the product of the primes <= top, and (d^r, mu(d) L / d^e) for each
-    # squarefree d <= top (d^e | L). They depend on (top, r, e) alone, and a witness
-    # list's x share top in runs, so the last terms within _KEPT_BITS are kept.
-    if (kept := _kept.get((top, r, e))) is not None:
-        return kept
-    L = math.prod(primes_upto(top)) ** e if e else 1
-    terms = ((d**r, mu[d] * (L // d**e)) for d in range(1, top + 1) if mu[d])
-    if top * (L.bit_length() + 1024) > _KEPT_BITS:
-        return L, terms
-    _kept.clear()
-    _kept[top, r, e] = kept = L, tuple(terms)
-    return kept
+# (top, r, e): (L, (d^r, mu(d) L / d^e) per squarefree d <= top), shared by one top's
+# x from the second on while a witness list runs, within _SHARED_WORK (1 MB of terms)
+_shared_terms: dict = {}
+_SHARED_WORK = 2**23
 
 
 def _frac_sum_upto(params: FracSumParams, top: int, table: MobiusTable | None) -> Fraction:
     # sum_{d <= top} mu(d) d^(-rj) {x / d^r}^i, exactly, with mu from table
-    # (sieved to top when None): the integers over L of _frac_terms.
+    # (sieved to top when None). The terms are integers over one denominator
+    # L = P^(r(i+j)), P the product of the primes <= top: every squarefree
+    # d <= top divides P, so d^(r(i+j)) divides L.
     e = params.r * (params.i + params.j)
     _check_work(1, top, e)
     if table is None:
         table = sieve_mobius(max(top, 1))
     table.require(top)
-    x, i = params.x, params.i
-    L, terms = _frac_terms(top, params.r, e, table.mu)
-    return Fraction(sum([w * (x % dr) ** i for dr, w in terms]), L)
+    r, i, x, mu = params.r, params.i, params.x, table.mu
+    if (shared := _shared_terms.get((top, r, e))) is not None:
+        return Fraction(sum(w * (x % dr) ** i for dr, w in shared[1]), shared[0])
+    L = math.prod(primes_upto(top)) ** e if e else 1
+    total = 0
+    for d in range(1, top + 1):
+        if mu[d]:
+            rem = x % d**r
+            if rem or not i:
+                total += mu[d] * rem**i * (L // d**e)
+    return Fraction(total, L)
 
 
 def frac_sum(params: FracSumParams, table: MobiusTable) -> Fraction:
@@ -221,22 +217,21 @@ def certify_witness(
         cutoff = max(2, root)
     params = FracSumParams(r=r, j=k, i=1, x=x)
     finite, tail = truncated_frac_sum(params, cutoff, table)
-    upper = finite + tail if tail else finite
+    upper = finite + tail
+    if r >= 2 and r * k >= 4:
+        target = Fraction(-1, 2 ** (r * k + 1)) + Fraction(1, 2 ** (r * (k + 1)))
+    elif k == 1 and r in (2, 3):
+        target = Fraction(-1, 20)
+    else:
+        target = None
     return WitnessReport(
         x=x,
         finite_part=finite,
         tail_bound=tail,
         upper_bound=upper,
         verdict="negative" if upper < 0 else "inconclusive",
-        target_bound=_target_bound(r, k),
+        target_bound=target,
     )
-
-
-@lru_cache(maxsize=None)
-def _target_bound(r: int, k: int) -> Fraction | None:
-    if r >= 2 and r * k >= 4:
-        return Fraction(-1, 2 ** (r * k + 1)) + Fraction(1, 2 ** (r * (k + 1)))
-    return Fraction(-1, 20) if k == 1 and r in (2, 3) else None
 
 
 def certify_witnesses(
@@ -253,11 +248,23 @@ def certify_witnesses(
     if not xs:
         return
     root = integer_root(max(xs[0], xs[-1]) if isinstance(xs, range) else max(xs), r)
-    top = root if cutoff is None else min(cutoff, root)
-    _check_work(len(xs), top, r * (k + 1))
+    top, e = root if cutoff is None else min(cutoff, root), r * (k + 1)
+    _check_work(len(xs), top, e)
     table = sieve_mobius(max(top, 1))
-    for x in xs:
-        yield certify_witness(x, r, k, cutoff, table)
+    mu, last = table.mu, None
+    try:
+        for x in xs:
+            top = integer_root(x, r) if cutoff is None else min(cutoff, integer_root(x, r))
+            if (top == last and (top, r, e) not in _shared_terms
+                    and frac_sum_work(1, top, e) <= _SHARED_WORK):
+                L = math.prod(primes_upto(top)) ** e
+                _shared_terms.clear()
+                _shared_terms[top, r, e] = L, tuple(
+                    (d**r, mu[d] * (L // d**e)) for d in range(1, top + 1) if mu[d])
+            yield certify_witness(x, r, k, cutoff, table)
+            last = top
+    finally:
+        _shared_terms.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -394,10 +401,9 @@ def _scan(r, k, x_min, x_max, step, precision, table):
 def scan_rows(r: int, k: int, x_min: int, x_max: int, step: int = 1,
               precision: Fraction = DEFAULT_PRECISION,
               table: MobiusTable | None = None) -> Iterator[tuple[str, ...]]:
-    """Emit lattice.count_rows's row, its CSV fields, per sampled x in ascending
-    order, each made as it is drawn: the scan holds one chunk's counts,
-    O(x_max^(1/r)) integers like the Mobius table, for any number of rows.
-    Deterministic; the arguments are checked when the first row is drawn."""
+    """lattice.count_rows's fields per sampled x, ascending, each row made as it
+    is drawn: the scan holds one chunk's counts, O(x_max^(1/r)) integers like the
+    Mobius table. Deterministic; the arguments are checked at the first row."""
     from .lattice import count_rows
 
     xs, counts, scale = _scan(r, k, x_min, x_max, step, precision, table)
@@ -407,14 +413,13 @@ def scan_rows(r: int, k: int, x_min: int, x_max: int, step: int = 1,
 def error_scan(r: int, k: int, x_min: int, x_max: int, step: int = 1,
                precision: Fraction = DEFAULT_PRECISION,
                table: MobiusTable | None = None) -> Iterator[CountRecord]:
-    """scan_rows's rows as lattice.CountRecords, for callers that read the
+    """A lattice.count_record per sampled x, for callers that read the
     enclosures; the checks, order and memory are scan_rows's."""
-    from .lattice import CountParams, CountRecord, RowDigits, count_rows
+    from .lattice import CountParams, count_record
 
     xs, counts, scale = _scan(r, k, x_min, x_max, step, precision, table)
-    for x, row in zip(xs, count_rows(r, k, xs, counts, scale)):
-        yield CountRecord(CountParams._make((r, k, x)), int(row[1]), scale.reciprocal,
-                          scale.places, RowDigits._make(row[2:]))
+    for x, V in zip(xs, counts):
+        yield count_record(CountParams._make((r, k, x)), V=V, scale=scale)
 
 
 class OmegaRatioReport(NamedTuple):

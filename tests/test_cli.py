@@ -447,16 +447,26 @@ _PEAK_RSS_KB = ("import os, subprocess, sys; child = subprocess.Popen(sys.argv[1
                 "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
 
 
-def _cli_peak_kb(*argv):
-    # (exit status, peak RSS in KB) of rfree.cli in a fresh process
+def _peak_kb(code, *argv):
+    # (exit status, peak RSS in KB) of python -c code in a fresh process
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    command = [sys.executable, "-c", "import sys; from rfree.cli import main; sys.exit(main())",
-               *argv]
-    done = subprocess.run([sys.executable, "-I", "-S", "-c", _PEAK_RSS_KB, *command],
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", _PEAK_RSS_KB,
+                           sys.executable, "-c", code, *argv],
                           env=env, capture_output=True, text=True, check=True)
     status, peak_kb = map(int, done.stdout.split())
     return status, peak_kb
+
+
+def _cli_peak_kb(*argv):
+    # (exit status, peak RSS in KB) of rfree.cli in a fresh process
+    return _peak_kb("import sys; from rfree.cli import main; sys.exit(main())", *argv)
+
+
+def _python_peak_kb(code):
+    status, peak_kb = _peak_kb(code)
+    assert status == 0
+    return peak_kb
 
 
 def _report_peak_kb(tmp_path, rows):
@@ -587,18 +597,30 @@ def _certificate_text(rep):
 
 
 @pytest.mark.parametrize("cutoff", [None, 9])
-def test_witness_list_across_tops_prints_every_certificate(capsys, monkeypatch, cutoff):
+def test_witness_list_across_tops_prints_every_certificate(capsys, cutoff):
     # x = 11..247 cross 12 tops, or 6 under --cutoff 9, which also mixes
     # certificates with and without a tail
     import rfree.omega
 
     argv = ["witness", "--large", "--r", "2", "--k", "2", "--count", "60"]
     code, out, _ = run_cli(argv + ([] if cutoff is None else ["--cutoff", str(cutoff)]), capsys)
-    monkeypatch.setattr(rfree.omega, "_KEPT_BITS", 0)
     xs = rfree.omega.witness_large(2, 2, 60)
     reports = [rfree.omega.certify_witness(x, 2, 2, cutoff) for x in xs]
     assert code == 0 and out == "".join(map(_certificate_text, reports))
     assert len({rep.tail_bound for rep in reports}) == (1 if cutoff is None else 2)
+
+
+def test_large_exact_sums_stream_their_terms():
+    # at cutoff 10,000 the 6,083 terms of the one sum are up to 57,108 bits each,
+    # 43 MB if held at once; a list of two x that share that top holds none either
+    status, small = _cli_peak_kb("witness", "--small", "--r", "2", "--m", "1", "--cutoff", "100")
+    assert status == 0
+    status, large = _cli_peak_kb("witness", "--small", "--r", "2", "--m", "1", "--cutoff", "10000")
+    assert status == 0 and large - small <= 4 * 1024, (small, large)
+    code = ("from rfree.omega import certify_witnesses as c, witness_small as w; "
+            "all(c([w(2, 1), w(2, 101)], 2, 1, cutoff={}))")
+    peaks = [_python_peak_kb(code.format(cutoff)) for cutoff in (100, 10000)]
+    assert peaks[1] - peaks[0] <= 4 * 1024, peaks
 
 
 def test_witness_large_rejects_small_rk(capsys):

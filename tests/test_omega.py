@@ -345,7 +345,7 @@ def _frac_sum_by_fractions(x, r, j, i, top):
 
 
 @pytest.mark.parametrize("cutoff", [None, 9])
-def test_certify_witnesses_across_tops_match_term_by_term(monkeypatch, cutoff):
+def test_certify_witnesses_across_tops_match_term_by_term(cutoff):
     # x = 11..247 runs through top = floor(sqrt(x)) = 3..15, or 3..9 under the
     # cutoff, where x = 81..99 have no tail and later x share top 9 with one
     xs = witness_large(2, 2, 60)
@@ -358,38 +358,42 @@ def test_certify_witnesses_across_tops_match_term_by_term(monkeypatch, cutoff):
         assert rep.upper_bound == rep.finite_part + rep.tail_bound
     tails = {rep.tail_bound for rep in reports}
     assert tails == ({0} if cutoff is None else {0, Fraction(1, 2187)})
-    # with no terms kept, each x builds its own denominator: the same reports,
-    # in reverse order too, and interleaved with sums on other exponents and
-    # on r = 3, whose L = P^6 is that of r = 2, k = 2 but whose d^r is not
-    monkeypatch.setattr(omega, "_KEPT_BITS", 0)
-    omega._kept.clear()
-    assert [certify_witness(x, 2, 2, cutoff) for x in xs] == reports
-    assert omega._kept == {}
-    monkeypatch.undo()
-    for x, top, rep in reversed([*zip(xs, tops, reports)]):
-        assert certify_witness(x, 2, 2, cutoff) == rep
-        for r, j, i in ((2, 1, 2), (3, 1, 1)):
+    # one x at a time, nothing is shared: the same reports, in reverse order too
+    assert omega._shared_terms == {}
+    assert [certify_witness(x, 2, 2, cutoff) for x in reversed(xs)] == reports[::-1]
+    assert omega._shared_terms == {}
+
+
+def test_witness_list_shares_terms_per_top_while_it_runs(monkeypatch):
+    # x = 11, 15 have top 3, 19, 23 top 4, 27..35 top 5: a top's terms are shared
+    # from its second x on, and sums on other exponents and on r = 3, whose
+    # L = P^6 is that of r = 2, k = 2 but whose d^r is not, do not read them
+    xs = witness_large(2, 2, 7)
+    assert [integer_root(x, 2) for x in xs] == [3, 3, 4, 4, 5, 5, 5]
+    shared = []
+    for x, rep in zip(xs, certify_witnesses(xs, 2, 2)):
+        shared.append(list(omega._shared_terms))
+        assert rep.finite_part == _frac_sum_by_fractions(x, 2, 2, 1, integer_root(x, 2))
+        for r, j, i in ((2, 1, 2), (3, 1, 1), (2, 2, 1)):
+            top = integer_root(x, 2)
             params = FracSumParams(r=r, j=j, i=i, x=x)
-            expected = _frac_sum_by_fractions(x, r, j, i, top)
-            assert omega._frac_sum_upto(params, top, None) == expected
-
-
-def test_frac_sum_terms_are_kept_only_below_the_bound(monkeypatch):
-    # 100,000 terms over L = 1 (e = 0) count 1,025 bits each: past the bound,
-    # they stream once and the kept terms stay
-    omega._kept.clear()
-    certify_witness(11, 2, 2)
-    mertens = sum(sieve_mobius(10**5).mu[1:])
-    assert omega._frac_sum_upto(FracSumParams(r=2, j=0, i=0, x=10**10), 10**5, None) == mertens
-    assert list(omega._kept) == [(3, 2, 6)]
-    # L = 6^6 over d <= 3 is 16 bits, 3 * (16 + 1024) within 5000; L = 30030^6
-    # over d <= 15 is 90 bits, 15 * (90 + 1024) past it
-    monkeypatch.setattr(omega, "_KEPT_BITS", 5000)
-    omega._kept.clear()
-    assert certify_witness(11, 2, 2).finite_part == _frac_sum_by_fractions(11, 2, 2, 1, 3)
-    assert list(omega._kept) == [(3, 2, 6)]
-    assert certify_witness(247, 2, 2).finite_part == _frac_sum_by_fractions(247, 2, 2, 1, 15)
-    assert list(omega._kept) == [(3, 2, 6)]
+            assert omega._frac_sum_upto(params, top, None) == _frac_sum_by_fractions(x, r, j, i, top)
+    # one entry, the last top shared, until the list ends
+    assert shared == [[], *[[(3, 2, 6)]] * 2, *[[(4, 2, 6)]] * 2, *[[(5, 2, 6)]] * 2]
+    assert omega._shared_terms == {}
+    # a list dropped part-way leaves nothing shared behind
+    reports = certify_witnesses(xs, 2, 2)
+    next(reports), next(reports)
+    assert list(omega._shared_terms) == [(3, 2, 6)]
+    reports.close()
+    assert omega._shared_terms == {}
+    # sums past _SHARED_WORK units are not shared: frac_sum_work(1, 4, 6) is 100,164
+    monkeypatch.setattr(omega, "_SHARED_WORK", omega.frac_sum_work(1, 4, 6) - 1)
+    shared.clear()
+    for x, rep in zip(xs, certify_witnesses(xs, 2, 2)):
+        shared.append(list(omega._shared_terms))
+        assert rep == certify_witness(x, 2, 2)
+    assert shared == [[], *[[(3, 2, 6)]] * 6]
 
 
 def test_certify_witnesses_check_the_work_before_any_sieve(monkeypatch):
