@@ -23,12 +23,13 @@ _HOMES = {
     "errors": ("EmptyWindowError", "InvariantViolationError", "ResourceLimitError"),
     "jordan": ("TotientParams", "jordan", "jordan_oracle", "partial_sum_bernoulli",
                "partial_sum_direct"),
-    "lattice": ("CountParams", "CountRecord", "count_fast", "count_oracle", "count_record"),
+    "lattice": ("CountParams", "CountRecord", "count_fast", "count_oracle", "count_record",
+                "scan_rows"),
     "omega": ("FracSumParams", "OmegaRatioReport", "WitnessReport", "certify_witness",
               "certify_witnesses", "error_scan", "frac_sum", "mertens_residual",
               "mertens_residual_scan", "omega_ratio_report", "proposition_residual",
-              "proposition_residual_scan", "scan_rows", "truncated_frac_sum",
-              "witness_large", "witness_small"),
+              "proposition_residual_scan", "truncated_frac_sum", "witness_large",
+              "witness_small"),
     "umbral": ("IdentityCheck", "identity_check", "umbral_coefficients", "umbral_eval"),
 }
 _MODULE_OF = {name: module for module, names in _HOMES.items() for name in names}

@@ -15,17 +15,16 @@ loads only the modules its subcommand needs.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import os
+import re
 import sys
 from collections.abc import Iterator
 from contextlib import nullcontext
 from decimal import (MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, ROUND_UP, Context, Decimal,
                      DecimalException, localcontext)
-from fractions import Fraction
 from itertools import chain
-from typing import NamedTuple
+from operator import itemgetter
 
 from .errors import EmptyWindowError, InvariantViolationError, ResourceLimitError
 
@@ -39,7 +38,8 @@ def _env(name: str, default: str | None) -> str | None:
     return os.environ.get(f"RFREE_{name}", default)
 
 
-def _parse_precision(text: str) -> Fraction:
+def _parse_precision(text: str):
+    from fractions import Fraction  # only the subcommands with --precision load it
     try:
         value = Fraction(Decimal(text))
     except Exception as exc:
@@ -130,44 +130,66 @@ def records_to_json(rows, out) -> None:
     _write_blocks(pieces(), out)
 
 
-class ScanRow(NamedTuple):
-    """A parsed scan row; numeric fields as exact ints and Decimals."""
-
-    x: int
-    V: int
-    main_term: Decimal
-    error: Decimal
-    normalized_error: Decimal
-    density: Decimal
+# A row as scan writes it: two integers, then four fixed-point decimals.
+_SCAN_ROW = r"[0-9]+,[0-9]+(?:,-?[0-9]+\.[0-9]+){4}"  # compiled when report runs
+# abs() at the default 28 digits and the ratio at 40, at any exponent
+_ABS, _RATIO = (Context(prec=p, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[]) for p in (28, 40))
 
 
-def parse_scan_csv(lines) -> Iterator[ScanRow]:
-    """Yield the rows of a scan CSV one at a time, as ``lines`` are read. A
-    header other than CSV_COLUMNS, or a row that is not six finite numbers,
-    raises ValueError naming its line when it is reached; the rows before it
-    have been yielded by then."""
-    reader = csv.reader(lines)
-    header = next(reader, None)
+def parse_scan_csv(lines) -> Iterator[tuple]:
+    """Yield a scan CSV's rows as ``lines`` are read: x and V as ints, then four
+    decimal fields as text that float and Decimal read. A line loses its CR and
+    LF and splits at commas, unquoted; blank lines are skipped. A header other
+    than CSV_COLUMNS, or a row that is not six finite numbers, raises ValueError
+    naming its line when it is reached, after the rows before it."""
+    lines, scan_row = iter(lines), re.compile(_SCAN_ROW).fullmatch
+    if (header := next(lines, None)) is not None:
+        header = text.split(",") if (text := header.rstrip("\r\n")) else []
     if header != CSV_COLUMNS:
         raise ValueError(f"unexpected scan header {header!r}")
-    for row in reader:
-        if not row:
-            continue
-        try:
-            x, V, main_term, error, normalized, density = row
-            decimals = Decimal(main_term), Decimal(error), Decimal(normalized), Decimal(density)
-            if not all(map(Decimal.is_finite, decimals)):
-                raise ValueError
-            parsed = ScanRow(int(x), int(V), *decimals)
-        except (DecimalException, ValueError):
-            raise ValueError(
-                f"scan CSV line {reader.line_num} is not six finite numbers: {','.join(row)!r}"
-            ) from None
-        yield parsed
+    for number, line in enumerate(lines, 2):
+        text = line.rstrip("\r\n")
+        if scan_row(text):
+            x, V, main_term, error, normalized, density = text.split(",")
+            yield int(x), int(V), main_term, error, normalized, density
+        elif text:  # not as scan writes rows: read as int and Decimal read
+            yield _checked_row(text, number)
 
 
-def _frac_sci(q: Fraction, sig: int = 6, up: bool = False) -> str:
-    """q as d.dddddde+XX with ``sig`` digits after the point, rounded half
+def _checked_row(text: str, number: int) -> tuple:
+    try:
+        x, V, *fields = text.split(",")
+        decimals = [Decimal(f) for f in fields]
+        if len(decimals) != 4 or not all(map(Decimal.is_finite, decimals)):
+            raise ValueError
+        return (int(x), int(V), *map(str, decimals))
+    except (DecimalException, ValueError):
+        raise ValueError(
+            f"scan CSV line {number} is not six finite numbers: {text!r}") from None
+
+
+def window_ratio(pairs, split: int) -> tuple[Decimal, Decimal, Decimal]:
+    """(max_early, max_late, ratio) over (x, normalized_error) pairs: the largest
+    |normalized_error| with x < split and with x >= split, rounded half-even to 28
+    digits (of equal maxima, the first), and max_late / max_early to 40, exactly at
+    any exponent. EmptyWindowError if a window is empty."""
+    maxima, floats = [None, None], [-1.0, -1.0]  # float() never reverses an order
+    for x, value in pairs:
+        side = x >= split
+        if abs(float(value)) >= floats[side]:  # else |value| < maxima[side]
+            v = _ABS.abs(Decimal(value))
+            if maxima[side] is None or v > maxima[side]:
+                maxima[side], floats[side] = v, float(v)
+    early, late = maxima
+    if early is None or late is None:
+        raise EmptyWindowError("both scan windows must be nonempty")
+    if not late:
+        return early, late, Decimal(0) if early else Decimal(1)
+    return early, late, _RATIO.divide(late, early) if early else Decimal("Infinity")
+
+
+def _frac_sci(q, sig: int = 6, up: bool = False) -> str:
+    """The Fraction q as d.dddddde+XX with ``sig`` digits after the point, rounded half
     to even from the exact rational: the text float formatting gives for
     every q a float holds exactly, without its underflow or overflow. With
     ``up``, q is rounded away from zero instead, so for q > 0 the text bounds q."""
@@ -260,7 +282,7 @@ def _cmd_identity(args, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_scan(args, parser: argparse.ArgumentParser) -> int:
-    from .omega import scan_rows
+    from .lattice import scan_rows
 
     if args.x_min > args.x_max:
         parser.error("--x-min must not exceed --x-max")
@@ -345,22 +367,21 @@ def _cmd_zeta(args, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_report(args, parser: argparse.ArgumentParser) -> int:
-    from .omega import omega_ratio_report
-
     # Rows are parsed and folded one at a time, so a bad row (exit 2) or an
     # empty window (EmptyWindowError, exit 1) is found before any output.
     try:
         with (open(args.input, "r", encoding="utf-8") if args.input
               else nullcontext(sys.stdin)) as fh:
-            report = omega_ratio_report(parse_scan_csv(fh), args.split)
+            pairs = map(itemgetter(0, 4), parse_scan_csv(fh))  # x, normalized_error
+            max_early, max_late, ratio = window_ratio(pairs, args.split)
     except OSError as exc:  # a failed read names what was read
         exc.filename = exc.filename or args.input or "<stdin>"
         raise
-    print(f"split = {report.split}")
-    print(f"max_early = {report.max_early}")
-    print(f"max_late = {report.max_late}")
-    print(f"ratio = {report.ratio}")
-    if args.min_ratio is not None and report.ratio < Decimal(str(args.min_ratio)):
+    print(f"split = {args.split}")
+    print(f"max_early = {max_early}")
+    print(f"max_late = {max_late}")
+    print(f"ratio = {ratio}")
+    if args.min_ratio is not None and ratio < Decimal(str(args.min_ratio)):
         print(f"ratio below threshold {args.min_ratio}", file=sys.stderr)
         return 1
     return 0

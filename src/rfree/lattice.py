@@ -19,7 +19,8 @@ scan's rows share one row_scale: 1/zeta(rk), midpoint N/D, with N 10^p
 and its radius 10^p for p printed places. In count_rows, the one row kernel,
 a row costs one divmod of (2x)^k N 10^p by D, whose quotient and remainder
 give the main term, the error and, over error_normalization's exact ratio,
-the normalized error, each rounded half-up and formatted as text;
+the normalized error, each rounded half-up and formatted as text. scan_rows
+feeds count_range's counts to count_rows, the rows the scan subcommand writes;
 count_record wraps a row, whose exact enclosures are built only when read.
 """
 
@@ -35,6 +36,7 @@ from typing import NamedTuple
 
 from .arith import (
     DEFAULT_PRECISION,
+    MAX_SCAN_RECORDS,
     SCAN_CHUNK,
     Enclosure,
     MobiusTable,
@@ -300,6 +302,35 @@ def count_rows(r: int, k: int, xs: Iterable[int], Vs: Iterable[int],
         yield (str(x), str(V), fixed % divmod(q + (2 * rem >= D), unit),
                sign + fixed % divmod(whole + (2 * frac >= D), unit), normalized,
                fixed % divmod(density + (2 * drem >= box), unit))
+
+
+def _scan(r, k, x_min, x_max, step, precision, table):
+    # a scan's checked xs, their counts (count_range, chunk by chunk) and row_scale
+    if x_min < 2:
+        raise ValueError("x_min must be >= 2")
+    if x_max < x_min:
+        raise ValueError("x_max must be >= x_min")
+    if step < 1:
+        raise ValueError("step must be >= 1")
+    xs = range(x_min, x_max + 1, step)
+    if len(xs) > MAX_SCAN_RECORDS:
+        raise ResourceLimitError(
+            f"scan would emit {len(xs)} records, limit is {MAX_SCAN_RECORDS}")
+    scale = row_scale(r * k, Fraction(precision))
+    if table is None:
+        table = sieve_mobius(integer_root(x_max, r))
+    CountParams(r=r, k=k, x=x_min)  # checks r and k once; every x of xs is valid
+    return xs, count_range(r, k, xs, table), scale
+
+
+def scan_rows(r: int, k: int, x_min: int, x_max: int, step: int = 1,
+              precision: Fraction = DEFAULT_PRECISION,
+              table: MobiusTable | None = None) -> Iterator[tuple[str, ...]]:
+    """count_rows's fields per sampled x, ascending, each row made as it is
+    drawn: the scan holds one chunk's counts, O(x_max^(1/r)) integers like the
+    Mobius table. Deterministic; the arguments are checked at the first row."""
+    xs, counts, scale = _scan(r, k, x_min, x_max, step, precision, table)
+    yield from count_rows(r, k, xs, counts, scale)
 
 
 def count_record(params: CountParams, precision: Fraction = DEFAULT_PRECISION,

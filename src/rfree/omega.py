@@ -10,7 +10,7 @@ modulus, never by floating division. The constructed witnesses can run to
 seventy-plus digits, where floats carry no information at all. Exact sums
 add integers over one denominator L = P^(r(i+j)), so one limit bounds each
 sum and witness list by its d range and the size of L: frac_sum_work.
-Error-term scans emit lattice.count_rows's fields (scan_rows) or CountRecords.
+error_scan wraps the rows lattice.scan_rows makes in lattice.CountRecords.
 """
 
 from __future__ import annotations
@@ -18,13 +18,12 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
-from decimal import Decimal, localcontext
+from decimal import Decimal
 from fractions import Fraction
 from typing import NamedTuple
 
 from .arith import (
     DEFAULT_PRECISION,
-    MAX_SCAN_RECORDS,
     Enclosure,
     MobiusTable,
     ZetaValue,
@@ -32,7 +31,7 @@ from .arith import (
     primes_upto,
     sieve_mobius,
 )
-from .errors import EmptyWindowError, ResourceLimitError
+from .errors import ResourceLimitError
 
 # Most frac_sum_work per exact sum or witness list; the largest accepted
 # ones take about 6.5-9 s of CPU on a 2-vCPU x86 VM (README, `witness`).
@@ -376,46 +375,12 @@ def proposition_residual_scan(
 # Error-term scans
 # ---------------------------------------------------------------------------
 
-def _scan(r, k, x_min, x_max, step, precision, table):
-    # a scan's checked xs, their counts (count_range, chunk by chunk) and row_scale
-    if x_min < 2:
-        raise ValueError("x_min must be >= 2")
-    if x_max < x_min:
-        raise ValueError("x_max must be >= x_min")
-    if step < 1:
-        raise ValueError("step must be >= 1")
-    xs = range(x_min, x_max + 1, step)
-    if len(xs) > MAX_SCAN_RECORDS:
-        raise ResourceLimitError(
-            f"scan would emit {len(xs)} records, limit is {MAX_SCAN_RECORDS}")
-    # imported here, so that witness and report never load lattice
-    from .lattice import CountParams, count_range, row_scale
-
-    scale = row_scale(r * k, Fraction(precision))
-    if table is None:
-        table = sieve_mobius(integer_root(x_max, r))
-    CountParams(r=r, k=k, x=x_min)  # checks r and k once; every x of xs is valid
-    return xs, count_range(r, k, xs, table), scale
-
-
-def scan_rows(r: int, k: int, x_min: int, x_max: int, step: int = 1,
-              precision: Fraction = DEFAULT_PRECISION,
-              table: MobiusTable | None = None) -> Iterator[tuple[str, ...]]:
-    """lattice.count_rows's fields per sampled x, ascending, each row made as it
-    is drawn: the scan holds one chunk's counts, O(x_max^(1/r)) integers like the
-    Mobius table. Deterministic; the arguments are checked at the first row."""
-    from .lattice import count_rows
-
-    xs, counts, scale = _scan(r, k, x_min, x_max, step, precision, table)
-    yield from count_rows(r, k, xs, counts, scale)
-
-
 def error_scan(r: int, k: int, x_min: int, x_max: int, step: int = 1,
                precision: Fraction = DEFAULT_PRECISION,
                table: MobiusTable | None = None) -> Iterator[CountRecord]:
     """A lattice.count_record per sampled x, for callers that read the
     enclosures; the checks, order and memory are scan_rows's."""
-    from .lattice import CountParams, count_record
+    from .lattice import CountParams, _scan, count_record
 
     xs, counts, scale = _scan(r, k, x_min, x_max, step, precision, table)
     for x, V in zip(xs, counts):
@@ -437,29 +402,11 @@ def omega_ratio_report(records: Iterable, window_split: int) -> OmegaRatioReport
     ratio = max_late / max_early; a ratio near zero means the normalized
     error decays, which is what the non-decay evidence must rule out.
     ``records`` is any iterable, a one-shot generator included, of items
-    with .x and .normalized_error attributes (CountRecord or a parsed row).
-    Both maxima are folded in one pass that keeps no record, so memory does
-    not grow with the row count. Raises EmptyWindowError, a ValueError, if
-    either window is empty.
+    with .x and .normalized_error attributes, such as CountRecords. They are
+    folded by cli.window_ratio, the report subcommand's fold, in one pass
+    that keeps no record. EmptyWindowError, a ValueError, if a window is empty.
     """
-    max_early: Decimal | None = None
-    max_late: Decimal | None = None
-    for rec in records:
-        v = abs(rec.normalized_error)
-        if rec.x < window_split:
-            max_early = v if max_early is None else max(max_early, v)
-        else:
-            max_late = v if max_late is None else max(max_late, v)
-    if max_early is None or max_late is None:
-        raise EmptyWindowError("both scan windows must be nonempty")
-    with localcontext() as ctx:
-        ctx.prec = 40
-        if max_late == 0:
-            ratio = Decimal(0) if max_early else Decimal(1)
-        elif max_early == 0:
-            ratio = Decimal("Infinity")
-        else:
-            ratio = max_late / max_early
-    return OmegaRatioReport(
-        split=window_split, max_early=max_early, max_late=max_late, ratio=ratio
-    )
+    from .cli import window_ratio
+
+    pairs = ((rec.x, rec.normalized_error) for rec in records)
+    return OmegaRatioReport(window_split, *window_ratio(pairs, window_split))

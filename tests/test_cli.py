@@ -18,8 +18,9 @@ from rfree import InvariantViolationError, sieve_mobius, zeta_value
 from rfree.arith import format_fraction, integer_root
 from rfree.cli import (_frac_sci, main, parse_scan_csv, record_fields, records_to_csv,
                        records_to_json, CSV_COLUMNS)
-from rfree.lattice import SCAN_CHUNK, CountParams, count_fast, count_record, decimal_places
-from rfree.omega import error_scan, scan_rows
+from rfree.lattice import (SCAN_CHUNK, CountParams, count_fast, count_record, decimal_places,
+                           scan_rows)
+from rfree.omega import error_scan
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -66,7 +67,7 @@ def test_count_csv_and_json(capsys):
     )
     assert code == 0
     rows = list(parse_scan_csv(io.StringIO(out)))
-    assert rows[0].x == 10 and rows[0].V == 14
+    assert rows[0][:2] == (10, 14)
 
     code, out, _ = run_cli(
         ["count", "--r", "2", "--k", "1", "--x", "10", "--format", "json"], capsys
@@ -228,14 +229,9 @@ def test_scan_row_count_and_round_trip(capsys):
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert len(lines) == 1 + 111
     rows = list(parse_scan_csv(io.StringIO(out)))
-    assert rows[0].x == 10 and rows[-1].x == 120
+    assert rows[0][0] == 10 and rows[-1][0] == 120
     # parsing and re-rendering reproduces the file byte for byte
-    rendered = [",".join(CSV_COLUMNS)]
-    for row in rows:
-        rendered.append(
-            f"{row.x},{row.V},{row.main_term},{row.error},"
-            f"{row.normalized_error},{row.density}"
-        )
+    rendered = [",".join(CSV_COLUMNS), *(",".join(map(str, row)) for row in rows)]
     assert "\n".join(rendered) + "\n" == out
 
 
@@ -416,6 +412,32 @@ def test_report_accepts_finite_rows_whose_sum_overflows(capsys, tmp_path):
     assert "max_early = 1\nmax_late = 2\nratio = 2\n" in out
 
 
+@pytest.mark.parametrize(
+    "early,late,printed",
+    [
+        # abs() overflowed Decimal's default context: a traceback before
+        ("1", "9e1000000", ["max_early = 1", "max_late = 9E+1000000", "ratio = 9E+1000000"]),
+        ("9e1000000", "2", ["max_early = 9E+1000000", "max_late = 2",
+                            "ratio = 2.222222222222222222222222222222222222222E-1000001"]),
+        # the ratio's division overflowed: a traceback before
+        ("1e-5", "9e999999", ["max_early = 0.00001", "max_late = 9E+999999",
+                              "ratio = 9E+1000004"]),
+        # flushed to 0E-1000026 before, so the ratio read Infinity, or 0
+        ("1e-999999999", "1", ["max_early = 1E-999999999", "max_late = 1",
+                               "ratio = 1E+999999999"]),
+        ("1", "1e-999999999", ["max_early = 1", "max_late = 1E-999999999",
+                               "ratio = 1E-999999999"]),
+    ],
+)
+def test_report_reads_finite_extreme_values_exactly(capsys, tmp_path, early, late, printed):
+    csv_path = tmp_path / "rows.csv"
+    csv_path.write_text(f"{','.join(CSV_COLUMNS)}\n1,1,1.0,1.0,{early},0.5\n"
+                        f"9,1,1.0,1.0,{late},0.5\n")
+    code, out, err = run_cli(["report", "--split", "5", "--input", str(csv_path)], capsys)
+    assert (code, err) == (0, "")
+    assert out == "\n".join(["split = 5", *printed]) + "\n"
+
+
 def test_report_rejects_nan_min_ratio_before_output(capsys, tmp_path):
     csv_path = tmp_path / "rows.csv"
     csv_path.write_text(",".join(CSV_COLUMNS) + "\n1,1,1.0,1.0,2.5,0.5\n9,1,1.0,1.0,2.5,0.5\n")
@@ -434,8 +456,8 @@ def test_parse_scan_csv_yields_each_row_as_it_is_read():
         raise OSError(errno.EIO, "line 4 is unreadable")
 
     rows = parse_scan_csv(lines())
-    assert next(rows) == (5, 1, Decimal("1.0"), Decimal("1.0"), Decimal("2.5"), Decimal("0.5"))
-    assert next(rows).V == 2
+    assert next(rows) == (5, 1, "1.0", "1.0", "2.5", "0.5")
+    assert next(rows)[1] == 2
     with pytest.raises(OSError, match="line 4 is unreadable"):
         next(rows)
 
@@ -842,7 +864,7 @@ def test_count_format_env_fallback(capsys, monkeypatch):
     code, out, _ = run_cli(argv, capsys)
     assert code == 0
     assert out == run_cli([*argv, "--format", "csv"], capsys)[1]
-    assert next(parse_scan_csv(io.StringIO(out))).V == 14
+    assert next(parse_scan_csv(io.StringIO(out)))[1] == 14
     code, out, _ = run_cli([*argv, "--format", "text"], capsys)
     assert (code, out) == (0, text)
 

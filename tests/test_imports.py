@@ -41,7 +41,7 @@ def test_importing_the_cli_loads_no_computing_module():
         ("jordan --n 12 --r 1 --k 2", "arith jordan"),
         ("partial-sum --x 10 --r 1 --k 2", "arith jordan"),
         ("witness --large --r 2 --k 2 --count 2", "arith omega"),
-        ("scan --r 2 --k 2 --x-min 2 --x-max 3", "arith lattice omega"),
+        ("scan --r 2 --k 2 --x-min 2 --x-max 3", "arith lattice"),
         ("identity --r 2 --k 2 --x-max 3", "arith jordan lattice umbral"),
     ],
 )
@@ -59,7 +59,7 @@ def test_report_loads_no_lattice():
             "                        '2,8,1.0,1.0,1.0,1.0\\n3,8,1.0,1.0,2.0,1.0\\n')\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    assert rfree.cli.main(['report', '--split', '3']) == 0\n" + LOADED)
-    assert _fresh(code).split() == ["rfree.arith", "rfree.cli", "rfree.errors", "rfree.omega"]
+    assert _fresh(code).split() == ["rfree.cli", "rfree.errors"]
 
 
 def test_public_names_are_their_modules_objects():

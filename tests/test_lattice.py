@@ -16,7 +16,7 @@ from rfree import (
     sieve_mobius,
     zeta_value,
 )
-from rfree.arith import fixed_point, format_ratio, ln_decimal, rfree_sieve
+from rfree.arith import Enclosure, fixed_point, format_ratio, ln_decimal, rfree_sieve
 from rfree.errors import ResourceLimitError
 from rfree.lattice import (
     SCAN_CHUNK,
@@ -421,6 +421,19 @@ def _kernel_rows(draw):
 def test_count_rows_is_the_per_record_arithmetic(row):
     r, k, x, V, scale = row
     assert next(lattice.count_rows(r, k, [x], [V], scale)) == _reference_fields(r, k, x, V, scale)
+
+
+def test_count_rows_rounds_exact_ties_half_up():
+    # A real zeta midpoint never puts a remainder at exactly half its
+    # denominator; N/D = 1/8 at one place does. At x = 3, k = 1 the main term
+    # is 6/8 = 0.75 and, with V = 2, the error is 1.25: "0.8" and "1.3" half
+    # up, where rounding ties down would give "0.7" and "1.2".
+    eighth = Enclosure.between(Fraction(1, 8), Fraction(1, 8))
+    scale = lattice.RowScale(eighth, places=1, unit=10, mid_num=10, mid_den=8,
+                             rad_num=0, rad_den=1)
+    row = next(lattice.count_rows(2, 1, [3], [2], scale))
+    assert row[2:4] == ("0.8", "1.3")
+    assert row == _reference_fields(2, 1, 3, 2, scale)
 
 
 @pytest.mark.parametrize("r,k", [(1, 2), (2, 1), (3, 1), (1, 3), (2, 2), (4, 4)])

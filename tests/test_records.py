@@ -3,7 +3,6 @@ set, their checks raise the same errors, and importing the CLI leaves the
 dataclasses machinery out of the interpreter."""
 
 import copy
-import io
 import os
 import pathlib
 import pickle
@@ -15,16 +14,8 @@ import pytest
 
 from rfree import (CountParams, Enclosure, FracSumParams, TotientParams, ZetaValue, certify_witness,
                    error_scan, identity_check, omega_ratio_report, sieve_mobius, zeta_value)
-from rfree.cli import parse_scan_csv, records_to_csv
-from rfree.omega import scan_rows
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
-
-
-def _scan_row():
-    out = io.StringIO()
-    records_to_csv(scan_rows(2, 2, 2, 3), out)
-    return next(parse_scan_csv(out.getvalue().splitlines()))
 
 
 RECORDS = {
@@ -37,7 +28,6 @@ RECORDS = {
     "FracSumParams": lambda: FracSumParams(r=2, j=2, i=1, x=15),
     "WitnessReport": lambda: certify_witness(15, 2, 2),
     "OmegaRatioReport": lambda: omega_ratio_report(error_scan(2, 2, 2, 9), 5),
-    "ScanRow": _scan_row,
 }
 
 
