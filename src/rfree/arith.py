@@ -4,6 +4,8 @@ Provides:
     sieve_mobius      -- mu(d) up to a limit, as a MobiusTable whose
                          power_sums is the one loop over mu(d) floor(x/d^r)^e
                          that counts and partial sums read
+    mobius_table      -- the one rule by which other modules get mu up to n:
+                         a given table checked, or a new one sieved
     mobius            -- scalar mu(n) by trial division (independent of the sieve)
     integer_root      -- floor(x^(1/r)) in pure integer arithmetic
     bernoulli_numbers -- exact Bernoulli numbers, B_1 = +1/2 convention
@@ -118,6 +120,15 @@ def sieve_mobius(limit: int) -> MobiusTable:
     return MobiusTable(limit=limit, mu=mu)
 
 
+def mobius_table(n: int, table: MobiusTable | None = None) -> MobiusTable:
+    """``table``, which must hold mu up to n (else ValueError naming n), or
+    when None a new table sieved to max(n, 1)."""
+    if table is None:
+        return sieve_mobius(max(n, 1))
+    table.require(n)
+    return table
+
+
 def mobius(n: int) -> int:
     """mu(n) by trial division; the sieve-independent reference."""
     if n < 1:
@@ -205,10 +216,14 @@ def integer_root(x: int, r: int) -> int:
         return x
     if r == 2:
         return math.isqrt(x)
-    if x < (1 << r):
+    bits = x.bit_length()
+    if bits <= r:  # x < 2^r
         return 1
-    # initial guess >= true root
-    t = 1 << -(-x.bit_length() // r)
+    # Start above the root by a relative 1/u at most: t = (u + 1) 2^s, with u the
+    # root of x's leading bits x >> rs, about half the root's bits. Newton's
+    # steps then square that gap, and they fall from above to the floored root.
+    s = bits // r // 2
+    t = (integer_root(x >> r * s, r) + 1) << s if s else 1 << -(-bits // r)
     while True:
         nt = ((r - 1) * t + x // t ** (r - 1)) // r
         if nt >= t:

@@ -20,8 +20,9 @@ and its radius 10^p for p printed places. In count_rows, the one row kernel,
 a row costs one divmod of (2x)^k N 10^p by D, whose quotient and remainder
 give the main term, the error and, over error_normalization's exact ratio,
 the normalized error, each rounded half-up and formatted as text. scan_rows
-feeds count_range's counts to count_rows, the rows the scan subcommand writes;
-count_record wraps a row, whose exact enclosures are built only when read.
+feeds count_range's counts to count_rows, the rows the scan subcommand writes
+(cli.CSV_COLUMNS names their fields). count_record keeps one such row, and
+builds its exact enclosures only when they are read.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ from .arith import (
     decimal_places,
     integer_root,
     ln_decimal,
+    mobius_table,
     rfree_sieve,
-    sieve_mobius,
     zeta_value,
 )
 from .errors import ResourceLimitError
@@ -92,26 +93,15 @@ def row_scale(s: int, precision: Fraction) -> RowScale:
                     rad.numerator * unit, rad.denominator)
 
 
-class RowDigits(NamedTuple):
-    """A record's rendered fields, fixed-point text with the record's
-    ``places`` fractional digits; the CSV columns after x and V, in order."""
-
-    main_term: str
-    error: str
-    normalized_error: str
-    density: str
-
-
 class CountRecord(NamedTuple):
     """One scan row: exact count, the shared 1/zeta(rk) enclosure, and the
-    main_term, error and normalized_error midpoints and the density as
-    fixed-point text with ``places`` fractional digits."""
+    six fields count_rows yields for it, with ``places`` fractional digits."""
 
     params: CountParams
     V: int
     reciprocal: Enclosure
     places: int
-    digits: RowDigits
+    row: tuple[str, ...]
 
     @property
     def x(self) -> int:
@@ -127,7 +117,7 @@ class CountRecord(NamedTuple):
 
     @property
     def normalized_error(self) -> Decimal:
-        return Decimal(self.digits.normalized_error)
+        return Decimal(self.row[4])
 
     @property
     def density(self) -> Fraction:
@@ -317,8 +307,7 @@ def _scan(r, k, x_min, x_max, step, precision, table):
         raise ResourceLimitError(
             f"scan would emit {len(xs)} records, limit is {MAX_SCAN_RECORDS}")
     scale = row_scale(r * k, Fraction(precision))
-    if table is None:
-        table = sieve_mobius(integer_root(x_max, r))
+    table = mobius_table(integer_root(x_max, r), table)
     CountParams(r=r, k=k, x=x_min)  # checks r and k once; every x of xs is valid
     return xs, count_range(r, k, xs, table), scale
 
@@ -345,8 +334,6 @@ def count_record(params: CountParams, precision: Fraction = DEFAULT_PRECISION,
     if scale is None:
         scale = row_scale(r * k, precision)
     if V is None:
-        if table is None:
-            table = sieve_mobius(max(integer_root(x, r), 1))
-        V = count_fast(params, table)
+        V = count_fast(params, mobius_table(integer_root(x, r), table))
     (row,) = count_rows(r, k, (x,), (V,), scale)
-    return CountRecord(params, V, scale.reciprocal, scale.places, RowDigits._make(row[2:]))
+    return CountRecord(params, V, scale.reciprocal, scale.places, row)

@@ -28,8 +28,8 @@ from .arith import (
     MobiusTable,
     ZetaValue,
     integer_root,
+    mobius_table,
     primes_upto,
-    sieve_mobius,
 )
 from .errors import ResourceLimitError
 
@@ -86,10 +86,7 @@ def _frac_sum_upto(params: FracSumParams, top: int, table: MobiusTable | None) -
     # d <= top divides P, so d^(r(i+j)) divides L.
     e = params.r * (params.i + params.j)
     _check_work(1, top, e)
-    if table is None:
-        table = sieve_mobius(max(top, 1))
-    table.require(top)
-    r, i, x, mu = params.r, params.i, params.x, table.mu
+    r, i, x, mu = params.r, params.i, params.x, mobius_table(top, table).mu
     if (shared := _shared_terms.get((top, r, e))) is not None:
         return Fraction(sum(w * (x % dr) ** i for dr, w in shared[1]), shared[0])
     L = math.prod(primes_upto(top)) ** e if e else 1
@@ -143,10 +140,9 @@ def witness_large(r: int, k: int, count: int) -> range:
     negative; the construction needs r >= 2 and rk >= 4. A range, so any
     count is free until certify_witnesses bounds its work.
     """
-    if r < 2:
-        raise ValueError("witness construction requires r >= 2")
-    if r * k < 4:
-        raise ValueError("witness construction requires r*k >= 4")
+    if r < 2 or r * k < 4:
+        raise ValueError("witness_large (--large) applies to r >= 2 with r*k >= 4; use "
+                         "witness_small (--small) for the (r, k) = (2, 1) and (3, 1) cases")
     if count < 1:
         raise ValueError("count must be >= 1")
     modulus = 2**r
@@ -249,7 +245,7 @@ def certify_witnesses(
     root = integer_root(max(xs[0], xs[-1]) if isinstance(xs, range) else max(xs), r)
     top, e = root if cutoff is None else min(cutoff, root), r * (k + 1)
     _check_work(len(xs), top, e)
-    table = sieve_mobius(max(top, 1))
+    table = mobius_table(top)
     mu, last = table.mu, None
     try:
         for x in xs:
@@ -316,10 +312,7 @@ def mertens_residual(
         raise ValueError("x must be >= 1")
     if s < 2:
         raise ValueError("s must be >= 2")
-    if table is None:
-        table = sieve_mobius(x)
-    table.require(x)
-    lo, hi = _ResidualSum(s, zeta, table.mu).upto(x)
+    lo, hi = _ResidualSum(s, zeta, mobius_table(x, table).mu).upto(x)
     return Enclosure.between(Fraction(lo, _SCALE), Fraction(hi, _SCALE))
 
 
@@ -346,10 +339,7 @@ def proposition_residual(
     if r * k < 2:
         raise ValueError("requires r*k >= 2")
     root = integer_root(x, r)
-    if table is None:
-        table = sieve_mobius(root)
-    table.require(root)
-    lo, hi = _ResidualSum(r * k, zeta, table.mu).upto(root)
+    lo, hi = _ResidualSum(r * k, zeta, mobius_table(root, table).mu).upto(root)
     numer = Enclosure.between(Fraction(lo, _SCALE), Fraction(hi, _SCALE)).scale(x**k)
     # x^(1/r) lies in [t, t + 1] / _ROOT_SCALE, and is t / _ROOT_SCALE for r = 1
     t = integer_root(x * _ROOT_SCALE**r, r)

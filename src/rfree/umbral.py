@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .arith import MAX_SCAN_RECORDS, MobiusTable, exact_quotient, integer_root, sieve_mobius
+from .arith import MAX_SCAN_RECORDS, MobiusTable, exact_quotient, integer_root, mobius_table
 from .errors import ResourceLimitError
 from .jordan import TotientParams, jordan, partial_sum_from_sums, partial_sum_range
 from .lattice import CountParams, count_fast, count_oracle, count_range
@@ -88,10 +88,8 @@ def umbral_eval(
         raise ValueError("x must be >= 0")
     if r < 1 or k < 1:
         raise ValueError("r and k must be >= 1")
-    if table is None:
-        table = sieve_mobius(max(integer_root(x, r), 1))
     den, constant, weights = umbral_weights(umbral_coefficients(k))
-    T = table.power_sums(x, r, k)
+    T = mobius_table(integer_root(x, r), table).power_sums(x, r, k)
     total = constant * constant_substitution + sum(
         w * partial_sum_from_sums(T, x, r, e + 1) for e, w in weights
     )
@@ -128,8 +126,7 @@ def identity_check(
     """Compare umbral_eval against count_fast (and count_oracle when a
     budget is given and the box fits). Mismatch is a result, not an error,
     and adds the zero-coordinate expansion to the report."""
-    if table is None:
-        table = sieve_mobius(max(integer_root(x, r), 1))
+    table = mobius_table(integer_root(x, r), table)
     lhs = umbral_eval(x, r, k, table=table)
     rhs = count_fast(CountParams(r=r, k=k, x=x), table)
     oracle = None
@@ -156,8 +153,7 @@ def identity_range(
         )
     den, _, pairs = umbral_weights(umbral_coefficients(k))
     es, weights = zip(*pairs)
-    if table is None:
-        table = sieve_mobius(max(integer_root(x_max, r), 1))
+    table = mobius_table(integer_root(x_max, r), table)
     sums = partial_sum_range(r, es, x_min, x_max, table)
     for x, S, V in zip(xs, sums, count_range(r, k, xs, table)):
         total = sum(map(operator.mul, weights, S))

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -190,6 +191,71 @@ def test_integer_root_rejects_bad_args():
         integer_root(-1, 2)
     with pytest.raises(ValueError):
         integer_root(10, 0)
+
+
+def _integer_root_reference(x: int, r: int) -> int:
+    """integer_root as it was before it started from x's leading bits: Newton
+    from 1 << ceil(bits / r), which shrinks by about 1 - 1/r per step while
+    it is far above the root, and the test x < 2^r."""
+    if r == 1 or x < 2:
+        return x
+    if r == 2:
+        return math.isqrt(x)
+    if x < (1 << r):
+        return 1
+    t = 1 << -(-x.bit_length() // r)
+    while True:
+        nt = ((r - 1) * t + x // t ** (r - 1)) // r
+        if nt >= t:
+            break
+        t = nt
+    while t**r > x:
+        t -= 1
+    while (t + 1) ** r <= x:
+        t += 1
+    return t
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.integers(0, 10**400), r=st.integers(1, 300))
+@example(x=10**400, r=300)
+@example(x=2**300 - 1, r=300)  # the largest x whose root is 1
+def test_integer_root_matches_the_reference(x, r):
+    assert integer_root(x, r) == _integer_root_reference(x, r)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rt=st.integers(2, 300).flatmap(
+        lambda r: st.tuples(st.just(r), st.integers(1, _integer_root_reference(10**400, r)))),
+    offset=st.sampled_from([-1, 0, 1]),
+)
+@example(rt=(3, 10**133), offset=0)
+@example(rt=(300, 21), offset=-1)
+def test_integer_root_at_perfect_powers_and_their_neighbours(rt, offset):
+    r, t = rt
+    x = t**r + offset
+    assert integer_root(x, r) == _integer_root_reference(x, r) == t - (offset < 0)
+
+
+def test_integer_root_at_huge_r_builds_no_power_of_two():
+    # x < 2^r is read from x's bit length; 1 << 10**8 would take 12.5 MB
+    tracemalloc.start()
+    try:
+        assert integer_root(5, 10**8) == 1
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_mobius_table_sieves_or_checks_the_given_table():
+    assert arith.mobius_table(0) == sieve_mobius(1)  # n = 0 still sieves to 1
+    assert arith.mobius_table(12) == sieve_mobius(12)
+    given = sieve_mobius(10)
+    assert arith.mobius_table(10, given) is given
+    with pytest.raises(ValueError, match=r"^table sieved to 10, need 11$"):
+        arith.mobius_table(11, given)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import time
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction
 
@@ -43,6 +44,15 @@ def test_count_r1_k2_x1(capsys):
     code, out, _ = run_cli(["count", "--r", "1", "--k", "2", "--x", "1"], capsys)
     assert code == 0
     assert "V = 8" in out
+
+
+def test_count_at_large_r_takes_its_roots_quickly(capsys):
+    # the x^(1/r) normalization roots x 10^(40 r); Newton from 2^ceil(bits/r)
+    # took about 4 s at r = 3000
+    start = time.perf_counter()
+    code, out, _ = run_cli(["count", "--r", "3000", "--k", "1", "--x", "3"], capsys)
+    assert time.perf_counter() - start < 0.5
+    assert code == 0 and "normalized_error = 0.000000000000000000000000000004\n" in out
 
 
 def test_count_rejects_negative_x(capsys):
@@ -131,10 +141,9 @@ def test_identity_command(capsys):
 
 
 def test_identity_rejects_inverted_range(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["identity", "--r", "2", "--k", "3", "--x-min", "5", "--x-max", "3"])
-    assert exc.value.code == 2
-    assert capsys.readouterr().out == ""
+    code, out, err = run_cli(["identity", "--r", "2", "--k", "3", "--x-min", "5", "--x-max", "3"],
+                             capsys)
+    assert (code, out, err) == (2, "", "error: need 0 <= x_min <= x_max\n")
 
 
 def test_identity_mismatch_reports_both_sides(capsys, monkeypatch):
@@ -167,7 +176,7 @@ def test_identity_range_limit_before_any_sieve(capsys, monkeypatch, limit):
     with monkeypatch.context() as patch:
         if limit is not None:
             patch.setattr(umbral, "MAX_SCAN_RECORDS", limit)
-        patch.setattr(umbral, "sieve_mobius", lambda n: pytest.fail("sieved"))
+        patch.setattr(rfree.arith, "sieve_mobius", lambda n: pytest.fail("sieved"))
         patch.setattr(umbral, "partial_sum_range", lambda *a: pytest.fail("sieved"))
         code, out, err = run_cli(["identity", "--r", "1", "--k", "2", "--x-max", str(x_max)], capsys)
     assert (code, out) == (1, "")
@@ -244,9 +253,9 @@ def test_scan_is_deterministic(capsys):
 
 
 def test_scan_rejects_inverted_range(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["scan", "--r", "1", "--k", "2", "--x-min", "10", "--x-max", "5"])
-    assert exc.value.code == 2
+    code, out, err = run_cli(["scan", "--r", "1", "--k", "2", "--x-min", "10", "--x-max", "5"],
+                             capsys)
+    assert (code, out, err) == (2, "", "error: x_max must be >= x_min\n")
 
 
 @pytest.mark.parametrize(
@@ -560,7 +569,7 @@ def test_witness_work_past_the_budget_fails_before_any_certificate(capsys, monke
     import rfree.omega
 
     monkeypatch.setattr(rfree.omega, "certify_witness", lambda *args, **kw: pytest.fail("certified"))
-    monkeypatch.setattr(rfree.omega, "sieve_mobius", lambda n: pytest.fail("sieved"))
+    monkeypatch.setattr(rfree.arith, "sieve_mobius", lambda n: pytest.fail("sieved"))
     argv = ["witness", "--large", "--r", "2", "--k", "2", "--count", "1000000"]
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (1, "")
@@ -574,7 +583,7 @@ def test_witness_large_k_past_the_work_limit_fails_before_any_certificate(capsys
     import rfree.omega
 
     monkeypatch.setattr(rfree.omega, "certify_witness", lambda *args, **kw: pytest.fail("certified"))
-    monkeypatch.setattr(rfree.omega, "sieve_mobius", lambda n: pytest.fail("sieved"))
+    monkeypatch.setattr(rfree.arith, "sieve_mobius", lambda n: pytest.fail("sieved"))
     argv = ["witness", "--large", "--r", "2", "--k", str(k), "--count", str(count)]
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (1, "")
@@ -592,15 +601,13 @@ def test_refused_witness_list_costs_no_memory():
 
 
 def test_witness_sieves_once_per_run(capsys, monkeypatch):
-    import rfree.omega
-
-    sieve, limits = rfree.omega.sieve_mobius, []
+    sieve, limits = rfree.arith.sieve_mobius, []
 
     def recording(limit):
         limits.append(limit)
         return sieve(limit)
 
-    monkeypatch.setattr(rfree.omega, "sieve_mobius", recording)
+    monkeypatch.setattr(rfree.arith, "sieve_mobius", recording)
     code, out, _ = run_cli(["witness", "--large", "--r", "2", "--k", "2", "--count", "40"], capsys)
     # 40 certificates, the last at x = 167, sum over d <= floor(sqrt(x))
     assert code == 0 and out.count("verdict = negative") == 40
@@ -646,9 +653,10 @@ def test_large_exact_sums_stream_their_terms():
 
 
 def test_witness_large_rejects_small_rk(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["witness", "--large", "--r", "2", "--k", "1"])
-    assert exc.value.code == 2
+    code, out, err = run_cli(["witness", "--large", "--r", "2", "--k", "1"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: witness_large (--large) applies to r >= 2 with r*k >= 4")
+    assert "(--small) for the (r, k) = (2, 1) and (3, 1) cases" in err
 
 
 def test_witness_small_command(capsys):
@@ -682,9 +690,7 @@ def test_witness_small_prints_long_fractions_in_full(capsys):
 
 
 def test_witness_cutoff_past_the_guard_fails_before_output(capsys, monkeypatch):
-    import rfree.omega
-
-    monkeypatch.setattr(rfree.omega, "sieve_mobius", lambda n: pytest.fail("sieved"))
+    monkeypatch.setattr(rfree.arith, "sieve_mobius", lambda n: pytest.fail("sieved"))
     argv = ["witness", "--small", "--r", "2", "--m", "1", "--cutoff", "20000000"]
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (1, "")
@@ -732,9 +738,28 @@ def test_scan_past_the_digit_cap_round_trips_through_report(tmp_path, capsys, di
 
 
 def test_witness_small_rejects_even_m(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["witness", "--small", "--r", "2", "--m", "2"])
-    assert exc.value.code == 2
+    code, out, err = run_cli(["witness", "--small", "--r", "2", "--m", "2"], capsys)
+    assert (code, out, err) == (2, "", "error: m must be coprime to 2 and all odd primes < 100\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "scan --r 2 --k 2 --x-min 5 --x-max 3",
+        "scan --r 2 --k 2 --x-min 5 --x-max 3 --format json",
+        "identity --r 2 --k 2 --x-min 5 --x-max 3",
+        "witness --large --r 1 --k 5",
+        "witness --large --r 2 --k 1",
+        "witness --small --r 4 --m 1",
+        "witness --small --r 2 --m 2",
+    ],
+)
+def test_rejected_library_inputs_exit_2_with_one_error_line(capsys, argv):
+    # the library's ValueError reaches main's one handler: no usage text
+    code, out, err = run_cli(argv.split(), capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert "usage:" not in err and "Traceback" not in err
 
 
 def test_witness_requires_branch(capsys):

@@ -1,6 +1,8 @@
-"""Each CLI subcommand loads only the rfree modules it runs, and the
-package's public names load their module on first use."""
+"""Each CLI subcommand loads only the rfree modules it runs, the package's
+public names load their module on first use, and the names the benchmark
+harness wraps exist."""
 
+import ast
 import importlib
 import os
 import pathlib
@@ -10,10 +12,9 @@ import sys
 import pytest
 
 import rfree
-from rfree.cli import CSV_COLUMNS
-from rfree.lattice import RowDigits
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 def _fresh(code: str) -> str:
@@ -83,5 +84,24 @@ def test_jordan_names_the_function_after_its_module_loads():
     assert _fresh(code) == "True True True\n"
 
 
-def test_csv_columns_are_the_record_fields():
-    assert CSV_COLUMNS == ["x", "V", *RowDigits._fields]
+def test_every_name_the_benchmark_wraps_exists():
+    # perfbench/layers.py's BOUNDARIES, read without importing perfbench: a
+    # deleted or renamed name fails here, not in a traced benchmark run
+    tree = ast.parse((ROOT / "perfbench" / "layers.py").read_text(encoding="utf-8"))
+    (boundaries,) = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                     and [getattr(t, "id", None) for t in node.targets] == ["BOUNDARIES"]]
+    pairs = ast.literal_eval(boundaries)
+    assert pairs
+    for module, name in pairs:
+        assert callable(getattr(importlib.import_module(f"rfree.{module}"), name, None)), (
+            module, name)
+
+
+def test_only_arith_sieves_mu():
+    # every other module gets its table from arith.mobius_table
+    for path in sorted((SRC / "rfree").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                  for alias in node.names}
+        assert path.stem == "arith" or "sieve_mobius" not in names, path.name

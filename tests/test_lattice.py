@@ -436,6 +436,15 @@ def test_count_rows_rounds_exact_ties_half_up():
     assert row == _reference_fields(2, 1, 3, 2, scale)
 
 
+def test_count_rows_yield_one_field_per_csv_column():
+    from rfree.cli import CSV_COLUMNS  # the one list of column names
+
+    scale = lattice.row_scale(4, KERNEL_PRECISIONS[0])
+    rows = list(lattice.count_rows(2, 2, [10, 11], [300, 350], scale))
+    assert [len(row) for row in rows] == [len(CSV_COLUMNS)] * 2
+    assert count_record(CountParams(r=2, k=2, x=10), V=300).row == rows[0]
+
+
 @pytest.mark.parametrize("r,k", [(1, 2), (2, 1), (3, 1), (1, 3), (2, 2), (4, 4)])
 @pytest.mark.parametrize("precision", KERNEL_PRECISIONS[:4])
 def test_count_rows_over_a_range_are_the_reference_rows(tables, r, k, precision):

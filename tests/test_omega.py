@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rfree import lattice, omega
+from rfree import arith, lattice, omega
 from rfree import (
     CountParams,
     FracSumParams,
@@ -158,7 +158,7 @@ def _largest_accepted(work):
 
 def test_frac_sum_guard_rejects_before_any_work(monkeypatch):
     small, witness = sieve_mobius(10), witness_small(2, 1)
-    monkeypatch.setattr(omega, "sieve_mobius", lambda n: pytest.fail("sieved"))
+    monkeypatch.setattr(arith, "sieve_mobius", lambda n: pytest.fail("sieved"))
     monkeypatch.setattr(omega, "primes_upto", lambda n: pytest.fail("primes listed"))
     big = FracSumParams(r=2, j=1, i=1, x=10**40)
     # the first cutoff past the limit for one sum on L = P^4
@@ -275,7 +275,7 @@ def test_witness_large_count_has_a_budget(monkeypatch):
     assert isinstance(witness_large(2, 2, 1), range)
     xs = witness_large(2, 2, 10**15)
     assert (len(xs), xs[-1]) == (10**15, 11 + 4 * (10**15 - 1))
-    monkeypatch.setattr(omega, "sieve_mobius", lambda n: pytest.fail("sieved"))
+    monkeypatch.setattr(arith, "sieve_mobius", lambda n: pytest.fail("sieved"))
     with pytest.raises(ResourceLimitError, match=r"^1000000000000000 exact frac-sum\(s\) "):
         next(certify_witnesses(xs, 2, 2))
     with pytest.raises(ResourceLimitError, match=r"^1000001 exact frac-sum\(s\) over d <= 2000 on P\^6 "):
@@ -331,8 +331,8 @@ def test_certify_witness_x11():
 def test_certify_witnesses_match_one_at_a_time_from_one_sieve(monkeypatch):
     xs = [*witness_large(3, 2, 30), witness_small(2, 1)]
     expected = [certify_witness(x, 3, 2, cutoff=60) for x in xs]
-    sieve, limits = omega.sieve_mobius, []
-    monkeypatch.setattr(omega, "sieve_mobius", lambda n: limits.append(n) or sieve(n))
+    sieve, limits = arith.sieve_mobius, []
+    monkeypatch.setattr(arith, "sieve_mobius", lambda n: limits.append(n) or sieve(n))
     assert list(certify_witnesses(xs, 3, 2, cutoff=60)) == expected
     assert limits == [60]
     assert list(certify_witnesses([], 3, 2)) == []
@@ -397,7 +397,7 @@ def test_witness_list_shares_terms_per_top_while_it_runs(monkeypatch):
 
 
 def test_certify_witnesses_check_the_work_before_any_sieve(monkeypatch):
-    monkeypatch.setattr(omega, "sieve_mobius", lambda n: pytest.fail("sieved"))
+    monkeypatch.setattr(arith, "sieve_mobius", lambda n: pytest.fail("sieved"))
     x = witness_small(2, 1)
     with pytest.raises(ResourceLimitError, match=r"^1 exact frac-sum\(s\) over d <= 100000 on P\^4 "):
         next(certify_witnesses([x], 2, 1, cutoff=100_000))
@@ -414,7 +414,7 @@ def test_certify_witness_without_a_cutoff_is_exact_or_refused(monkeypatch):
     assert (rep.finite_part, rep.tail_bound, rep.verdict) == (0, 0, "inconclusive")
     assert list(certify_witnesses([3], 2, 2)) == [rep]
     x = witness_small(2, 1)
-    monkeypatch.setattr(omega, "sieve_mobius", lambda n: pytest.fail("sieved"))
+    monkeypatch.setattr(arith, "sieve_mobius", lambda n: pytest.fail("sieved"))
     monkeypatch.setattr(omega, "primes_upto", lambda n: pytest.fail("primes listed"))
     with pytest.raises(ResourceLimitError, match="pass a smaller cutoff"):
         certify_witness(x, 2, 1)
@@ -559,7 +559,7 @@ def test_tableless_residuals_sieve_what_they_need(monkeypatch):
         limits.append(n)
         return sieve_mobius(n)
 
-    monkeypatch.setattr(omega, "sieve_mobius", recording)
+    monkeypatch.setattr(arith, "sieve_mobius", recording)
     z2, z4 = zeta_value(2), zeta_value(4)
     assert mertens_residual(50, 2, z2) == mertens_residual(50, 2, z2, table=sieve_mobius(50))
     assert proposition_residual(1000, 2, 2, z4) == proposition_residual(

@@ -12,7 +12,7 @@ from rfree import (
     umbral_coefficients,
     umbral_eval,
 )
-from rfree import lattice, umbral
+from rfree import arith, lattice, umbral
 from rfree.arith import rfree_sieve
 from rfree.errors import InvariantViolationError, ResourceLimitError
 from rfree.umbral import identity_range, zero_coordinate_expansion
@@ -192,7 +192,7 @@ def test_identity_range_validation(monkeypatch):
     def no_sieve(limit):
         raise AssertionError("sieved for a rejected range")
 
-    monkeypatch.setattr(umbral, "sieve_mobius", no_sieve)
+    monkeypatch.setattr(arith, "sieve_mobius", no_sieve)
     for r, k, x_min, x_max in [(0, 2, 0, 5), (1, 0, 0, 5), (1, 2, -1, 5), (1, 2, 6, 5)]:
         with pytest.raises(ValueError):
             next(identity_range(r, k, x_min, x_max))
