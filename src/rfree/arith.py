@@ -4,14 +4,15 @@ Provides:
     sieve_mobius      -- mu(d) up to a limit, as a MobiusTable whose
                          power_sums is the one loop over mu(d) floor(x/d^r)^e
                          that counts and partial sums read
-    mobius_table      -- the one rule by which other modules get mu up to n:
-                         a given table checked, or a new one sieved
-    mobius            -- scalar mu(n) by trial division (independent of the sieve)
+    mobius_table      -- mu up to n: the process's one sieved table, grown
+                         when a request passes its limit
+    mobius            -- scalar mu(n) from factorize (independent of the sieve)
     integer_root      -- floor(x^(1/r)) in pure integer arithmetic
     bernoulli_numbers -- exact Bernoulli numbers, B_1 = +1/2 convention
     faulhaber_vector  -- F_k: sum_{m<=q} m^(k-1) as integers over one denominator
     exact_quotient    -- the one integrality check of the totient algebra
-    zeta_value        -- zeta(s) for integer s >= 2 with a rigorous error radius
+    zeta_value        -- zeta(s) for integer 2 <= s <= ZETA_S_LIMIT with a
+                         rigorous error radius
     Enclosure         -- a closed rational ball guaranteed to contain a value
     decimal_places    -- the fractional digits an enclosure target prints
 
@@ -34,6 +35,7 @@ FACTOR_BOUND = 10**6  # largest trial divisor of factorize
 SIEVE_LIMIT = 10**7  # largest sieve_mobius limit, ~12 bytes per entry at peak
 BERNOULLI_LIMIT = 400  # largest bernoulli_numbers count, about 1 s at the limit
 MAX_SCAN_RECORDS = 10**6  # most rows of one scan or identity range
+ZETA_S_LIMIT = 10**6  # largest zeta_value s: 1/zeta(s) then takes about 4.5 s
 SCAN_CHUNK = 256  # fewest rows per count_range chunk
 DEFAULT_PRECISION = Fraction(1, 10**30)  # zeta enclosure target
 
@@ -120,33 +122,25 @@ def sieve_mobius(limit: int) -> MobiusTable:
     return MobiusTable(limit=limit, mu=mu)
 
 
-def mobius_table(n: int, table: MobiusTable | None = None) -> MobiusTable:
-    """``table``, which must hold mu up to n (else ValueError naming n), or
-    when None a new table sieved to max(n, 1)."""
-    if table is None:
-        return sieve_mobius(max(n, 1))
-    table.require(n)
-    return table
+_table = MobiusTable(limit=0, mu=[0])  # the process's mu table; limit 0 until sieved
+
+
+def mobius_table(n: int) -> MobiusTable:
+    """The process's MobiusTable, holding mu up to at least n. A request past
+    its limit L sieves to max(n, min(2 L, SIEVE_LIMIT)) and keeps the result,
+    so the first request sieves exactly max(n, 1), and requests rising to n
+    sieve O(log n) times. ResourceLimitError for n > SIEVE_LIMIT."""
+    global _table
+    if n > _table.limit or not _table.limit:
+        _table = sieve_mobius(max(n, min(2 * _table.limit, SIEVE_LIMIT), 1))
+    return _table
 
 
 def mobius(n: int) -> int:
-    """mu(n) by trial division; the sieve-independent reference."""
-    if n < 1:
-        raise ValueError("mobius is defined for n >= 1")
-    if n == 1:
-        return 1
-    count = 0
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            count += 1
-        p += 1 if p == 2 else 2
-    if n > 1:
-        count += 1
-    return -1 if count % 2 else 1
+    """mu(n) from factorize(n), so within its FACTOR_BOUND; the sieve-independent
+    reference."""
+    exponents = factorize(n).values()
+    return 0 if any(a > 1 for a in exponents) else (-1) ** len(exponents)
 
 
 def primes_upto(limit: int) -> list[int]:
@@ -438,9 +432,14 @@ def zeta_enclosure(s: int, depth: int) -> ZetaValue:
 
 @lru_cache(maxsize=None)
 def zeta_value(s: int, target_precision: Fraction = DEFAULT_PRECISION) -> ZetaValue:
-    """zeta(s) with radius <= target_precision, depth chosen adaptively."""
+    """zeta(s) with radius <= target_precision, depth chosen adaptively.
+    ResourceLimitError for s > ZETA_S_LIMIT: its midpoint and radius have
+    about s bits, and taking 1/zeta(s) or printing the radius costs O(s^2)."""
     if s < 2:
         raise ValueError("zeta_value requires integer s >= 2")
+    if s > ZETA_S_LIMIT:
+        raise ResourceLimitError(f"zeta({s}) needs {s}-bit rationals, "
+                                 f"limit is s <= {ZETA_S_LIMIT}")
     target = Fraction(target_precision)
     if target <= 0:
         raise ValueError("target_precision must be positive")

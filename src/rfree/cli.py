@@ -244,7 +244,6 @@ def _cmd_jordan(args, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_partial_sum(args, parser: argparse.ArgumentParser) -> int:
-    from .arith import integer_root, mobius_table
     from .jordan import TotientParams, partial_sum_bernoulli, partial_sum_direct
 
     params = TotientParams(r=args.r, k=args.k)
@@ -252,8 +251,7 @@ def _cmd_partial_sum(args, parser: argparse.ArgumentParser) -> int:
     if args.method in ("direct", "both"):
         values["direct"] = partial_sum_direct(args.x, params)
     if args.method in ("bernoulli", "both"):
-        table = mobius_table(integer_root(args.x, args.r))
-        values["bernoulli"] = partial_sum_bernoulli(args.x, params, table)
+        values["bernoulli"] = partial_sum_bernoulli(args.x, params)
     for name, value in values.items():
         print(f"{name} = {value}")
     return _agreement(*values.values()) if len(values) == 2 else 0

@@ -30,13 +30,13 @@ from itertools import accumulate, islice, product
 from .arith import (
     MAX_SCAN_RECORDS,
     SCAN_CHUNK,
-    MobiusTable,
     bernoulli_numbers,
     exact_quotient,
     factorize,
     faulhaber_vector,
     integer_root,
     mobius,
+    mobius_table,
     primes_upto,
     rfree_sieve,
 )
@@ -145,7 +145,7 @@ def partial_sum_direct(x: int, params: TotientParams) -> int:
     return sum(jordan(n, inner) for n in range(1, x + 1))
 
 
-def partial_sum_bernoulli(x: int, params: TotientParams, table: MobiusTable) -> int:
+def partial_sum_bernoulli(x: int, params: TotientParams) -> int:
     """sum_{n<=x} J_{k-1}^r(n) via the Bernoulli expansion: the dot product
     of F_k with T_0..T_k(x) from one MobiusTable.power_sums call."""
     if x < 0:
@@ -153,7 +153,8 @@ def partial_sum_bernoulli(x: int, params: TotientParams, table: MobiusTable) -> 
     if params.k < 1:
         raise ValueError("partial sums need k >= 1")
     r, k = params.r, params.k
-    return partial_sum_from_sums(table.power_sums(x, r, k), x, r, k)
+    T = mobius_table(integer_root(x, r)).power_sums(x, r, k)
+    return partial_sum_from_sums(T, x, r, k)
 
 
 def partial_sum_from_sums(T: list[int], x: int, r: int, k: int) -> int:
@@ -195,7 +196,7 @@ def jordan_segment(
 
 
 def partial_sum_range(
-    r: int, es: tuple[int, ...], x_min: int, x_max: int, table: MobiusTable
+    r: int, es: tuple[int, ...], x_min: int, x_max: int
 ) -> Iterator[tuple[int, ...]]:
     """(sum_{n<=x} J_e^r(n) for e in es) for every x = x_min..x_max, in order,
     in time linear in the range: jordan_segment sieves segments of
@@ -206,7 +207,7 @@ def partial_sum_range(
     if x_min < 0 or x_max < x_min:
         raise ValueError("need 0 <= x_min <= x_max")
     start = x_min if x_min > x_max - x_min + 1 else 0
-    seed = (partial_sum_bernoulli(start - 1, TotientParams(r, e + 1), table) for e in es)
+    seed = (partial_sum_bernoulli(start - 1, TotientParams(r, e + 1)) for e in es)
     sums = list(seed) if start else [0] * len(es)
     root = integer_root(x_max, max(r, 2))
     primes = primes_upto(root)

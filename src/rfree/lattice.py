@@ -40,7 +40,6 @@ from .arith import (
     MAX_SCAN_RECORDS,
     SCAN_CHUNK,
     Enclosure,
-    MobiusTable,
     decimal_places,
     integer_root,
     ln_decimal,
@@ -51,6 +50,9 @@ from .arith import (
 from .errors import ResourceLimitError
 
 DEFAULT_BOX_BUDGET = 10**8
+# Most digits of the x^(1/r) normalization's radicand x 10^((p+10) r): its root
+# takes about 5 s at the limit, the most at p = 1 (2-vCPU x86 VM, CPython 3.11).
+ROOT_DIGITS_LIMIT = 8 * 10**5
 
 
 class CountParams(namedtuple("CountParams", "r k x")):
@@ -141,10 +143,10 @@ def count_oracle(params: CountParams, budget: int = DEFAULT_BOX_BUDGET) -> int:
     return count
 
 
-def count_fast(params: CountParams, table: MobiusTable) -> int:
+def count_fast(params: CountParams) -> int:
     """V by Mobius inversion over d <= floor(x^(1/r)); exact."""
-    k = params.k
-    T = table.power_sums(params.x, params.r, k)
+    r, k, x = params
+    T = mobius_table(integer_root(x, r)).power_sums(x, r, k)
     total, c = 0, 1
     for e in range(1, k + 1):
         c = c * 2 * (k - e + 1) // e  # C(k, e) 2^e
@@ -172,7 +174,7 @@ def increments_pay(r: int, rows: int, span: int, root: int) -> bool:
     return INCREMENT_COST * (span * density + root) < rows * root
 
 
-def count_progression(r: int, k: int, xs: range, table: MobiusTable) -> list[int]:
+def count_progression(r: int, k: int, xs: range) -> list[int]:
     """V(r, k, x) for every x of the ascending progression ``xs``; exact.
 
     The first x is counted by count_fast. Every later integer y of the span
@@ -188,13 +190,12 @@ def count_progression(r: int, k: int, xs: range, table: MobiusTable) -> list[int
         raise ValueError("xs must be an ascending progression of x >= 0")
     first, last = xs[0], xs[-1]
     root = integer_root(last, r)
-    table.require(root)
+    mu = mobius_table(root).mu
     if not increments_pay(r, len(xs), last - first, root):
-        return [count_fast(CountParams(r=r, k=k, x=x), table) for x in xs]
+        return [count_fast(CountParams(r=r, k=k, x=x)) for x in xs]
     step = xs.step
     # rises[j]: the increments of the integers in (xs[j-1], xs[j]]
     rises = [0] * len(xs)
-    mu = table.mu
     for d in range(1, root + 1):
         m = mu[d]
         if not m:
@@ -204,19 +205,19 @@ def count_progression(r: int, k: int, xs: range, table: MobiusTable) -> list[int
         for y in range(q * dr, last + 1, dr):
             rises[(y - first + step - 1) // step] += m * ((2 * q + 1) ** k - (2 * q - 1) ** k)
             q += 1
-    rises[0] = count_fast(CountParams(r=r, k=k, x=first), table)
+    rises[0] = count_fast(CountParams(r=r, k=k, x=first))
     for j in range(1, len(rises)):
         rises[j] += rises[j - 1]
     return rises
 
 
-def count_range(r: int, k: int, xs: range, table: MobiusTable) -> Iterator[int]:
+def count_range(r: int, k: int, xs: range) -> Iterator[int]:
     """V(r, k, x) for every x of the ascending progression ``xs``, in order,
     by one count_progression per chunk of max(SCAN_CHUNK, x_max^(1/r) + 1)
     samples: its loop over d costs at most one step per row."""
     size = max(SCAN_CHUNK, integer_root(xs[-1], r) + 1) if xs else 1
     for i in range(0, len(xs), size):
-        yield from count_progression(r, k, xs[i : i + size], table)
+        yield from count_progression(r, k, xs[i : i + size])
 
 
 def error_normalization(params: CountParams, places: int) -> tuple[int, int]:
@@ -237,6 +238,10 @@ def error_normalization(params: CountParams, places: int) -> tuple[int, int]:
         raise ValueError("normalization needs x >= 1")
     if r >= 2 and k == 1:
         # floor(x^(1/r) S) / S at places + 10 fractional digits
+        digits = (places + 10) * r + x.bit_length() * 30103 // 100000 + 1  # at least x's
+        if digits > ROOT_DIGITS_LIMIT:
+            raise ResourceLimitError(f"the x^(1/r) normalization at r={r} takes the root of a "
+                                     f"{digits}-digit integer, limit is {ROOT_DIGITS_LIMIT}")
         scale = 10 ** (places + 10)
         return integer_root(x * scale**r, r), scale
     return x ** (k - 1), 1
@@ -294,7 +299,7 @@ def count_rows(r: int, k: int, xs: Iterable[int], Vs: Iterable[int],
                fixed % divmod(density + (2 * drem >= box), unit))
 
 
-def _scan(r, k, x_min, x_max, step, precision, table):
+def _scan(r, k, x_min, x_max, step, precision):
     # a scan's checked xs, their counts (count_range, chunk by chunk) and row_scale
     if x_min < 2:
         raise ValueError("x_min must be >= 2")
@@ -307,33 +312,31 @@ def _scan(r, k, x_min, x_max, step, precision, table):
         raise ResourceLimitError(
             f"scan would emit {len(xs)} records, limit is {MAX_SCAN_RECORDS}")
     scale = row_scale(r * k, Fraction(precision))
-    table = mobius_table(integer_root(x_max, r), table)
+    mobius_table(integer_root(x_max, r))  # one sieve, to the largest root
     CountParams(r=r, k=k, x=x_min)  # checks r and k once; every x of xs is valid
-    return xs, count_range(r, k, xs, table), scale
+    return xs, count_range(r, k, xs), scale
 
 
 def scan_rows(r: int, k: int, x_min: int, x_max: int, step: int = 1,
-              precision: Fraction = DEFAULT_PRECISION,
-              table: MobiusTable | None = None) -> Iterator[tuple[str, ...]]:
+              precision: Fraction = DEFAULT_PRECISION) -> Iterator[tuple[str, ...]]:
     """count_rows's fields per sampled x, ascending, each row made as it is
     drawn: the scan holds one chunk's counts, O(x_max^(1/r)) integers like the
     Mobius table. Deterministic; the arguments are checked at the first row."""
-    xs, counts, scale = _scan(r, k, x_min, x_max, step, precision, table)
+    xs, counts, scale = _scan(r, k, x_min, x_max, step, precision)
     yield from count_rows(r, k, xs, counts, scale)
 
 
 def count_record(params: CountParams, precision: Fraction = DEFAULT_PRECISION,
-                 table: MobiusTable | None = None, V: int | None = None,
-                 scale: RowScale | None = None) -> CountRecord:
+                 V: int | None = None, scale: RowScale | None = None) -> CountRecord:
     """The record of one (r, k, x), count_rows's row wrapped. ``scale`` is
     the row_scale(rk, precision) a scan shares, built when None; ``V`` the
-    exact count, count_fast's from ``table`` when None."""
+    exact count, count_fast's when None."""
     x, k, r = params.x, params.k, params.r
     if x < 1:
         raise ValueError("count_record needs x >= 1")
     if scale is None:
         scale = row_scale(r * k, precision)
     if V is None:
-        V = count_fast(params, mobius_table(integer_root(x, r), table))
+        V = count_fast(params)
     (row,) = count_rows(r, k, (x,), (V,), scale)
     return CountRecord(params, V, scale.reciprocal, scale.places, row)

@@ -10,7 +10,8 @@ modulus, never by floating division. The constructed witnesses can run to
 seventy-plus digits, where floats carry no information at all. Exact sums
 add integers over one denominator L = P^(r(i+j)), so one limit bounds each
 sum and witness list by its d range and the size of L: frac_sum_work.
-error_scan wraps the rows lattice.scan_rows makes in lattice.CountRecords.
+error_scan makes one lattice.count_record per x from the counts and
+row_scale of lattice._scan, the scan that scan_rows renders.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from typing import NamedTuple
 from .arith import (
     DEFAULT_PRECISION,
     Enclosure,
-    MobiusTable,
     ZetaValue,
     integer_root,
     mobius_table,
@@ -79,44 +79,39 @@ _shared_terms: dict = {}
 _SHARED_WORK = 2**23
 
 
-def _frac_sum_upto(params: FracSumParams, top: int, table: MobiusTable | None) -> Fraction:
-    # sum_{d <= top} mu(d) d^(-rj) {x / d^r}^i, exactly, with mu from table
-    # (sieved to top when None). The terms are integers over one denominator
-    # L = P^(r(i+j)), P the product of the primes <= top: every squarefree
-    # d <= top divides P, so d^(r(i+j)) divides L.
+def _frac_terms(top: int, r: int, e: int, mu: list[int]) -> tuple[int, Iterator]:
+    # L = P^e, P the product of the primes <= top, and the terms (d^r, mu(d) L / d^e)
+    # of the squarefree d <= top, made as they are drawn: each such d divides P
+    L = math.prod(primes_upto(top)) ** e if e else 1
+    return L, ((d**r, mu[d] * (L // d**e)) for d in range(1, top + 1) if mu[d])
+
+
+def _frac_sum_upto(params: FracSumParams, top: int) -> Fraction:
+    # sum_{d <= top} mu(d) d^(-rj) {x / d^r}^i, exactly: integers over one
+    # denominator L = P^(r(i+j)), each term added as it is made
     e = params.r * (params.i + params.j)
     _check_work(1, top, e)
-    r, i, x, mu = params.r, params.i, params.x, mobius_table(top, table).mu
-    if (shared := _shared_terms.get((top, r, e))) is not None:
-        return Fraction(sum(w * (x % dr) ** i for dr, w in shared[1]), shared[0])
-    L = math.prod(primes_upto(top)) ** e if e else 1
-    total = 0
-    for d in range(1, top + 1):
-        if mu[d]:
-            rem = x % d**r
-            if rem or not i:
-                total += mu[d] * rem**i * (L // d**e)
-    return Fraction(total, L)
+    r, i, x, mu = params.r, params.i, params.x, mobius_table(top).mu
+    L, terms = _shared_terms.get((top, r, e)) or _frac_terms(top, r, e, mu)
+    return Fraction(sum(w * (x % dr) ** i for dr, w in terms), L)
 
 
-def frac_sum(params: FracSumParams, table: MobiusTable) -> Fraction:
-    """The full sum over d <= floor(x^(1/r)), exactly, with mu from ``table``.
-    Past FRAC_SUM_WORK_LIMIT it raises ResourceLimitError before any work;
+def frac_sum(params: FracSumParams) -> Fraction:
+    """The full sum over d <= floor(x^(1/r)), exactly. Past
+    FRAC_SUM_WORK_LIMIT it raises ResourceLimitError before any work;
     truncated_frac_sum takes a cutoff."""
-    return _frac_sum_upto(params, integer_root(params.x, params.r), table)
+    return _frac_sum_upto(params, integer_root(params.x, params.r))
 
 
-def truncated_frac_sum(
-    params: FracSumParams, cutoff: int, table: MobiusTable | None = None
-) -> tuple[Fraction, Fraction]:
+def truncated_frac_sum(params: FracSumParams, cutoff: int) -> tuple[Fraction, Fraction]:
     """(finite part over d <= cutoff, rigorous bound on the rest).
 
     Tail bound: |sum_{d > D} mu(d) d^(-rj) {..}^i| <= sum_{d > D} d^(-rj)
     <= D^(1-rj)/(rj - 1), needing rj >= 2. Only x mod d^r for d <= cutoff is
     computed, so x may be arbitrarily large. When cutoff already covers
-    floor(x^(1/r)) the tail is exactly zero. The finite part reads mu from
-    ``table``, or sieves it when None, to min(cutoff, floor(x^(1/r))), if
-    its frac_sum_work is within FRAC_SUM_WORK_LIMIT (else ResourceLimitError).
+    floor(x^(1/r)) the tail is exactly zero. The finite part reads mu up to
+    min(cutoff, floor(x^(1/r))), if its frac_sum_work is within
+    FRAC_SUM_WORK_LIMIT (else ResourceLimitError before any sieve).
     """
     rj = params.r * params.j
     if rj < 2:
@@ -124,7 +119,7 @@ def truncated_frac_sum(
     if cutoff < 2:
         raise ValueError("cutoff must be >= 2")
     root = integer_root(params.x, params.r)
-    finite = _frac_sum_upto(params, min(cutoff, root), table)
+    finite = _frac_sum_upto(params, min(cutoff, root))
     tail = Fraction(0) if cutoff >= root else Fraction(1, cutoff ** (rj - 1) * (rj - 1))
     return finite, tail
 
@@ -191,13 +186,11 @@ class WitnessReport(NamedTuple):
         return self.verdict == "negative"
 
 
-def certify_witness(
-    x: int, r: int, k: int, cutoff: int | None = None, table: MobiusTable | None = None
-) -> WitnessReport:
+def certify_witness(x: int, r: int, k: int, cutoff: int | None = None) -> WitnessReport:
     """Evaluate sum_d mu(d) d^(-rk) {x/d^r} at a witness with certified tail.
 
     cutoff=None is exact, and past FRAC_SUM_WORK_LIMIT raises ResourceLimitError
-    (pass a cutoff); mu comes from ``table``, or is sieved when None. The applicable
+    (pass a cutoff). The applicable
     target bound is -1/2^(rk+1) + 1/2^(r(k+1)) for r >= 2, rk >= 4, and
     -1/20 for the (r, k) in {(2,1), (3,1)} cases.
     At the witness_small(r, m) witnesses -1/20 is certified for r = 2 only
@@ -211,7 +204,7 @@ def certify_witness(
     if cutoff is None:
         cutoff = max(2, root)
     params = FracSumParams(r=r, j=k, i=1, x=x)
-    finite, tail = truncated_frac_sum(params, cutoff, table)
+    finite, tail = truncated_frac_sum(params, cutoff)
     upper = finite + tail
     if r >= 2 and r * k >= 4:
         target = Fraction(-1, 2 ** (r * k + 1)) + Fraction(1, 2 ** (r * (k + 1)))
@@ -245,18 +238,16 @@ def certify_witnesses(
     root = integer_root(max(xs[0], xs[-1]) if isinstance(xs, range) else max(xs), r)
     top, e = root if cutoff is None else min(cutoff, root), r * (k + 1)
     _check_work(len(xs), top, e)
-    table = mobius_table(top)
-    mu, last = table.mu, None
+    mu, last = mobius_table(top).mu, None
     try:
         for x in xs:
             top = integer_root(x, r) if cutoff is None else min(cutoff, integer_root(x, r))
             if (top == last and (top, r, e) not in _shared_terms
                     and frac_sum_work(1, top, e) <= _SHARED_WORK):
-                L = math.prod(primes_upto(top)) ** e
+                L, terms = _frac_terms(top, r, e, mu)
                 _shared_terms.clear()
-                _shared_terms[top, r, e] = L, tuple(
-                    (d**r, mu[d] * (L // d**e)) for d in range(1, top + 1) if mu[d])
-            yield certify_witness(x, r, k, cutoff, table)
+                _shared_terms[top, r, e] = L, tuple(terms)
+            yield certify_witness(x, r, k, cutoff)
             last = top
     finally:
         _shared_terms.clear()
@@ -300,9 +291,7 @@ class _ResidualSum:
         return lo, hi
 
 
-def mertens_residual(
-    x: int, s: int, zeta: ZetaValue, table: MobiusTable | None = None
-) -> Enclosure:
+def mertens_residual(x: int, s: int, zeta: ZetaValue) -> Enclosure:
     """Enclosure of sum_{d<=x} mu(d)/d^s - 1/zeta(s).
 
     Decays like x^(1-s); the scan utility multiplies by x^(s-1) to exhibit
@@ -312,24 +301,21 @@ def mertens_residual(
         raise ValueError("x must be >= 1")
     if s < 2:
         raise ValueError("s must be >= 2")
-    lo, hi = _ResidualSum(s, zeta, mobius_table(x, table).mu).upto(x)
+    lo, hi = _ResidualSum(s, zeta, mobius_table(x).mu).upto(x)
     return Enclosure.between(Fraction(lo, _SCALE), Fraction(hi, _SCALE))
 
 
 def mertens_residual_scan(
-    x_max: int, s: int, zeta: ZetaValue, table: MobiusTable
+    x_max: int, s: int, zeta: ZetaValue
 ) -> Iterator[tuple[int, Fraction]]:
     """Yield (x, sup |residual| * x^(s-1)) for x = 1..x_max, incrementally."""
-    table.require(x_max)
-    residual = _ResidualSum(s, zeta, table.mu)
+    residual = _ResidualSum(s, zeta, mobius_table(x_max).mu)
     for x in range(1, x_max + 1):
         lo, hi = residual.upto(x)
         yield x, Fraction(max(hi, -lo) * x ** (s - 1), _SCALE)
 
 
-def proposition_residual(
-    x: int, k: int, r: int, zeta: ZetaValue, table: MobiusTable | None = None
-) -> Enclosure:
+def proposition_residual(x: int, k: int, r: int, zeta: ZetaValue) -> Enclosure:
     """Enclosure of (sum_{d^r<=x} mu(d) x^k/d^(rk) - x^k/zeta(rk)) / x^(1/r).
 
     Bounded as x grows; the scan utility exhibits that.
@@ -339,7 +325,7 @@ def proposition_residual(
     if r * k < 2:
         raise ValueError("requires r*k >= 2")
     root = integer_root(x, r)
-    lo, hi = _ResidualSum(r * k, zeta, mobius_table(root, table).mu).upto(root)
+    lo, hi = _ResidualSum(r * k, zeta, mobius_table(root).mu).upto(root)
     numer = Enclosure.between(Fraction(lo, _SCALE), Fraction(hi, _SCALE)).scale(x**k)
     # x^(1/r) lies in [t, t + 1] / _ROOT_SCALE, and is t / _ROOT_SCALE for r = 1
     t = integer_root(x * _ROOT_SCALE**r, r)
@@ -348,11 +334,10 @@ def proposition_residual(
 
 
 def proposition_residual_scan(
-    x_max: int, k: int, r: int, zeta: ZetaValue, table: MobiusTable
+    x_max: int, k: int, r: int, zeta: ZetaValue
 ) -> Iterator[tuple[int, Fraction]]:
     """Yield (x, sup of the scaled |residual|) for x = 1..x_max."""
-    table.require(integer_root(x_max, r))
-    residual = _ResidualSum(r * k, zeta, table.mu)
+    residual = _ResidualSum(r * k, zeta, mobius_table(integer_root(x_max, r)).mu)
     for x in range(1, x_max + 1):
         lo, hi = residual.upto(integer_root(x, r))
         # proposition_residual(x, ...).abs().hi from integers: it divides by
@@ -366,13 +351,12 @@ def proposition_residual_scan(
 # ---------------------------------------------------------------------------
 
 def error_scan(r: int, k: int, x_min: int, x_max: int, step: int = 1,
-               precision: Fraction = DEFAULT_PRECISION,
-               table: MobiusTable | None = None) -> Iterator[CountRecord]:
+               precision: Fraction = DEFAULT_PRECISION) -> Iterator[CountRecord]:
     """A lattice.count_record per sampled x, for callers that read the
     enclosures; the checks, order and memory are scan_rows's."""
     from .lattice import CountParams, _scan, count_record
 
-    xs, counts, scale = _scan(r, k, x_min, x_max, step, precision, table)
+    xs, counts, scale = _scan(r, k, x_min, x_max, step, precision)
     for x, V in zip(xs, counts):
         yield count_record(CountParams._make((r, k, x)), V=V, scale=scale)
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from rfree import sieve_mobius
+from rfree import arith
 
 FIXTURE_PATH = pathlib.Path(__file__).parent / "fixtures.json"
 
@@ -92,14 +92,8 @@ def fixture_store(request):
         )
 
 
-@pytest.fixture(scope="session")
-def tables():
-    """Shared immutable Mobius tables, keyed by sieve limit."""
-    cache = {}
-
-    def get(limit: int):
-        if limit not in cache:
-            cache[limit] = sieve_mobius(limit)
-        return cache[limit]
-
-    return get
+@pytest.fixture(autouse=True)
+def empty_mobius_table(monkeypatch):
+    """Each test starts from an empty process table, so a test that counts
+    sieves, or asserts that none happens before a check, sees every one."""
+    monkeypatch.setattr(arith, "_table", arith.MobiusTable(limit=0, mu=[0]))

@@ -32,7 +32,7 @@ from rfree import (
     witness_small,
     zeta_value,
 )
-from rfree.arith import rfree_sieve
+from rfree.arith import mobius_table, rfree_sieve
 from rfree.omega import FracSumParams
 
 
@@ -40,24 +40,23 @@ def _report(cid: int, detail: str) -> None:
     print(f"ACCEPTANCE C{cid:02d} PASS: {detail}")
 
 
-def test_c01_oracle_equivalence(tables):
+def test_c01_oracle_equivalence():
     """count_fast == count_oracle on r,k in {1..3} x x in 0..25, and k=4 x<=10."""
-    table = tables(30)
     checked = 0
     for r in (1, 2, 3):
         for k in (1, 2, 3):
             for x in range(26):
                 p = CountParams(r=r, k=k, x=x)
-                assert count_fast(p, table) == count_oracle(p), (r, k, x)
+                assert count_fast(p) == count_oracle(p), (r, k, x)
                 checked += 1
         for x in range(11):
             p = CountParams(r=r, k=4, x=x)
-            assert count_fast(p, table) == count_oracle(p), (r, 4, x)
+            assert count_fast(p) == count_oracle(p), (r, 4, x)
             checked += 1
     _report(1, f"{checked} grid points, exact equality")
 
 
-def test_c02_totient_dual_forms(tables):
+def test_c02_totient_dual_forms():
     """Divisor sum == Euler product == enumeration for J_k^r."""
     checked = 0
     for r in (1, 2, 3):
@@ -79,9 +78,8 @@ def test_c02_totient_dual_forms(tables):
     _report(2, f"{checked} evaluations, three-way exact agreement")
 
 
-def test_c03_bernoulli_expansion_identity(tables):
+def test_c03_bernoulli_expansion_identity():
     """partial_sum_bernoulli == partial_sum_direct for x <= 2000, r <= 3, k <= 5."""
-    table = tables(2000)
     checked = 0
     for r in (1, 2, 3):
         running = [0] * 5
@@ -90,39 +88,35 @@ def test_c03_bernoulli_expansion_identity(tables):
                 running[kk] += jordan(x, TotientParams(r=r, k=kk))
             for k in range(1, 6):
                 assert (
-                    partial_sum_bernoulli(x, TotientParams(r=r, k=k), table)
+                    partial_sum_bernoulli(x, TotientParams(r=r, k=k))
                     == running[k - 1]
                 ), (x, r, k)
                 checked += 1
     _report(3, f"{checked} expansion evaluations, exact equality")
 
 
-def test_c04_polynomial_identity(tables):
+def test_c04_polynomial_identity():
     """umbral_eval == count_fast for r in {1..3}, k in {1..5}, x in 0..200."""
-    table = tables(200)
-    assert umbral_eval(1, 1, 2, table=table) == 8  # desk-verified point
+    assert umbral_eval(1, 1, 2) == 8  # desk-verified point
     checked = 0
     for r in (1, 2, 3):
         for k in range(1, 6):
             for x in range(201):
-                assert umbral_eval(x, r, k, table=table) == count_fast(
-                    CountParams(r=r, k=k, x=x), table
-                ), (r, k, x)
+                assert umbral_eval(x, r, k) == count_fast(CountParams(r=r, k=k, x=x)), (r, k, x)
                 checked += 1
     _report(4, f"{checked} identity points incl. (1,2,1) -> 8, exact")
 
 
-def test_c05_large_branch_witnesses(tables):
+def test_c05_large_branch_witnesses():
     """Exact frac_sum < 0 at every x = 3 mod 4 in [9, 10^4] for (r,k)=(2,2)."""
-    table = tables(100)
-    assert frac_sum(FracSumParams(r=2, j=2, i=1, x=11), table) == Fraction(
+    assert frac_sum(FracSumParams(r=2, j=2, i=1, x=11)) == Fraction(
         -2315, 46656
     )
     target = Fraction(-1, 32) + Fraction(1, 64)  # -1/64
     checked = 0
     meets_target = 0
     for x in range(11, 10**4 + 1, 4):
-        value = frac_sum(FracSumParams(r=2, j=2, i=1, x=x), table)
+        value = frac_sum(FracSumParams(r=2, j=2, i=1, x=x))
         assert value < 0, f"x={x} gives {value}"
         if value < target:
             meets_target += 1
@@ -135,7 +129,7 @@ def test_c05_large_branch_witnesses(tables):
 
 
 @pytest.mark.parametrize("r", [2, 3])
-def test_c06_small_branch_witness_bound(r, tables):
+def test_c06_small_branch_witness_bound(r):
     """witness_small(r, 1) = (3*5*...*97)^r is certified negative at cutoff
     100, and its position against the -1/20 target is certified exactly.
 
@@ -156,7 +150,7 @@ def test_c06_small_branch_witness_bound(r, tables):
     """
     target = Fraction(-1, 20)
     x = witness_small(r, 1)
-    mu = tables(1000).mu
+    mu = sieve_mobius(1000).mu
 
     def certified(cutoff):
         rep = certify_witness(x, r, 1, cutoff=cutoff)
@@ -194,19 +188,18 @@ def test_c06_small_branch_witness_bound(r, tables):
     _report(6, f"r={r}: {detail}")
 
 
-def test_c07_residual_boundedness(tables, fixture_store):
+def test_c07_residual_boundedness(fixture_store):
     """Scaled residual maxima over x <= 1e5, fixture-checked within 1%."""
-    table = tables(10**5)
     details = []
     for s in (2, 3, 4):
         z = zeta_value(s)
-        observed = max(v for _, v in mertens_residual_scan(10**5, s, z, table))
+        observed = max(v for _, v in mertens_residual_scan(10**5, s, z))
         fixture_store.check(f"mertens_scaled_max_s{s}", observed)
         details.append(f"mertens s={s}: {float(observed):.4f}")
     for r, k in ((2, 1), (2, 2), (1, 3)):
         z = zeta_value(r * k)
         observed = max(
-            v for _, v in proposition_residual_scan(10**5, k, r, z, table)
+            v for _, v in proposition_residual_scan(10**5, k, r, z)
         )
         fixture_store.check(f"prop_scaled_max_r{r}_k{k}", observed)
         details.append(f"prop (r,k)=({r},{k}): {float(observed):.4f}")
@@ -214,10 +207,9 @@ def test_c07_residual_boundedness(tables, fixture_store):
 
 
 @pytest.mark.parametrize("r,k", [(1, 3), (2, 2)])
-def test_c08_omega_nondecay(r, k, tables, fixture_store):
+def test_c08_omega_nondecay(r, k, fixture_store):
     """Two-window ratio over x in [10, 5000], split 1000, above threshold."""
-    table = tables(5000)
-    records = error_scan(r, k, 10, 5000, table=table)
+    records = error_scan(r, k, 10, 5000)
     rep = omega_ratio_report(records, 1000)
     key = f"omega_ratio_r{r}_k{k}"
     fixture_store.check(key, rep.ratio)
@@ -236,12 +228,11 @@ def test_c08_omega_nondecay(r, k, tables, fixture_store):
     _report(8, f"(r,k)=({r},{k}): ratio {rep.ratio} (max_late/max_early)")
 
 
-def test_c09_density_convergence(tables):
+def test_c09_density_convergence():
     """|V/(2x+1)^k - 1/zeta(rk)| < 1e-2 at x = 1e4."""
-    table = tables(10**4)
     details = []
     for r, k in ((1, 3), (2, 2), (3, 2)):
-        V = count_fast(CountParams(r=r, k=k, x=10**4), table)
+        V = count_fast(CountParams(r=r, k=k, x=10**4))
         density = Fraction(V, (2 * 10**4 + 1) ** k)
         recip = zeta_value(r * k).reciprocal()
         gap = abs(density - recip.mid) + recip.radius
@@ -250,11 +241,11 @@ def test_c09_density_convergence(tables):
     _report(9, "; ".join(details))
 
 
-def test_c10_performance(tables):
+def test_c10_performance():
     """count_fast under 1s at (r,k,x)=(2,3,1e6); scan throughput >= 500/s."""
-    table = tables(1000)  # sieve covers floor(sqrt(1e6))
+    mobius_table(1000)  # sieve covers floor(sqrt(1e6))
     start = time.perf_counter()
-    V = count_fast(CountParams(r=2, k=3, x=10**6), table)
+    V = count_fast(CountParams(r=2, k=3, x=10**6))
     elapsed = time.perf_counter() - start
     assert V > 0
     assert elapsed < 1.0, f"count_fast took {elapsed:.3f}s"

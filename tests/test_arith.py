@@ -1,5 +1,6 @@
 import math
 import random
+import time
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
@@ -63,24 +64,24 @@ def test_sieve_limit_is_checked_before_allocating(monkeypatch):
         sieve_mobius(101)
 
 
-def test_sieve_against_trial_division(tables):
-    t = tables(10**6)
+def test_sieve_against_trial_division():
+    t = sieve_mobius(10**6)
     rng = random.Random(20240817)
     for _ in range(1000):
         n = rng.randint(1, 10**6)
         assert t.mu[n] == mobius(n)
 
 
-def test_sieve_basic_invariants(tables):
-    t = tables(10**6)
+def test_sieve_basic_invariants():
+    t = sieve_mobius(10**6)
     assert t.mu[1] == 1
     for p in primes_upto(200):
         assert t.mu[p] == -1
     assert all(v in (-1, 0, 1) for v in t.mu[1:1000])
 
 
-def test_divisor_sums_of_mu_vanish(tables):
-    t = tables(10**6)
+def test_divisor_sums_of_mu_vanish():
+    t = sieve_mobius(10**6)
     rng = random.Random(7)
     for _ in range(1000):
         n = rng.randint(2, 10**6)
@@ -111,11 +112,11 @@ def _naive_power_sums(table, x, r, k):
 @example(r=1, k=3, root=0, offset=0)      # x = 0
 @example(r=2, k=5, root=3000, offset=0)   # x = 3000^2, an exact square
 @example(r=3, k=2, root=1000, offset=0)   # x = 10^9, an exact cube
-def test_power_sums_match_naive(tables, r, k, root, offset):
+def test_power_sums_match_naive(r, k, root, offset):
     # x ranges over [root^r, (root+1)^r), so floor(x^(1/r)) = root <= 3000;
     # offset 0 makes x an exact r-th power
     x = root**r + offset % ((root + 1) ** r - root**r)
-    t = tables(3000)
+    t = sieve_mobius(3000)
     sums = t.power_sums(x, r, k)
     assert sums == _naive_power_sums(t, x, r, k)
     assert sums[0] == sum(t.mu[1:root + 1])
@@ -140,29 +141,40 @@ def _small_table_entry_points():
     from rfree.lattice import count_progression
 
     z2 = zeta_value(2)
-    # every call needs the table sieved to 50: floor(50^(1/1)) = floor(2500^(1/2))
-    return {
+    # every call needs mu up to 50: floor(50^(1/1)) = floor(2500^(1/2))
+    given = {  # these read the table they are given
         "power_sums": lambda t: t.power_sums(50, 1, 2),
-        "count_fast": lambda t: count_fast(CountParams(r=1, k=2, x=50), t),
-        "count_progression": lambda t: count_progression(1, 2, range(40, 51), t),
-        "error_scan": lambda t: next(error_scan(1, 2, 40, 50, table=t)),
-        "partial_sum_bernoulli": lambda t: partial_sum_bernoulli(50, TotientParams(r=1, k=2), t),
         "umbral_eval": lambda t: umbral_eval(50, 1, 2, table=t),
-        "identity_check": lambda t: identity_check(1, 2, 50, table=t),
-        "frac_sum": lambda t: frac_sum(FracSumParams(r=1, j=2, i=1, x=50), t),
-        "mertens_residual": lambda t: mertens_residual(50, 2, z2, t),
-        "mertens_residual_scan": lambda t: next(mertens_residual_scan(50, 2, z2, t)),
-        "proposition_residual": lambda t: proposition_residual(2500, 1, 2, z2, t),
-        "proposition_residual_scan": lambda t: next(proposition_residual_scan(2500, 1, 2, z2, t)),
     }
+    process = {  # these read arith.mobius_table's
+        "count_fast": lambda: count_fast(CountParams(r=1, k=2, x=50)),
+        "count_progression": lambda: count_progression(1, 2, range(40, 51)),
+        "error_scan": lambda: next(error_scan(1, 2, 40, 50)),
+        "partial_sum_bernoulli": lambda: partial_sum_bernoulli(50, TotientParams(r=1, k=2)),
+        "identity_check": lambda: identity_check(1, 2, 50),
+        "frac_sum": lambda: frac_sum(FracSumParams(r=1, j=2, i=1, x=50)),
+        "mertens_residual": lambda: mertens_residual(50, 2, z2),
+        "mertens_residual_scan": lambda: next(mertens_residual_scan(50, 2, z2)),
+        "proposition_residual": lambda: proposition_residual(2500, 1, 2, z2),
+        "proposition_residual_scan": lambda: next(proposition_residual_scan(2500, 1, 2, z2)),
+    }
+    return given, process
 
 
-@pytest.mark.parametrize("name", sorted(_small_table_entry_points()))
-def test_table_too_small_names_limit_and_need(name):
-    call = _small_table_entry_points()[name]
-    with pytest.raises(ValueError, match=r"^table sieved to 7, need 50$"):
-        call(sieve_mobius(7))
-    call(sieve_mobius(50))  # and the same call passes once the table covers it
+@pytest.mark.parametrize("name", sorted(set().union(*_small_table_entry_points())))
+def test_table_too_small_names_limit_and_need(name, monkeypatch):
+    given, process = _small_table_entry_points()
+    if name in given:
+        with pytest.raises(ValueError, match=r"^table sieved to 7, need 50$"):
+            given[name](sieve_mobius(7))
+        given[name](sieve_mobius(50))  # and the same call passes once the table covers it
+        return
+    # a process table sieved to 7 is not refused: it is sieved again to the need
+    monkeypatch.setattr(arith, "_table", sieve_mobius(7))
+    limits = []
+    monkeypatch.setattr(arith, "sieve_mobius", lambda n: limits.append(n) or sieve_mobius(n))
+    process[name]()
+    assert limits == [50]
 
 
 # ---------------------------------------------------------------------------
@@ -249,13 +261,43 @@ def test_integer_root_at_huge_r_builds_no_power_of_two():
     assert peak < 2**20
 
 
-def test_mobius_table_sieves_or_checks_the_given_table():
+def test_zeta_value_past_its_limit_is_refused(monkeypatch):
+    assert arith.ZETA_S_LIMIT == 10**6
+    monkeypatch.setattr(arith, "ZETA_S_LIMIT", 977)
+    assert zeta_value(977).s == 977
+    with pytest.raises(ResourceLimitError, match=r"^zeta\(978\) needs 978-bit rationals, limit is s <= 977$"):
+        zeta_value(978)
+
+
+def test_mobius_table_sieves_or_checks_the_given_table(monkeypatch):
+    # the process's one table: the first request sieves max(n, 1), a request
+    # within its limit L sieves nothing, one past it max(n, min(2 L, SIEVE_LIMIT))
+    limits = []
+    monkeypatch.setattr(arith, "sieve_mobius", lambda n: limits.append(n) or sieve_mobius(n))
     assert arith.mobius_table(0) == sieve_mobius(1)  # n = 0 still sieves to 1
+    assert arith.mobius_table(1) is arith.mobius_table(0)
     assert arith.mobius_table(12) == sieve_mobius(12)
-    given = sieve_mobius(10)
-    assert arith.mobius_table(10, given) is given
-    with pytest.raises(ValueError, match=r"^table sieved to 10, need 11$"):
-        arith.mobius_table(11, given)
+    assert arith.mobius_table(13) == sieve_mobius(24)
+    assert arith.mobius_table(20) is arith.mobius_table(24)
+    assert arith.mobius_table(100) == sieve_mobius(100)
+    assert limits == [1, 12, 24, 100]
+    monkeypatch.setattr(arith, "SIEVE_LIMIT", 150)
+    assert arith.mobius_table(101).limit == 150  # doubling stops at SIEVE_LIMIT
+    with pytest.raises(ResourceLimitError, match=r"^Mobius sieve to 151 needs 152 entries, limit is 150$"):
+        arith.mobius_table(151)
+    assert arith.mobius_table(150).limit == 150  # a refused request keeps the table
+    assert limits == [1, 12, 24, 100, 150, 151]
+
+
+def test_rising_requests_sieve_log_n_times(monkeypatch):
+    limits = []
+    monkeypatch.setattr(arith, "sieve_mobius", lambda n: limits.append(n) or sieve_mobius(n))
+    n_max = 10**5
+    for n in range(1, n_max + 1):
+        assert arith.mobius_table(n).limit >= n
+    # 1, 2, 4, ..., 2^17: floor(log2(n_max)) + 2 sieves, 2 n_max entries at most
+    assert limits == [2**i for i in range(18)]
+    assert len(limits) == math.floor(math.log2(n_max)) + 2
 
 
 # ---------------------------------------------------------------------------
@@ -573,6 +615,18 @@ def test_factorize_stops_at_bound():
     assert factorize(999983 * 1000003) == {999983: 1, 1000003: 1}
     with pytest.raises(ResourceLimitError, match=str(1000003**2)):
         factorize(1000003**2)
+
+
+def test_mobius_reads_factorize_and_its_bound():
+    assert [mobius(n) for n in range(1, 13)] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0]
+    assert mobius(999983 * 1000003) == 1 and mobius(2 * 999983**2) == 0
+    with pytest.raises(ValueError):
+        mobius(0)
+    # 2^107 - 1 is prime: trial division alone would run ~10^15 steps
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match=r"needs trial divisors above 1000000$"):
+        mobius(2**107 - 1)
+    assert time.perf_counter() - start < 1
 
 
 def test_faulhaber_detects_convention_bugs(monkeypatch):

@@ -15,8 +15,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import rfree.arith
-from rfree import InvariantViolationError, sieve_mobius, zeta_value
-from rfree.arith import format_fraction, integer_root
+from rfree import InvariantViolationError, zeta_value
+from rfree.arith import format_fraction
 from rfree.cli import (_frac_sci, main, parse_scan_csv, record_fields, records_to_csv,
                        records_to_json, CSV_COLUMNS)
 from rfree.lattice import (SCAN_CHUNK, CountParams, count_fast, count_record, decimal_places,
@@ -53,6 +53,51 @@ def test_count_at_large_r_takes_its_roots_quickly(capsys):
     code, out, _ = run_cli(["count", "--r", "3000", "--k", "1", "--x", "3"], capsys)
     assert time.perf_counter() - start < 0.5
     assert code == 0 and "normalized_error = 0.000000000000000000000000000004\n" in out
+
+
+@pytest.mark.parametrize("argv", [
+    "zeta --s 1000001",
+    "count --r 1000000 --k 2 --x 1",
+    "count --r 20000 --k 1 --x 3",
+    "count --r 72728 --k 1 --x 3 --precision 0.1",
+    "scan --r 20000 --k 1 --x-min 2 --x-max 3",
+])
+def test_inputs_past_the_zeta_and_root_bounds_exit_1_at_once(argv):
+    # one past arith.ZETA_S_LIMIT or lattice.ROOT_DIGITS_LIMIT; zeta --s 10^6
+    # took 3.4 s and count --r 72727 --k 1 --x 3 --precision 0.1 6.7 s, and the
+    # work grows at least as s^2 and digits^1.6
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "rfree.cli", *argv.split()],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert time.perf_counter() - start < 3
+    assert (proc.returncode, proc.stdout) == (1, "")
+    _assert_one_error_line(proc.stderr)
+
+
+@pytest.mark.parametrize("argv, limit", [
+    ("scan --r 2 --k 2 --x-min 2 --x-max 3000", 54),
+    ("identity --r 2 --k 3 --x-min 5000 --x-max 6000", 77),  # seeded at 4999, root 70
+    ("identity --r 1 --k 4 --x-max 600", 600),
+    ("witness --small --r 2 --m 1 --cutoff 1000", 1000),
+    ("count --r 2 --k 2 --x 990000", 994),
+    ("partial-sum --x 100000 --r 2 --k 3 --method bernoulli", 316),
+])
+def test_each_command_sieves_once_at_its_largest_root(capsys, monkeypatch, argv, limit):
+    # as test_witness_sieves_once_per_run does for a --large list
+    sieve, limits = rfree.arith.sieve_mobius, []
+    monkeypatch.setattr(rfree.arith, "sieve_mobius", lambda n: limits.append(n) or sieve(n))
+    code, _, err = run_cli(argv.split(), capsys)
+    assert (code, err, limits) == (0, "", [limit])
+
+
+def test_scan_row_limit_before_any_sieve(capsys, monkeypatch):
+    monkeypatch.setattr(rfree.arith, "sieve_mobius", lambda n: pytest.fail("sieved"))
+    code, out, err = run_cli(["scan", "--r", "1", "--k", "2", "--x-min", "2",
+                              "--x-max", "1000002"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: scan would emit 1000001 records, limit is 1000000\n"
 
 
 def test_count_rejects_negative_x(capsys):
@@ -154,8 +199,8 @@ def test_identity_mismatch_reports_both_sides(capsys, monkeypatch):
 
     original = lattice.count_progression
 
-    def off_by_one(r, k, xs, table):
-        return [V + (x == 17) for x, V in zip(xs, original(r, k, xs, table))]
+    def off_by_one(r, k, xs):
+        return [V + (x == 17) for x, V in zip(xs, original(r, k, xs))]
 
     monkeypatch.setattr(lattice, "count_progression", off_by_one)
     code, out, _ = run_cli(["identity", "--r", "2", "--k", "2", "--x-max", "30"], capsys)
@@ -164,7 +209,7 @@ def test_identity_mismatch_reports_both_sides(capsys, monkeypatch):
     assert lines[:17] == [f"x={x} equal" for x in range(17)]
     assert lines[18:-1] == [f"x={x} equal" for x in range(18, 31)]
     assert lines[-1] == "checked 31 values, 1 mismatches"
-    V = count_fast(CountParams(r=2, k=2, x=17), sieve_mobius(5))
+    V = count_fast(CountParams(r=2, k=2, x=17))
     assert lines[17] == f"x=17 MISMATCH umbral={V} fast={V + 1} zero_split={V}"
 
 
@@ -539,9 +584,9 @@ def test_witness_prints_its_first_line_before_the_next_certificate_is_computed(c
 
     certify, printed = rfree.omega.certify_witness, []
 
-    def certify_after_reading_stdout(x, r, k, cutoff, table):
+    def certify_after_reading_stdout(x, r, k, cutoff):
         printed.append(capsys.readouterr().out)
-        return certify(x, r, k, cutoff, table)
+        return certify(x, r, k, cutoff)
 
     monkeypatch.setattr(rfree.omega, "certify_witness", certify_after_reading_stdout)
     assert main(["witness", "--large", "--r", "2", "--k", "2", "--count", "3"]) == 0
@@ -719,7 +764,7 @@ def test_count_and_jordan_print_past_the_digit_cap(capsys, digit_cap_4300):
     assert sys.get_int_max_str_digits() == 4300  # lifted only inside main
     assert len(V) > 4300 and len(J) > 4300
     sys.set_int_max_str_digits(0)
-    assert int(V) == count_fast(CountParams(r=2, k=2000, x=1000), sieve_mobius(31))
+    assert int(V) == count_fast(CountParams(r=2, k=2000, x=1000))
     assert int(J) == jordan(6, TotientParams(r=1, k=10000))
 
 
@@ -1061,10 +1106,10 @@ def _fraction_route(params, V, zeta, places):
     return main_term, error, fields
 
 
-def _check_integer_row(tables, r, k, x, V, precision):
+def _check_integer_row(r, k, x, V, precision):
     params = CountParams(r=r, k=k, x=x)
     if V is None:
-        V = count_fast(params, tables(max(integer_root(x, r), 1)))
+        V = count_fast(params)
     zeta, places = zeta_value(r * k, precision), decimal_places(precision)
     rec = count_record(params, precision, V=V)
     main_term, error, fields = _fraction_route(params, V, zeta, places)
@@ -1089,8 +1134,8 @@ def _rows(draw):
 @given(row=_rows(), precision=st.sampled_from(PRECISIONS))
 @example(row=(1, 2, 1, None), precision=PRECISIONS[0])
 @example(row=(2, 2, 990_000, None), precision=PRECISIONS[0])
-def test_integer_rows_match_the_fraction_route(tables, row, precision):
-    _check_integer_row(tables, *row, precision)
+def test_integer_rows_match_the_fraction_route(row, precision):
+    _check_integer_row(*row, precision)
 
 
 @pytest.mark.parametrize(
@@ -1098,11 +1143,11 @@ def test_integer_rows_match_the_fraction_route(tables, row, precision):
     [(2, 1, Fraction(1, 10**30)), (3, 1, Fraction(1, 10**30)),
      (2, 1, Fraction(1, 10**60)), (1, 2, Fraction(1, 10**60))],
 )
-def test_irrational_norms_match_the_reference_on_every_row(tables, r, k, precision):
+def test_irrational_norms_match_the_reference_on_every_row(r, k, precision):
     # x^(1/r) and x log x are irrational: every printed digit of every row
     # must be the reference's, not one rounded from a shorter norm
     for x in range(2, 2001):
-        _check_integer_row(tables, r, k, x, None, precision)
+        _check_integer_row(r, k, x, None, precision)
 
 
 @pytest.mark.parametrize(
@@ -1115,8 +1160,8 @@ def test_irrational_norms_match_the_reference_on_every_row(tables, r, k, precisi
         (2, 3, 77, None, Fraction(1, 2), "straddle"),
     ],
 )
-def test_integer_rows_cover_nan_negative_and_straddle(tables, r, k, x, V, precision, case):
-    rec = _check_integer_row(tables, r, k, x, V, precision)
+def test_integer_rows_cover_nan_negative_and_straddle(r, k, x, V, precision, case):
+    rec = _check_integer_row(r, k, x, V, precision)
     error = rec.error
     if case == "nan":
         assert rec.normalized_error.is_nan()
@@ -1133,11 +1178,11 @@ def test_integer_rows_cover_nan_negative_and_straddle(tables, r, k, x, V, precis
     [(2, 67490, "0.000000801639080291676408046591"),
      (3, 138620, "0.000000497058725533297186495905")],
 )
-def test_normalized_error_below_one_millionth_prints_in_fixed_point(tables, capsys, r, x, normalized):
+def test_normalized_error_below_one_millionth_prints_in_fixed_point(capsys, r, x, normalized):
     # str() of a Decimal switches to E notation below 1e-6; a field keeps its places
     code, out, _ = run_cli(["count", "--r", str(r), "--k", "1", "--x", str(x)], capsys)
     assert code == 0 and f"\nnormalized_error = {normalized}\n" in out
-    _check_integer_row(tables, r, 1, x, None, Fraction(1, 10**30))
+    _check_integer_row(r, 1, x, None, Fraction(1, 10**30))
 
 
 @pytest.mark.parametrize(
@@ -1151,18 +1196,17 @@ def test_normalized_error_below_one_millionth_prints_in_fixed_point(tables, caps
         (1, 2, 2, 900, 3, Fraction(1, 10**30)),  # x log x
     ],
 )
-def test_scan_rows_are_count_record_rows(tables, r, k, x_min, x_max, step, precision):
+def test_scan_rows_are_count_record_rows(r, k, x_min, x_max, step, precision):
     # a scan's shared row_scale and count_range counts give, across chunk
     # boundaries, the rows of count_record with its own count and scale
     out = io.StringIO()
     records_to_csv(scan_rows(r, k, x_min, x_max, step=step, precision=precision), out)
-    table = tables(max(integer_root(x_max, r), 1))
-    records = [count_record(CountParams(r=r, k=k, x=x), precision, table)
+    records = [count_record(CountParams(r=r, k=k, x=x), precision)
                for x in range(x_min, x_max + 1, step)]
     lines = [",".join(CSV_COLUMNS)]
     lines += [",".join(record_fields(rec)) for rec in records]
     assert out.getvalue() == "\n".join(lines) + "\n"
-    scanned = error_scan(r, k, x_min, x_max, step=step, precision=precision, table=table)
+    scanned = error_scan(r, k, x_min, x_max, step=step, precision=precision)
     assert list(scanned) == records
     if precision == Fraction(1, 2):
         assert sum(rec.error.lo < 0 < rec.error.hi for rec in records) > 10
@@ -1273,8 +1317,8 @@ def test_identity_mismatch_written_in_blocks_keeps_its_line_and_status(monkeypat
 
     original = lattice.count_progression
 
-    def off_by_one(r, k, xs, table):
-        return [V + (x == 500) for x, V in zip(xs, original(r, k, xs, table))]
+    def off_by_one(r, k, xs):
+        return [V + (x == 500) for x, V in zip(xs, original(r, k, xs))]
 
     monkeypatch.setattr(lattice, "count_progression", off_by_one)
     out = _WriteLog()

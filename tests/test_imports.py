@@ -105,3 +105,20 @@ def test_only_arith_sieves_mu():
         names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                   for alias in node.names}
         assert path.stem == "arith" or "sieve_mobius" not in names, path.name
+
+
+def test_only_arith_takes_a_table():
+    # mu up to n is a function of n, which arith.mobius_table serves; the one
+    # other function taking a table is umbral_eval, to which perfbench's
+    # umbral check passes its own
+    takers = set()
+    for path in sorted((SRC / "rfree").glob("*.py")):
+        if path.stem == "arith":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+                if any(param.arg == "table" for param in params):
+                    takers.add(f"{path.stem}.{getattr(node, 'name', '<lambda>')}")
+    assert takers == {"umbral.umbral_eval"}

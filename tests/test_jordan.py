@@ -15,7 +15,8 @@ from rfree import (
     sieve_mobius,
     zeta_value,
 )
-from rfree.arith import primes_upto, rfree_sieve
+from rfree import arith
+from rfree.arith import MobiusTable, primes_upto, rfree_sieve
 from rfree.errors import InvariantViolationError, ResourceLimitError
 from rfree.jordan import jordan_segment, partial_sum_range
 from rfree.arith import MAX_SCAN_RECORDS
@@ -143,19 +144,18 @@ def test_partial_sum_direct_refuses_more_than_the_record_limit(monkeypatch):
         partial_sum_direct(MAX_SCAN_RECORDS, TotientParams(r=2, k=2))
 
 
-def test_partial_sum_bernoulli_reads_one_power_sums_call(monkeypatch, tables):
-    t = tables(100)
+def test_partial_sum_bernoulli_reads_one_power_sums_call(monkeypatch):
     calls = []
-    power_sums = type(t).power_sums
+    power_sums = MobiusTable.power_sums
 
     def counting(self, x, r, k):
         calls.append((x, r, k))
         return power_sums(self, x, r, k)
 
-    monkeypatch.setattr(type(t), "power_sums", counting)
+    monkeypatch.setattr(MobiusTable, "power_sums", counting)
     for k in range(1, 6):
         calls.clear()
-        partial_sum_bernoulli(1000, TotientParams(r=2, k=k), t)
+        partial_sum_bernoulli(1000, TotientParams(r=2, k=k))
         assert calls == [(1000, 2, k)]
 
 
@@ -165,24 +165,24 @@ def test_euler_product_non_integral_names_its_inputs():
         jordan_module._jordan_euler_product(6, 2, 1, {2: 2, 3: 1})
 
 
-def test_partial_sum_bernoulli_examples(tables):
-    t = tables(100)
-    assert partial_sum_bernoulli(10, TotientParams(r=2, k=1), t) == 7
-    assert partial_sum_bernoulli(1, TotientParams(r=2, k=3), t) == 1
-    assert partial_sum_bernoulli(100, TotientParams(r=1, k=3), t) == (
+def test_partial_sum_bernoulli_examples():
+    assert partial_sum_bernoulli(10, TotientParams(r=2, k=1)) == 7
+    assert partial_sum_bernoulli(1, TotientParams(r=2, k=3)) == 1
+    assert partial_sum_bernoulli(100, TotientParams(r=1, k=3)) == (
         partial_sum_direct(100, TotientParams(r=1, k=3))
     )
 
 
 def test_partial_sum_bernoulli_table_too_small():
-    t = sieve_mobius(3)
-    with pytest.raises(ValueError):
-        partial_sum_bernoulli(100, TotientParams(r=1, k=2), t)
+    # a process table short of x^(1/r) is sieved again to cover it, not refused
+    assert arith.mobius_table(3).limit == 3
+    params = TotientParams(r=1, k=2)
+    assert partial_sum_bernoulli(100, params) == partial_sum_direct(100, params)
+    assert arith.mobius_table(100).limit == 100
 
 
-def test_partial_sum_methods_agree_quick(tables):
+def test_partial_sum_methods_agree_quick():
     # Fast cross-method sweep; the full x <= 2000 grid runs in acceptance.
-    t = tables(300)
     for r in (1, 2, 3):
         running = [0] * 4
         for x in range(1, 301):
@@ -190,16 +190,16 @@ def test_partial_sum_methods_agree_quick(tables):
                 running[kk] += jordan(x, TotientParams(r=r, k=kk))
             for k in (1, 2, 3, 4):
                 assert (
-                    partial_sum_bernoulli(x, TotientParams(r=r, k=k), t)
+                    partial_sum_bernoulli(x, TotientParams(r=r, k=k))
                     == running[k - 1]
                 )
 
 
-def test_partial_sum_faulhaber_form_agrees(tables):
+def test_partial_sum_faulhaber_form_agrees():
     # The expansion equals sum_d mu(d) * faulhaber(floor(x/d^r), k-1).
     from rfree import faulhaber_sum, integer_root
 
-    t = tables(300)
+    t = sieve_mobius(300)
     rng = random.Random(5)
     for _ in range(50):
         x = rng.randint(1, 300)
@@ -210,20 +210,19 @@ def test_partial_sum_faulhaber_form_agrees(tables):
             for d in range(1, integer_root(x, r) + 1)
             if t.mu[d]
         )
-        assert partial_sum_bernoulli(x, TotientParams(r=r, k=k), t) == via_faulhaber
+        assert partial_sum_bernoulli(x, TotientParams(r=r, k=k)) == via_faulhaber
 
 
-def test_partial_sum_main_term_residual_bounded(tables, fixture_store):
+def test_partial_sum_main_term_residual_bounded(fixture_store):
     # For rk >= 3, k >= 2 the residual |S(x) - x^k/(k zeta(rk))| / x^(k-1)
     # must stay bounded; maxima recorded on the first validated run.
-    t = tables(5000)
     for r, k, key in ((1, 3, "totient_sum_scaled_max_r1_k3"),
                       (2, 2, "totient_sum_scaled_max_r2_k2")):
         z = zeta_value(r * k)
         recip = z.reciprocal()
         observed = Fraction(0)
         for x in range(10, 5001, 10):
-            s = partial_sum_bernoulli(x, TotientParams(r=r, k=k), t)
+            s = partial_sum_bernoulli(x, TotientParams(r=r, k=k))
             main = Fraction(x**k, k) * recip.mid
             observed = max(observed, abs(s - main) / x ** (k - 1))
         fixture_store.check(key, observed)
@@ -273,11 +272,11 @@ def test_jordan_segment_at_prime_powers(r, p):
 
 @pytest.mark.parametrize("r", [1, 2, 3])
 @pytest.mark.parametrize("x_min,x_max", [(0, 0), (0, 700), (40, 300), (500, 800)])
-def test_partial_sum_range_matches_direct(tables, r, x_min, x_max):
+def test_partial_sum_range_matches_direct(r, x_min, x_max):
     # (500, 800) asks for fewer x than lie below 500, so its sums are
     # seeded by partial_sum_bernoulli at 499
     es = (0, 1, 3)
-    sums = list(partial_sum_range(r, es, x_min, x_max, tables(800)))
+    sums = list(partial_sum_range(r, es, x_min, x_max))
     assert len(sums) == x_max - x_min + 1
     totals = [partial_sum_direct(x_min - 1, TotientParams(r=r, k=e + 1)) if x_min else 0 for e in es]
     for x, row in zip(range(x_min, x_max + 1), sums):
@@ -285,21 +284,21 @@ def test_partial_sum_range_matches_direct(tables, r, x_min, x_max):
         assert list(row) == totals
 
 
-def test_partial_sum_range_seeds_only_past_the_range(tables, monkeypatch):
+def test_partial_sum_range_seeds_only_past_the_range(monkeypatch):
     calls = []
     original = jordan_module.partial_sum_bernoulli
 
-    def recording(x, params, table):
+    def recording(x, params):
         calls.append(x)
-        return original(x, params, table)
+        return original(x, params)
 
     monkeypatch.setattr(jordan_module, "partial_sum_bernoulli", recording)
-    list(partial_sum_range(2, (0, 2), 300, 600, tables(30)))
+    list(partial_sum_range(2, (0, 2), 300, 600))
     assert calls == []
-    list(partial_sum_range(2, (0, 2), 302, 600, tables(30)))
+    list(partial_sum_range(2, (0, 2), 302, 600))
     assert calls == [301, 301]
     with pytest.raises(ValueError):
-        list(partial_sum_range(2, (0,), 5, 4, tables(30)))
+        list(partial_sum_range(2, (0,), 5, 4))
 
 
 def test_partial_sum_range_sieves_to_the_rth_root(monkeypatch):
@@ -321,11 +320,10 @@ def test_partial_sum_range_sieves_to_the_rth_root(monkeypatch):
 
     monkeypatch.setattr(jordan_module, "primes_upto", recording_sieve)
     monkeypatch.setattr(jordan_module, "jordan_segment", recording_segment)
-    table = sieve_mobius(p)
     es = (0, 2)
-    sums = list(partial_sum_range(3, es, x_min, x_max, table))
+    sums = list(partial_sum_range(3, es, x_min, x_max))
     assert (limits, segments) == ([p], [41])
     for x, before, row in zip(range(x_min + 1, x_max + 1), sums, sums[1:]):
         assert [b - a for a, b in zip(before, row)] == [jordan(x, TotientParams(r=3, k=e)) for e in es]
-    assert sums[0][1] - partial_sum_bernoulli(x_min - 1, TotientParams(r=3, k=3), table) == p**6 - 1
-    assert list(sums[-1]) == [partial_sum_bernoulli(x_max, TotientParams(r=3, k=e + 1), table) for e in es]
+    assert sums[0][1] - partial_sum_bernoulli(x_min - 1, TotientParams(r=3, k=3)) == p**6 - 1
+    assert list(sums[-1]) == [partial_sum_bernoulli(x_max, TotientParams(r=3, k=e + 1)) for e in es]

@@ -7,7 +7,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rfree import lattice
+from rfree import arith, lattice
 from rfree import (
     CountParams,
     count_fast,
@@ -16,7 +16,7 @@ from rfree import (
     sieve_mobius,
     zeta_value,
 )
-from rfree.arith import Enclosure, fixed_point, format_ratio, ln_decimal, rfree_sieve
+from rfree.arith import Enclosure, fixed_point, format_ratio, integer_root, ln_decimal, rfree_sieve
 from rfree.errors import ResourceLimitError
 from rfree.lattice import (
     SCAN_CHUNK,
@@ -58,12 +58,11 @@ def test_count_oracle_budget():
         count_oracle(CountParams(r=1, k=3, x=100), budget=10**4)
 
 
-def test_count_fast_examples(tables):
-    t = tables(100)
-    assert count_fast(CountParams(r=2, k=1, x=10), t) == 14
-    assert count_fast(CountParams(r=1, k=2, x=2), t) == 16
-    assert count_fast(CountParams(r=1, k=1, x=1), t) == 2
-    assert count_fast(CountParams(r=3, k=2, x=0), t) == 0
+def test_count_fast_examples():
+    assert count_fast(CountParams(r=2, k=1, x=10)) == 14
+    assert count_fast(CountParams(r=1, k=2, x=2)) == 16
+    assert count_fast(CountParams(r=1, k=1, x=1)) == 2
+    assert count_fast(CountParams(r=3, k=2, x=0)) == 0
 
 
 @settings(max_examples=200, deadline=None)
@@ -73,57 +72,56 @@ def test_count_fast_examples(tables):
     root=st.integers(0, 1000),
     offset=st.integers(0, 1001**4),
 )
-def test_count_fast_is_the_written_out_inversion(tables, r, k, root, offset):
+def test_count_fast_is_the_written_out_inversion(r, k, root, offset):
     # V = sum_{d <= x^(1/r)} mu(d) ((2 floor(x/d^r) + 1)^k - 1), term by term,
     # at an x with floor(x^(1/r)) = root
     x = root**r + offset % ((root + 1) ** r - root**r)
-    t = tables(1000)
+    t = sieve_mobius(1000)
     written_out = sum(
         t.mu[d] * ((2 * (x // d**r) + 1) ** k - 1) for d in range(1, root + 1)
     )
-    assert count_fast(CountParams(r=r, k=k, x=x), t) == written_out
+    assert count_fast(CountParams(r=r, k=k, x=x)) == written_out
 
 
 @pytest.mark.parametrize("r,k,x", [(2, 300, 1000), (1, 300, 200), (2, 1000, 1000), (3, 1000, 5000)])
-def test_count_fast_at_large_k_is_the_written_out_inversion(tables, r, k, x):
+def test_count_fast_at_large_k_is_the_written_out_inversion(r, k, x):
     # the running binomial C(k, e) 2^e over e = 1..k, against the per-d form
-    t = tables(1000)
+    t = sieve_mobius(1000)
     root = max(d for d in range(1, 1001) if d**r <= x)
     written_out = sum(
         t.mu[d] * ((2 * (x // d**r) + 1) ** k - 1) for d in range(1, root + 1)
     )
-    assert count_fast(CountParams(r=r, k=k, x=x), t) == written_out
+    assert count_fast(CountParams(r=r, k=k, x=x)) == written_out
 
 
 def test_count_fast_table_too_small():
-    t = sieve_mobius(2)
-    with pytest.raises(ValueError):
-        count_fast(CountParams(r=1, k=2, x=50), t)
+    # a process table short of x^(1/r) is sieved again to cover it, not refused
+    assert arith.mobius_table(2).limit == 2
+    params = CountParams(r=1, k=2, x=50)
+    assert count_fast(params) == count_oracle(params)
+    assert arith.mobius_table(50).limit == 50
 
 
-def test_fast_matches_oracle_quick(tables):
+def test_fast_matches_oracle_quick():
     # Small sweep here; the full acceptance grid covers r, k in {1..3} x 0..25.
-    t = tables(100)
     for r in (1, 2):
         for k in (1, 2, 3):
             for x in range(13):
                 p = CountParams(r=r, k=k, x=x)
-                assert count_fast(p, t) == count_oracle(p)
+                assert count_fast(p) == count_oracle(p)
 
 
-def test_count_fast_monotone_in_x(tables):
-    t = tables(500)
+def test_count_fast_monotone_in_x():
     for r, k in ((1, 2), (2, 2), (3, 1)):
-        values = [count_fast(CountParams(r=r, k=k, x=x), t) for x in range(200)]
+        values = [count_fast(CountParams(r=r, k=k, x=x)) for x in range(200)]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
 
-def test_count_fast_monotone_in_r(tables):
+def test_count_fast_monotone_in_r():
     # Larger r excludes fewer tuples, so V grows with r.
-    t = tables(500)
     for k in (1, 2, 3):
         for x in (5, 17, 60):
-            values = [count_fast(CountParams(r=r, k=k, x=x), t) for r in (1, 2, 3, 4)]
+            values = [count_fast(CountParams(r=r, k=k, x=x)) for r in (1, 2, 3, 4)]
             assert all(b >= a for a, b in zip(values, values[1:]))
 
 
@@ -156,8 +154,8 @@ def test_zero_coordinate_shell_decomposition():
 # Progressions
 # ---------------------------------------------------------------------------
 
-def _per_row(r, k, xs, table):
-    return [count_fast(CountParams(r=r, k=k, x=x), table) for x in xs]
+def _per_row(r, k, xs):
+    return [count_fast(CountParams(r=r, k=k, x=x)) for x in xs]
 
 
 @settings(max_examples=300, deadline=None)
@@ -170,34 +168,30 @@ def _per_row(r, k, xs, table):
     rows=st.integers(1, 12),
     incremental=st.booleans(),
 )
-def test_count_progression_matches_count_fast(tables, r, k, step, t, before, rows, incremental):
+def test_count_progression_matches_count_fast(r, k, step, t, before, rows, incremental):
     # windows start up to 3000 below the perfect power t^r, so that most
     # of them step across it
     first = max(0, t**r - before)
     xs = range(first, first + rows * step, step)
-    table = tables(12_000)  # covers x <= 40 + 11 * 1000 at r = 1
     with mock.patch.object(lattice, "increments_pay", return_value=incremental):
-        assert count_progression(r, k, xs, table) == _per_row(r, k, xs, table)
+        assert count_progression(r, k, xs) == _per_row(r, k, xs)
 
 
-def test_count_progression_across_powers_from_zero(tables):
+def test_count_progression_across_powers_from_zero():
     # every x in 0..1200, so each t^r <= 1200 enters at its own row
-    table = tables(1200)
     with mock.patch.object(lattice, "increments_pay", return_value=True):
         for r in (1, 2, 3, 4):
             for k in (1, 2, 3):
                 xs = range(0, 1201)
-                assert count_progression(r, k, xs, table) == _per_row(r, k, xs, table)
+                assert count_progression(r, k, xs) == _per_row(r, k, xs)
 
 
-def test_count_progression_edges(tables):
-    table = tables(100)
-    assert count_progression(2, 2, range(50, 50), table) == []
-    assert count_progression(2, 2, range(50, 51), table) == _per_row(2, 2, [50], table)
+def test_count_progression_edges():
+    assert count_progression(2, 2, range(50, 50)) == []
+    assert count_progression(2, 2, range(50, 51)) == _per_row(2, 2, [50])
     with pytest.raises(ValueError):
-        count_progression(2, 2, range(10, 0, -1), table)
-    with pytest.raises(ValueError):
-        count_progression(1, 2, range(90, 200), table)
+        count_progression(2, 2, range(10, 0, -1))
+    assert count_progression(1, 2, range(90, 200)) == _per_row(1, 2, range(90, 200))
 
 
 @pytest.mark.parametrize(
@@ -210,8 +204,8 @@ def test_count_progression_edges(tables):
         (2, range(5, 5)),
     ],
 )
-def test_count_range_matches_count_fast(tables, r, xs):
-    assert list(count_range(r, 3, xs, tables(1000))) == _per_row(r, 3, xs, tables(1000))
+def test_count_range_matches_count_fast(r, xs):
+    assert list(count_range(r, 3, xs)) == _per_row(r, 3, xs)
 
 
 def test_increments_pay_chooses_the_cheaper_path():
@@ -256,21 +250,32 @@ def test_count_record_r1_k2_x2():
     assert rec.density == Fraction(16, 25)
 
 
-def test_count_record_invariants(tables):
-    t = tables(100)
+def test_root_normalization_past_its_digit_limit_is_refused(monkeypatch):
+    # the radicand x 10^((p+10) r) has (p + 10) r digits and at most x's more
+    assert lattice.ROOT_DIGITS_LIMIT == 8 * 10**5
+    monkeypatch.setattr(lattice, "ROOT_DIGITS_LIMIT", 40 * 50 + 1)
+    assert error_normalization(CountParams(r=50, k=1, x=3), 30) == (
+        integer_root(3 * 10**2000, 50), 10**40)
+    with pytest.raises(ResourceLimitError, match=r"^the x\^\(1/r\) normalization at r=51 "
+                       r"takes the root of a 2041-digit integer, limit is 2001$"):
+        error_normalization(CountParams(r=51, k=1, x=3), 30)
+    with pytest.raises(ResourceLimitError, match=r"a 2003-digit integer"):
+        error_normalization(CountParams(r=50, k=1, x=10**2), 30)
+
+
+def test_count_record_invariants():
     for r, k, x in ((1, 3, 9), (2, 2, 25), (3, 1, 50)):
-        rec = count_record(CountParams(r=r, k=k, x=x), table=t)
+        rec = count_record(CountParams(r=r, k=k, x=x))
         assert 0 <= rec.V <= (2 * x + 1) ** k
         assert rec.error.contains(rec.V - rec.main_term.mid)
         assert rec.main_term.radius < Fraction(1, 10**20)
 
 
-def test_count_record_with_given_count(tables):
-    t = tables(1000)
+def test_count_record_with_given_count():
     for x in (2, 999, 10**6):
         params = CountParams(r=2, k=2, x=x)
-        given_count = count_fast(params, t)
-        assert count_record(params, V=given_count) == count_record(params, table=t)
+        given_count = count_fast(params)
+        assert count_record(params, V=given_count) == count_record(params)
 
 
 def test_count_record_x_bounds():
@@ -335,9 +340,8 @@ def test_decimal_places_matches_the_place_by_place_loop():
                 places(finer)
 
 
-def test_normalized_error_boundedness_per_normalization_case(tables, fixture_store):
+def test_normalized_error_boundedness_per_normalization_case(fixture_store):
     # One scan per asymptotic case; maxima recorded, regression-checked at 1%.
-    t = tables(5000)
     cases = {
         "normalized_error_max_r1_k2": (1, 2),  # x log x
         "normalized_error_max_r2_k1": (2, 1),  # x^(1/r)
@@ -346,7 +350,7 @@ def test_normalized_error_boundedness_per_normalization_case(tables, fixture_sto
     for key, (r, k) in cases.items():
         observed = Decimal(0)
         for x in range(2, 5001):
-            rec = count_record(CountParams(r=r, k=k, x=x), table=t)
+            rec = count_record(CountParams(r=r, k=k, x=x))
             observed = max(observed, abs(rec.normalized_error))
         fixture_store.check(key, observed)
 
@@ -447,10 +451,10 @@ def test_count_rows_yield_one_field_per_csv_column():
 
 @pytest.mark.parametrize("r,k", [(1, 2), (2, 1), (3, 1), (1, 3), (2, 2), (4, 4)])
 @pytest.mark.parametrize("precision", KERNEL_PRECISIONS[:4])
-def test_count_rows_over_a_range_are_the_reference_rows(tables, r, k, precision):
+def test_count_rows_over_a_range_are_the_reference_rows(r, k, precision):
     # one call over many rows, as a scan makes it, from x = 1 on
     xs = range(1, 400)
-    Vs = count_progression(r, k, xs, tables(400))
+    Vs = count_progression(r, k, xs)
     scale = lattice.row_scale(r * k, precision)
     rows = list(lattice.count_rows(r, k, xs, Vs, scale))
     assert rows == [_reference_fields(r, k, x, V, scale) for x, V in zip(xs, Vs)]

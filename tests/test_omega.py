@@ -49,23 +49,21 @@ def test_params_validation():
 # frac_sum
 # ---------------------------------------------------------------------------
 
-def test_frac_sum_example_x11(tables):
-    t = tables(100)
-    value = frac_sum(FracSumParams(r=2, j=2, i=1, x=11), t)
+def test_frac_sum_example_x11():
+    value = frac_sum(FracSumParams(r=2, j=2, i=1, x=11))
     assert value == Fraction(-2315, 46656)
 
 
-def test_frac_sum_example_x12(tables):
+def test_frac_sum_example_x12():
     # d = 2 contributes nothing ({12/4} = 0); only d = 3 remains.
-    t = tables(100)
-    value = frac_sum(FracSumParams(r=2, j=2, i=1, x=12), t)
+    value = frac_sum(FracSumParams(r=2, j=2, i=1, x=12))
     assert value == Fraction(-1, 243)
 
 
-def test_frac_sum_i0_is_plain_mu_sum(tables):
-    t = tables(100)
+def test_frac_sum_i0_is_plain_mu_sum():
+    t = sieve_mobius(100)
     for x, r, j in ((50, 2, 1), (100, 1, 2), (80, 3, 1)):
-        value = frac_sum(FracSumParams(r=r, j=j, i=0, x=x), t)
+        value = frac_sum(FracSumParams(r=r, j=j, i=0, x=x))
         direct = sum(
             Fraction(t.mu[d], d ** (r * j))
             for d in range(1, integer_root(x, r) + 1)
@@ -73,16 +71,15 @@ def test_frac_sum_i0_is_plain_mu_sum(tables):
         assert value == direct
 
 
-def test_frac_sum_magnitude_bound(tables):
+def test_frac_sum_magnitude_bound():
     # |sum| <= sum_{d <= floor(x^(1/r))} d^(-rj), exact comparison.
-    t = tables(4000)
     rng = random.Random(11)
     for _ in range(60):
         r = rng.randint(1, 3)
         j = rng.randint(0, 3)
         i = rng.randint(0, 3)
         x = rng.randint(0, 4000)
-        value = frac_sum(FracSumParams(r=r, j=j, i=i, x=x), t)
+        value = frac_sum(FracSumParams(r=r, j=j, i=i, x=x))
         bound = sum(
             Fraction(1, d ** (r * j)) for d in range(1, integer_root(x, r) + 1)
         )
@@ -90,16 +87,17 @@ def test_frac_sum_magnitude_bound(tables):
 
 
 def test_frac_sum_exact_guard():
-    t = sieve_mobius(10)
     big = (10**5 + 5) ** 2
     with pytest.raises(ResourceLimitError):
-        frac_sum(FracSumParams(r=2, j=2, i=1, x=big), t)
+        frac_sum(FracSumParams(r=2, j=2, i=1, x=big))
 
 
 def test_frac_sum_rejects_small_table():
-    t = sieve_mobius(2)
-    with pytest.raises(ValueError):
-        frac_sum(FracSumParams(r=2, j=2, i=1, x=1000), t)
+    # a process table short of x^(1/r) is sieved again to cover it, not refused
+    assert arith.mobius_table(2).limit == 2
+    p = FracSumParams(r=2, j=2, i=1, x=1000)
+    assert frac_sum(p) == _per_term_frac_sum(p, 31)
+    assert arith.mobius_table(31).limit == 31
 
 
 def _per_term_frac_sum(p, top):
@@ -120,18 +118,18 @@ def _per_term_frac_sum(p, top):
     x=st.one_of(st.integers(0, 5000), st.integers(10**30, 10**40)),
     cutoff=st.integers(2, 80),
 )
-def test_frac_sums_match_per_term_fractions(tables, r, j, i, x, cutoff):
+def test_frac_sums_match_per_term_fractions(r, j, i, x, cutoff):
     p = FracSumParams(r=r, j=j, i=i, x=x)
     root = integer_root(x, r)
     if root <= 5000:
-        assert frac_sum(p, tables(5000)) == _per_term_frac_sum(p, root)
+        assert frac_sum(p) == _per_term_frac_sum(p, root)
     if r * j >= 2:
         finite, tail = truncated_frac_sum(p, cutoff)
         assert finite == _per_term_frac_sum(p, min(cutoff, root))
         assert tail == (0 if cutoff >= root else Fraction(1, cutoff ** (r * j - 1) * (r * j - 1)))
 
 
-def test_frac_sum_builds_one_fraction(monkeypatch, tables):
+def test_frac_sum_builds_one_fraction(monkeypatch):
     p = FracSumParams(r=2, j=2, i=1, x=3000)
     expected = _per_term_frac_sum(p, integer_root(p.x, p.r))
     built = []
@@ -141,7 +139,7 @@ def test_frac_sum_builds_one_fraction(monkeypatch, tables):
         return Fraction(*args)
 
     monkeypatch.setattr(omega, "Fraction", counting)
-    assert frac_sum(p, tables(100)) == expected
+    assert frac_sum(p) == expected
     assert len(built) == 1
 
 
@@ -157,7 +155,7 @@ def _largest_accepted(work):
 
 
 def test_frac_sum_guard_rejects_before_any_work(monkeypatch):
-    small, witness = sieve_mobius(10), witness_small(2, 1)
+    witness = witness_small(2, 1)
     monkeypatch.setattr(arith, "sieve_mobius", lambda n: pytest.fail("sieved"))
     monkeypatch.setattr(omega, "primes_upto", lambda n: pytest.fail("primes listed"))
     big = FracSumParams(r=2, j=1, i=1, x=10**40)
@@ -169,7 +167,7 @@ def test_frac_sum_guard_rejects_before_any_work(monkeypatch):
     with pytest.raises(ResourceLimitError, match=message):
         truncated_frac_sum(big, top)
     with pytest.raises(ResourceLimitError, match=r"over d <= 100000000000000000000 on P\^4 "):
-        frac_sum(big, small)
+        frac_sum(big)
     with pytest.raises(ResourceLimitError, match=r"over d <= 20000000 on P\^4 "):
         certify_witness(witness, 2, 1, cutoff=2 * 10**7)
 
@@ -221,8 +219,7 @@ def test_truncated_rejects_divergent_tail():
         truncated_frac_sum(FracSumParams(r=2, j=1, i=1, x=100), 1)
 
 
-def test_truncated_encloses_exact(tables):
-    t = tables(3000)
+def test_truncated_encloses_exact():
     rng = random.Random(3)
     for _ in range(40):
         r = rng.randint(1, 3)
@@ -233,27 +230,25 @@ def test_truncated_encloses_exact(tables):
         x = rng.randint(1, 3000)
         cutoff = rng.randint(2, 40)
         p = FracSumParams(r=r, j=j, i=i, x=x)
-        exact = frac_sum(p, t)
+        exact = frac_sum(p)
         finite, tail = truncated_frac_sum(p, cutoff)
         assert finite - tail <= exact <= finite + tail
 
 
-def test_truncated_full_coverage_matches_exact(tables):
+def test_truncated_full_coverage_matches_exact():
     # cutoff beyond floor(x^(1/r)) makes the tail exactly zero.
-    t = tables(200)
     p = FracSumParams(r=2, j=2, i=1, x=3000)
     finite, tail = truncated_frac_sum(p, 100)
     assert tail == 0
-    assert finite == frac_sum(p, t)
+    assert finite == frac_sum(p)
 
 
-def test_truncated_primorial_witness_cross_check(tables):
+def test_truncated_primorial_witness_cross_check():
     # A scaled-down witness (primes up to 13) is small enough for the exact
     # path; the truncated machinery must enclose it.
     x = (3 * 5 * 7 * 11 * 13) ** 2
-    t = tables(3 * 5 * 7 * 11 * 13)
     p = FracSumParams(r=2, j=1, i=1, x=x)
-    exact = frac_sum(p, t)
+    exact = frac_sum(p)
     finite, tail = truncated_frac_sum(p, 20)
     assert finite - tail <= exact <= finite + tail
 
@@ -331,6 +326,7 @@ def test_certify_witness_x11():
 def test_certify_witnesses_match_one_at_a_time_from_one_sieve(monkeypatch):
     xs = [*witness_large(3, 2, 30), witness_small(2, 1)]
     expected = [certify_witness(x, 3, 2, cutoff=60) for x in xs]
+    monkeypatch.setattr(arith, "_table", arith.MobiusTable(limit=0, mu=[0]))  # empty again
     sieve, limits = arith.sieve_mobius, []
     monkeypatch.setattr(arith, "sieve_mobius", lambda n: limits.append(n) or sieve(n))
     assert list(certify_witnesses(xs, 3, 2, cutoff=60)) == expected
@@ -377,7 +373,7 @@ def test_witness_list_shares_terms_per_top_while_it_runs(monkeypatch):
         for r, j, i in ((2, 1, 2), (3, 1, 1), (2, 2, 1)):
             top = integer_root(x, 2)
             params = FracSumParams(r=r, j=j, i=i, x=x)
-            assert omega._frac_sum_upto(params, top, None) == _frac_sum_by_fractions(x, r, j, i, top)
+            assert omega._frac_sum_upto(params, top) == _frac_sum_by_fractions(x, r, j, i, top)
     # one entry, the last top shared, until the list ends
     assert shared == [[], *[[(3, 2, 6)]] * 2, *[[(4, 2, 6)]] * 2, *[[(5, 2, 6)]] * 2]
     assert omega._shared_terms == {}
@@ -422,7 +418,7 @@ def test_certify_witness_without_a_cutoff_is_exact_or_refused(monkeypatch):
         next(certify_witnesses([x], 2, 1))
 
 
-def test_certify_witness_large_branch_sweep(tables):
+def test_certify_witness_large_branch_sweep():
     # Quick sweep; acceptance walks every x = 3 mod 4 up to 10^4.
     for x in range(11, 2000, 4):
         rep = certify_witness(x, 2, 2)
@@ -467,35 +463,32 @@ def test_mertens_residual_x1():
     assert enc.radius < Fraction(1, 10**20)
 
 
-def test_mertens_residual_validation(tables):
+def test_mertens_residual_validation():
     z = zeta_value(2)
     with pytest.raises(ValueError):
         mertens_residual(10, 3, z)  # mismatched zeta
     with pytest.raises(ValueError):
         mertens_residual(0, 2, z)
-    with pytest.raises(ValueError):
-        mertens_residual(100, 2, z, table=sieve_mobius(10))
 
 
-def test_mertens_residual_increment_consistency(tables):
+def test_mertens_residual_increment_consistency():
     # residual(2x) - residual(x) must equal the added mu(d)/d^s terms.
-    t = tables(400)
+    t = sieve_mobius(400)
     z = zeta_value(3)
     for x in (7, 50, 150):
-        small = mertens_residual(x, 3, z, table=t)
-        large = mertens_residual(2 * x, 3, z, table=t)
+        small = mertens_residual(x, 3, z)
+        large = mertens_residual(2 * x, 3, z)
         added = sum(Fraction(t.mu[d], d**3) for d in range(x + 1, 2 * x + 1))
         diff_lo = large.lo - small.hi
         diff_hi = large.hi - small.lo
         assert diff_lo <= added <= diff_hi
 
 
-def test_mertens_residual_scan_matches_pointwise(tables):
-    t = tables(200)
+def test_mertens_residual_scan_matches_pointwise():
     z = zeta_value(2)
-    rows = dict(mertens_residual_scan(200, 2, z, t))
+    rows = dict(mertens_residual_scan(200, 2, z))
     for x in (1, 17, 200):
-        enc = mertens_residual(x, 2, z, table=t)
+        enc = mertens_residual(x, 2, z)
         assert rows[x] >= enc.abs().hi * x  # scan reports the supremum
         assert rows[x] - enc.abs().hi * x < Fraction(1, 10**30)
 
@@ -521,35 +514,32 @@ def test_proposition_residual_validation():
         proposition_residual(10, 1, 1, zeta_value(2))  # rk < 2
 
 
-def test_proposition_residual_jump_at_perfect_powers(tables):
+def test_proposition_residual_jump_at_perfect_powers():
     # Crossing x = t^r adds a single mu(t) x^k / t^(rk) summand; the scaled
     # residual may jump by at most that term (plus the smooth drift).
-    t = tables(100)
     z = zeta_value(2)
     for root in (3, 4, 5):
         x = root * root
-        before = proposition_residual(x - 1, 1, 2, z, table=t)
-        after = proposition_residual(x, 1, 2, z, table=t)
+        before = proposition_residual(x - 1, 1, 2, z)
+        after = proposition_residual(x, 1, 2, z)
         jump = abs(after.mid - before.mid)
         term = Fraction(x, root**2) / integer_root(x, 2)
         drift = Fraction(2, integer_root(x - 1, 2))
         assert jump <= term + drift
 
 
-def test_proposition_residual_scan_is_bounded(tables):
-    t = tables(200)
+def test_proposition_residual_scan_is_bounded():
     z = zeta_value(4)
-    values = [v for _, v in proposition_residual_scan(2000, 2, 2, z, t)]
+    values = [v for _, v in proposition_residual_scan(2000, 2, 2, z)]
     assert max(values) < 10  # loose sanity; exact maxima are fixture-checked
 
 
 @pytest.mark.parametrize("r,k", [(1, 3), (2, 1), (2, 2), (3, 1)])
-def test_proposition_residual_scan_matches_pointwise(tables, r, k):
-    t = tables(300)
+def test_proposition_residual_scan_matches_pointwise(r, k):
     z = zeta_value(r * k)
-    rows = dict(proposition_residual_scan(300, k, r, z, t))
+    rows = dict(proposition_residual_scan(300, k, r, z))
     for x in range(1, 301):
-        assert rows[x] == proposition_residual(x, k, r, z, table=t).abs().hi
+        assert rows[x] == proposition_residual(x, k, r, z).abs().hi
 
 
 def test_tableless_residuals_sieve_what_they_need(monkeypatch):
@@ -561,50 +551,47 @@ def test_tableless_residuals_sieve_what_they_need(monkeypatch):
 
     monkeypatch.setattr(arith, "sieve_mobius", recording)
     z2, z4 = zeta_value(2), zeta_value(4)
-    assert mertens_residual(50, 2, z2) == mertens_residual(50, 2, z2, table=sieve_mobius(50))
-    assert proposition_residual(1000, 2, 2, z4) == proposition_residual(
-        1000, 2, 2, z4, table=sieve_mobius(31)
-    )
-    assert limits == [50, 31]
+    proposition_residual(1000, 2, 2, z4)  # mu up to floor(sqrt(1000)) = 31
+    mertens_residual(50, 2, z2)  # mu up to 50, past 31: the table doubles to 62
+    mertens_residual(62, 2, z2)
+    assert limits == [31, 62]
 
 
 @pytest.mark.parametrize("r,k", [(1, 3), (2, 2), (3, 1)])
-def test_proposition_residual_scan_builds_no_enclosure(monkeypatch, tables, r, k):
-    t = tables(300)
+def test_proposition_residual_scan_builds_no_enclosure(monkeypatch, r, k):
     z = zeta_value(r * k)
-    expected = [(x, proposition_residual(x, k, r, z, table=t).abs().hi) for x in range(1, 301)]
+    expected = [(x, proposition_residual(x, k, r, z).abs().hi) for x in range(1, 301)]
     monkeypatch.setattr(omega, "Enclosure", None)
-    assert list(proposition_residual_scan(300, k, r, z, t)) == expected
+    assert list(proposition_residual_scan(300, k, r, z)) == expected
 
 
 # ---------------------------------------------------------------------------
 # error_scan and the ratio report
 # ---------------------------------------------------------------------------
 
-def test_error_scan_row_count_and_order(tables):
-    records = list(error_scan(1, 3, 10, 1000, table=tables(1000)))
+def test_error_scan_row_count_and_order():
+    records = list(error_scan(1, 3, 10, 1000))
     assert len(records) == 991
     assert [r.x for r in records[:3]] == [10, 11, 12]
     assert records[-1].x == 1000
 
 
-def test_error_scan_density_approaches_zeta4_reciprocal(tables):
-    last = list(error_scan(2, 2, 1000, 1000, table=tables(1000)))[-1]
+def test_error_scan_density_approaches_zeta4_reciprocal():
+    last = list(error_scan(2, 2, 1000, 1000))[-1]
     assert abs(last.density - Fraction(Decimal("0.9239"))) < Fraction(1, 100)
 
 
-def test_error_scan_normalization_cases(tables):
-    t = tables(1000)
-    rec = next(error_scan(1, 2, 10, 10, table=t))
+def test_error_scan_normalization_cases():
+    rec = next(error_scan(1, 2, 10, 10))
     norm = Decimal(10) * ln_decimal(10)
     expected = Decimal(float(rec.error.abs().mid)) / norm
     assert abs(rec.normalized_error - expected) < Decimal("1e-6")
-    rec = next(error_scan(1, 3, 10, 10, table=t))
+    rec = next(error_scan(1, 3, 10, 10))
     expected = Decimal(float(rec.error.abs().mid)) / Decimal(100)
     assert abs(rec.normalized_error - expected) < Decimal("1e-6")
 
 
-def test_error_scan_validation(tables):
+def test_error_scan_validation():
     with pytest.raises(ValueError):
         list(error_scan(1, 2, 1, 10))
     with pytest.raises(ValueError):
@@ -627,13 +614,12 @@ def test_error_scan_matches_count_record_across_chunks(rk, step, x_min, extra):
     # for r >= 2); every row against its own count_fast
     r, k = rk
     x_max = x_min + step * (3 * SCAN_CHUNK + extra)
-    table = sieve_mobius(x_max)
     records = list(error_scan(r, k, x_min, x_max, step=step))
     assert [rec.x for rec in records] == list(range(x_min, x_max + 1, step))
     for rec in records:
         params = CountParams(r=r, k=k, x=rec.x)
-        V = count_fast(params, table)
-        assert rec == count_record(params, table=table, V=V)
+        V = count_fast(params)
+        assert rec == count_record(params, V=V)
 
 
 @pytest.mark.parametrize(
@@ -653,9 +639,9 @@ def test_error_scan_chunk_length(monkeypatch, r, x_min, x_max, step, spans):
     seen = []
     original = lattice.count_progression
 
-    def recording(r, k, xs, table):
+    def recording(r, k, xs):
         seen.append(xs)
-        return original(r, k, xs, table)
+        return original(r, k, xs)
 
     monkeypatch.setattr(lattice, "count_progression", recording)
     records = list(error_scan(r, 2, x_min, x_max, step=step))

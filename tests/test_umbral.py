@@ -13,7 +13,7 @@ from rfree import (
     umbral_eval,
 )
 from rfree import arith, lattice, umbral
-from rfree.arith import rfree_sieve
+from rfree.arith import MobiusTable, rfree_sieve
 from rfree.errors import InvariantViolationError, ResourceLimitError
 from rfree.umbral import identity_range, zero_coordinate_expansion
 
@@ -57,28 +57,26 @@ def test_umbral_eval_k1_counts_rfree():
             assert umbral_eval(x, r, 1) == 2 * sum(flags[1 : x + 1])
 
 
-def test_umbral_eval_matches_count_fast(tables):
-    t = tables(100)
-    assert umbral_eval(20, 2, 2, table=t) == count_fast(CountParams(2, 2, 20), t)
-    assert umbral_eval(50, 1, 3, table=t) == count_fast(CountParams(1, 3, 50), t)
-    assert umbral_eval(0, 1, 4, table=t) == 0
+def test_umbral_eval_matches_count_fast():
+    assert umbral_eval(20, 2, 2) == count_fast(CountParams(2, 2, 20))
+    assert umbral_eval(50, 1, 3) == count_fast(CountParams(1, 3, 50))
+    assert umbral_eval(0, 1, 4) == 0
 
 
-def test_umbral_eval_reads_one_power_sums_call(monkeypatch, tables):
-    t = tables(100)
+def test_umbral_eval_reads_one_power_sums_call(monkeypatch):
     calls = []
-    power_sums = type(t).power_sums
+    power_sums = MobiusTable.power_sums
 
     def counting(self, x, r, k):
         calls.append((x, r, k))
         return power_sums(self, x, r, k)
 
-    monkeypatch.setattr(type(t), "power_sums", counting)
+    monkeypatch.setattr(MobiusTable, "power_sums", counting)
     for k in range(1, 6):
         calls.clear()
-        value = umbral_eval(1000, 2, k, table=t)
+        value = umbral_eval(1000, 2, k)
         assert calls == [(1000, 2, k)]
-        assert value == count_fast(CountParams(2, k, 1000), t)
+        assert value == count_fast(CountParams(2, k, 1000))
 
 
 def test_constant_substitution_negative_control():
@@ -88,31 +86,26 @@ def test_constant_substitution_negative_control():
         umbral_eval(5, 1, 2, constant_substitution=1)
 
 
-def test_zero_coordinate_expansion_matches(tables):
-    t = tables(50)
+def test_zero_coordinate_expansion_matches():
     for r in (1, 2):
         for k in (1, 2, 3):
             for x in (0, 1, 4, 9):
-                assert zero_coordinate_expansion(x, r, k) == count_fast(
-                    CountParams(r=r, k=k, x=x), t
-                )
+                assert zero_coordinate_expansion(x, r, k) == count_fast(CountParams(r=r, k=k, x=x))
 
 
 @pytest.mark.parametrize("r,k,x", [(1, 2, 1), (2, 1, 10), (1, 3, 50)])
-def test_identity_check_examples(r, k, x, tables):
-    t = tables(60)
-    check = identity_check(r, k, x, table=t, oracle_budget=2 * 10**6)
+def test_identity_check_examples(r, k, x):
+    check = identity_check(r, k, x, oracle_budget=2 * 10**6)
     assert check.equal
     assert check.oracle == check.umbral == check.fast
 
 
-def test_identity_check_grid_quick(tables):
+def test_identity_check_grid_quick():
     # Small sweep; acceptance covers r in {1,2,3}, k in {1..5}, x in 0..200.
-    t = tables(60)
     for r in (1, 2, 3):
         for k in range(1, 6):
             for x in range(0, 61, 3):
-                assert identity_check(r, k, x, table=t).equal
+                assert identity_check(r, k, x).equal
 
 
 def test_identity_check_reports_mismatch_values():
@@ -138,11 +131,10 @@ def test_identity_check_reports_mismatch_values():
 @example(r=1, k=3, x_max=300, length=301)    # r = 1: x_max rows, then one
 @example(r=2, k=4, x_max=600, length=601)    # chunks and segments of 256
 @example(r=3, k=2, x_max=3000, length=300)   # sums seeded at 2700
-def test_identity_range_matches_identity_check(tables, r, k, x_max, length):
+def test_identity_range_matches_identity_check(r, k, x_max, length):
     x_min = max(0, x_max - length + 1)
-    table = tables(3000)
-    checks = list(identity_range(r, k, x_min, x_max, table))
-    assert checks == [identity_check(r, k, x, table=table) for x in range(x_min, x_max + 1)]
+    checks = list(identity_range(r, k, x_min, x_max))
+    assert checks == [identity_check(r, k, x) for x in range(x_min, x_max + 1)]
 
 
 @pytest.mark.parametrize(
@@ -167,9 +159,9 @@ def test_identity_range_segment_and_chunk_lengths(monkeypatch, r, x_min, x_max, 
         seen_segments.append(hi - lo)
         return segment(lo, hi, *args)
 
-    def recording_progression(r, k, xs, table):
+    def recording_progression(r, k, xs):
         seen_chunks.append(len(xs))
-        return progression(r, k, xs, table)
+        return progression(r, k, xs)
 
     monkeypatch.setattr(jordan_module, "jordan_segment", recording_segment)
     monkeypatch.setattr(lattice, "count_progression", recording_progression)
