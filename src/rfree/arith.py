@@ -9,13 +9,17 @@ Provides:
     mobius            -- scalar mu(n) from factorize (independent of the sieve)
     integer_root      -- floor(x^(1/r)) in pure integer arithmetic
     bernoulli_numbers -- exact Bernoulli numbers, B_1 = +1/2 convention
-    faulhaber_vector  -- F_k: sum_{m<=q} m^(k-1) as integers over one denominator
+    faulhaber_vector  -- F_k: sum_{m<=q} m^(k-1) as integers over one denominator,
+                         cached on k
     exact_quotient    -- the one integrality check of the totient algebra
+    count_work        -- the one work rule of an exact count or totient below base^k
     zeta_value        -- zeta(s) for integer 2 <= s <= ZETA_S_LIMIT with a
-                         rigorous error radius
+                         rigorous error radius, cached on s and the precision
     Enclosure         -- a closed rational ball guaranteed to contain a value
     decimal_places    -- the fractional digits an enclosure target prints
 
+mu, zeta(s), the Bernoulli numbers and F_k are functions of their
+arguments, read by the functions that use them, not passed to them.
 Everything that feeds an exact identity is integer or Fraction arithmetic;
 floats never touch a quantity that a test compares exactly.
 """
@@ -36,6 +40,7 @@ SIEVE_LIMIT = 10**7  # largest sieve_mobius limit, ~12 bytes per entry at peak
 BERNOULLI_LIMIT = 400  # largest bernoulli_numbers count, about 1 s at the limit
 MAX_SCAN_RECORDS = 10**6  # most rows of one scan or identity range
 ZETA_S_LIMIT = 10**6  # largest zeta_value s: 1/zeta(s) then takes about 4.5 s
+COUNT_WORK_LIMIT = 2 * 10**11  # most count_work per exact count or totient (README, `count`)
 SCAN_CHUNK = 256  # fewest rows per count_range chunk
 DEFAULT_PRECISION = Fraction(1, 10**30)  # zeta enclosure target
 
@@ -192,6 +197,25 @@ def rfree_sieve(limit: int, r: int) -> bytearray:
     return flags
 
 
+def count_work(k: int, base: int, runs: int = 1) -> int:
+    """Work units of an exact value below base^k: k (runs (bits + 10^4) +
+    100 bits), with bits = k times base's bit length, at least that of base^k.
+    Each of ``runs`` runs of power_sums takes k products of up to bits bits,
+    at 10^4 units of overhead each; the k-step binomial, k-th powers,
+    divisions and digits of bits-size integers cost about 100 units per k
+    bits. A box count at x has base 2x + 1, J_k^r(n) base n and one run."""
+    bits = k * base.bit_length()
+    return k * (runs * (bits + 10**4) + 100 * bits)
+
+
+def check_count_work(k: int, base: int, runs: int = 1) -> None:
+    """ResourceLimitError past COUNT_WORK_LIMIT, checked before any sieve,
+    zeta or power."""
+    if (work := count_work(k, base, runs)) > COUNT_WORK_LIMIT:
+        raise ResourceLimitError(f"an exact count below {base}^{k} over {runs} run(s) needs "
+                                 f"{work} work units, limit is {COUNT_WORK_LIMIT}")
+
+
 # ---------------------------------------------------------------------------
 # Integer r-th roots
 # ---------------------------------------------------------------------------
@@ -254,11 +278,11 @@ def bernoulli_numbers(count: int) -> tuple[Fraction, ...]:
 
 
 @lru_cache(maxsize=None)
-def faulhaber_vector(B: tuple[Fraction, ...]) -> tuple[int, tuple[int, ...]]:
-    """F_k = (den, (a_0, ..., a_k)) from B = bernoulli_numbers(k), k >= 1:
-    sum_{m<=q} m^(k-1) = sum_i a_i q^i / den for every q >= 0, with
-    a_(k-j) = den C(k, j) B_j / k (B_1 = +1/2) and a_0 = 0. Cached on B."""
-    k = len(B)
+def faulhaber_vector(k: int) -> tuple[int, tuple[int, ...]]:
+    """F_k = (den, (a_0, ..., a_k)) for k >= 1: sum_{m<=q} m^(k-1) =
+    sum_i a_i q^i / den for every q >= 0, with a_(k-j) = den C(k, j) B_j / k,
+    B = bernoulli_numbers(k) (B_1 = +1/2), and a_0 = 0. Cached on k."""
+    B = bernoulli_numbers(k)
     coeffs = [Fraction(0)] + [math.comb(k, j) * B[j] / k for j in range(k - 1, -1, -1)]
     den = math.lcm(*(c.denominator for c in coeffs))
     return den, tuple(int(c * den) for c in coeffs)
@@ -283,7 +307,7 @@ def faulhaber_sum(upper: int, e: int) -> int:
         raise ValueError("upper must be >= 0")
     if e < 0:
         raise ValueError("e must be >= 0")
-    den, a = faulhaber_vector(bernoulli_numbers(e + 1))
+    den, a = faulhaber_vector(e + 1)
     total = sum(c * upper**i for i, c in enumerate(a))
     return exact_quotient(total, den, "Faulhaber sum", upper=upper, e=e)
 
@@ -378,8 +402,7 @@ class ZetaValue(namedtuple("ZetaValue", "mid radius s depth"), Enclosure):
         return super().__new__(cls, mid, _checked_radius(radius), s, depth)
 
     def reciprocal(self) -> Enclosure:
-        """Enclosure of 1/zeta(s); valid because zeta(s) > 1 > 0 for s >= 2.
-        A scan takes it once, in lattice.row_scale, for all its rows."""
+        """Enclosure of 1/zeta(s); valid because zeta(s) > 1 > 0 for s >= 2."""
         return Enclosure.between(1 / self.hi, 1 / self.lo)
 
 

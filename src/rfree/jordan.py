@@ -30,7 +30,7 @@ from itertools import accumulate, islice, product
 from .arith import (
     MAX_SCAN_RECORDS,
     SCAN_CHUNK,
-    bernoulli_numbers,
+    check_count_work,
     exact_quotient,
     factorize,
     faulhaber_vector,
@@ -90,10 +90,12 @@ def jordan(n: int, params: TotientParams) -> int:
     """J_k^r(n), computed via both closed forms.
 
     Raises InvariantViolationError if the divisor-sum and Euler-product
-    routes disagree (they never should; the check is the point).
+    routes disagree (they never should; the check is the point), and
+    ResourceLimitError before any work past COUNT_WORK_LIMIT for J <= n^k.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    check_count_work(params.k, n)
     factors = factorize(n)
     by_sum = _jordan_divisor_sum(n, params.r, params.k, factors)
     by_product = _jordan_euler_product(n, params.r, params.k, factors)
@@ -161,7 +163,7 @@ def partial_sum_from_sums(T: list[int], x: int, r: int, k: int) -> int:
     """sum_{n<=x} J_{k-1}^r(n) = sum_{i<=k} a_i T_i(x) / den for F_k =
     (den; a_0..a_k), from T = MobiusTable.power_sums(x, r, K) with K >= k.
     A non-integral total raises InvariantViolationError."""
-    den, a = faulhaber_vector(bernoulli_numbers(k))
+    den, a = faulhaber_vector(k)
     total = sum(map(operator.mul, a, T))
     return exact_quotient(total, den, "Bernoulli partial sum", x=x, r=r, k=k)
 

@@ -32,6 +32,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from decimal import Decimal
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from typing import NamedTuple
 
@@ -40,6 +41,7 @@ from .arith import (
     MAX_SCAN_RECORDS,
     SCAN_CHUNK,
     Enclosure,
+    check_count_work,
     decimal_places,
     integer_root,
     ln_decimal,
@@ -84,8 +86,9 @@ class RowScale(NamedTuple):
     rad_den: int
 
 
+@lru_cache(maxsize=None)
 def row_scale(s: int, precision: Fraction) -> RowScale:
-    """The RowScale of 1/zeta(s) at ``precision``, printed to its digit count."""
+    """The RowScale of 1/zeta(s) at ``precision``, printed to its digit count; cached."""
     if s < 2:
         raise ValueError(f"r*k = {s} has no main term: (2x)^k/zeta(rk) needs r*k >= 2")
     places = decimal_places(precision)
@@ -143,9 +146,27 @@ def count_oracle(params: CountParams, budget: int = DEFAULT_BOX_BUDGET) -> int:
     return count
 
 
+def _check_count(r: int, k: int, x: int) -> None:
+    # count_work of V(r, k, x): power_sums makes at most one run per d <= x^(1/r),
+    # and at most 2 t runs of distinct x // d^r, t = x^(1/(r+1)): each d > t
+    # leaves a quotient below t
+    check_count_work(k, 2 * x + 1, min(integer_root(x, r), 2 * integer_root(x, r + 1)))
+
+
+def _check_root(r: int, k: int, x: int, places: int) -> None:
+    # for k = 1 and r >= 2, the digits of the x^(1/r) normalization's radicand
+    # x 10^((p+10) r) at p = places, at least x's, are within ROOT_DIGITS_LIMIT
+    digits = (places + 10) * r + x.bit_length() * 30103 // 100000 + 1
+    if r >= 2 and k == 1 and digits > ROOT_DIGITS_LIMIT:
+        raise ResourceLimitError(f"the x^(1/r) normalization at r={r} takes the root of a "
+                                 f"{digits}-digit integer, limit is {ROOT_DIGITS_LIMIT}")
+
+
 def count_fast(params: CountParams) -> int:
-    """V by Mobius inversion over d <= floor(x^(1/r)); exact."""
+    """V by Mobius inversion over d <= floor(x^(1/r)); exact. Past
+    COUNT_WORK_LIMIT it raises ResourceLimitError before any sieve."""
     r, k, x = params
+    _check_count(r, k, x)
     T = mobius_table(integer_root(x, r)).power_sums(x, r, k)
     total, c = 0, 1
     for e in range(1, k + 1):
@@ -189,6 +210,7 @@ def count_progression(r: int, k: int, xs: range) -> list[int]:
     if xs.step < 1 or xs[0] < 0:
         raise ValueError("xs must be an ascending progression of x >= 0")
     first, last = xs[0], xs[-1]
+    _check_count(r, k, last)
     root = integer_root(last, r)
     mu = mobius_table(root).mu
     if not increments_pay(r, len(xs), last - first, root):
@@ -238,10 +260,7 @@ def error_normalization(params: CountParams, places: int) -> tuple[int, int]:
         raise ValueError("normalization needs x >= 1")
     if r >= 2 and k == 1:
         # floor(x^(1/r) S) / S at places + 10 fractional digits
-        digits = (places + 10) * r + x.bit_length() * 30103 // 100000 + 1  # at least x's
-        if digits > ROOT_DIGITS_LIMIT:
-            raise ResourceLimitError(f"the x^(1/r) normalization at r={r} takes the root of a "
-                                     f"{digits}-digit integer, limit is {ROOT_DIGITS_LIMIT}")
+        _check_root(r, k, x, places)
         scale = 10 ** (places + 10)
         return integer_root(x * scale**r, r), scale
     return x ** (k - 1), 1
@@ -307,13 +326,15 @@ def _scan(r, k, x_min, x_max, step, precision):
         raise ValueError("x_max must be >= x_min")
     if step < 1:
         raise ValueError("step must be >= 1")
+    CountParams(r=r, k=k, x=x_min)  # checks r and k once; every x of xs is valid
     xs = range(x_min, x_max + 1, step)
     if len(xs) > MAX_SCAN_RECORDS:
         raise ResourceLimitError(
             f"scan would emit {len(xs)} records, limit is {MAX_SCAN_RECORDS}")
+    _check_root(r, k, x_max, decimal_places(precision))  # the largest x, before zeta(rk)
+    _check_count(r, k, x_max)
     scale = row_scale(r * k, Fraction(precision))
     mobius_table(integer_root(x_max, r))  # one sieve, to the largest root
-    CountParams(r=r, k=k, x=x_min)  # checks r and k once; every x of xs is valid
     return xs, count_range(r, k, xs), scale
 
 
@@ -327,15 +348,15 @@ def scan_rows(r: int, k: int, x_min: int, x_max: int, step: int = 1,
 
 
 def count_record(params: CountParams, precision: Fraction = DEFAULT_PRECISION,
-                 V: int | None = None, scale: RowScale | None = None) -> CountRecord:
-    """The record of one (r, k, x), count_rows's row wrapped. ``scale`` is
-    the row_scale(rk, precision) a scan shares, built when None; ``V`` the
-    exact count, count_fast's when None."""
+                 V: int | None = None) -> CountRecord:
+    """count_rows's row of one (r, k, x) on row_scale(rk, precision), wrapped;
+    ``V`` is the exact count, count_fast's when None."""
     x, k, r = params.x, params.k, params.r
     if x < 1:
         raise ValueError("count_record needs x >= 1")
-    if scale is None:
-        scale = row_scale(r * k, precision)
+    _check_root(r, k, x, decimal_places(precision))  # before zeta(rk)
+    _check_count(r, k, x)
+    scale = row_scale(r * k, precision)
     if V is None:
         V = count_fast(params)
     (row,) = count_rows(r, k, (x,), (V,), scale)

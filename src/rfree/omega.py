@@ -10,8 +10,9 @@ modulus, never by floating division. The constructed witnesses can run to
 seventy-plus digits, where floats carry no information at all. Exact sums
 add integers over one denominator L = P^(r(i+j)), so one limit bounds each
 sum and witness list by its d range and the size of L: frac_sum_work.
-error_scan makes one lattice.count_record per x from the counts and
-row_scale of lattice._scan, the scan that scan_rows renders.
+The residual enclosures read 1/zeta(s) at their precision and mu up to
+their limit themselves. error_scan makes one lattice.count_record per x
+from the counts of lattice._scan, the scan that scan_rows renders.
 """
 
 from __future__ import annotations
@@ -26,10 +27,10 @@ from typing import NamedTuple
 from .arith import (
     DEFAULT_PRECISION,
     Enclosure,
-    ZetaValue,
     integer_root,
     mobius_table,
     primes_upto,
+    zeta_value,
 )
 from .errors import ResourceLimitError
 
@@ -79,10 +80,11 @@ _shared_terms: dict = {}
 _SHARED_WORK = 2**23
 
 
-def _frac_terms(top: int, r: int, e: int, mu: list[int]) -> tuple[int, Iterator]:
+def _frac_terms(top: int, r: int, e: int) -> tuple[int, Iterator]:
     # L = P^e, P the product of the primes <= top, and the terms (d^r, mu(d) L / d^e)
     # of the squarefree d <= top, made as they are drawn: each such d divides P
     L = math.prod(primes_upto(top)) ** e if e else 1
+    mu = mobius_table(top).mu
     return L, ((d**r, mu[d] * (L // d**e)) for d in range(1, top + 1) if mu[d])
 
 
@@ -91,8 +93,8 @@ def _frac_sum_upto(params: FracSumParams, top: int) -> Fraction:
     # denominator L = P^(r(i+j)), each term added as it is made
     e = params.r * (params.i + params.j)
     _check_work(1, top, e)
-    r, i, x, mu = params.r, params.i, params.x, mobius_table(top).mu
-    L, terms = _shared_terms.get((top, r, e)) or _frac_terms(top, r, e, mu)
+    r, i, x = params.r, params.i, params.x
+    L, terms = _shared_terms.get((top, r, e)) or _frac_terms(top, r, e)
     return Fraction(sum(w * (x % dr) ** i for dr, w in terms), L)
 
 
@@ -238,13 +240,14 @@ def certify_witnesses(
     root = integer_root(max(xs[0], xs[-1]) if isinstance(xs, range) else max(xs), r)
     top, e = root if cutoff is None else min(cutoff, root), r * (k + 1)
     _check_work(len(xs), top, e)
-    mu, last = mobius_table(top).mu, None
+    mobius_table(top)  # one sieve, to the list's largest d range
+    last = None
     try:
         for x in xs:
             top = integer_root(x, r) if cutoff is None else min(cutoff, integer_root(x, r))
             if (top == last and (top, r, e) not in _shared_terms
                     and frac_sum_work(1, top, e) <= _SHARED_WORK):
-                L, terms = _frac_terms(top, r, e, mu)
+                L, terms = _frac_terms(top, r, e)
                 _shared_terms.clear()
                 _shared_terms[top, r, e] = L, tuple(terms)
             yield certify_witness(x, r, k, cutoff)
@@ -262,13 +265,11 @@ class _ResidualSum:
 
         lo/_SCALE <= sum_{d<=n} mu(d)/d^s - 1/zeta(s) <= hi/_SCALE,
 
-    extended one d at a time as n grows."""
+    extended one d at a time as n grows to ``limit``."""
 
-    def __init__(self, s: int, zeta: ZetaValue, mu: list[int]) -> None:
-        if zeta.s != s:
-            raise ValueError(f"zeta enclosure is for s={zeta.s}, not {s}")
-        recip = zeta.reciprocal()
-        self.s, self.mu, self.n = s, mu, 0
+    def __init__(self, s: int, limit: int, precision: Fraction) -> None:
+        recip = zeta_value(s, precision).reciprocal()
+        self.s, self.mu, self.n = s, mobius_table(limit).mu, 0
         self.lo = -math.ceil(recip.hi * _SCALE)
         self.hi = -math.floor(recip.lo * _SCALE)
 
@@ -291,7 +292,7 @@ class _ResidualSum:
         return lo, hi
 
 
-def mertens_residual(x: int, s: int, zeta: ZetaValue) -> Enclosure:
+def mertens_residual(x: int, s: int, precision: Fraction = DEFAULT_PRECISION) -> Enclosure:
     """Enclosure of sum_{d<=x} mu(d)/d^s - 1/zeta(s).
 
     Decays like x^(1-s); the scan utility multiplies by x^(s-1) to exhibit
@@ -301,21 +302,22 @@ def mertens_residual(x: int, s: int, zeta: ZetaValue) -> Enclosure:
         raise ValueError("x must be >= 1")
     if s < 2:
         raise ValueError("s must be >= 2")
-    lo, hi = _ResidualSum(s, zeta, mobius_table(x).mu).upto(x)
+    lo, hi = _ResidualSum(s, x, precision).upto(x)
     return Enclosure.between(Fraction(lo, _SCALE), Fraction(hi, _SCALE))
 
 
 def mertens_residual_scan(
-    x_max: int, s: int, zeta: ZetaValue
+    x_max: int, s: int, precision: Fraction = DEFAULT_PRECISION
 ) -> Iterator[tuple[int, Fraction]]:
     """Yield (x, sup |residual| * x^(s-1)) for x = 1..x_max, incrementally."""
-    residual = _ResidualSum(s, zeta, mobius_table(x_max).mu)
+    residual = _ResidualSum(s, x_max, precision)
     for x in range(1, x_max + 1):
         lo, hi = residual.upto(x)
         yield x, Fraction(max(hi, -lo) * x ** (s - 1), _SCALE)
 
 
-def proposition_residual(x: int, k: int, r: int, zeta: ZetaValue) -> Enclosure:
+def proposition_residual(x: int, k: int, r: int,
+                         precision: Fraction = DEFAULT_PRECISION) -> Enclosure:
     """Enclosure of (sum_{d^r<=x} mu(d) x^k/d^(rk) - x^k/zeta(rk)) / x^(1/r).
 
     Bounded as x grows; the scan utility exhibits that.
@@ -325,7 +327,7 @@ def proposition_residual(x: int, k: int, r: int, zeta: ZetaValue) -> Enclosure:
     if r * k < 2:
         raise ValueError("requires r*k >= 2")
     root = integer_root(x, r)
-    lo, hi = _ResidualSum(r * k, zeta, mobius_table(root).mu).upto(root)
+    lo, hi = _ResidualSum(r * k, root, precision).upto(root)
     numer = Enclosure.between(Fraction(lo, _SCALE), Fraction(hi, _SCALE)).scale(x**k)
     # x^(1/r) lies in [t, t + 1] / _ROOT_SCALE, and is t / _ROOT_SCALE for r = 1
     t = integer_root(x * _ROOT_SCALE**r, r)
@@ -334,10 +336,10 @@ def proposition_residual(x: int, k: int, r: int, zeta: ZetaValue) -> Enclosure:
 
 
 def proposition_residual_scan(
-    x_max: int, k: int, r: int, zeta: ZetaValue
+    x_max: int, k: int, r: int, precision: Fraction = DEFAULT_PRECISION
 ) -> Iterator[tuple[int, Fraction]]:
     """Yield (x, sup of the scaled |residual|) for x = 1..x_max."""
-    residual = _ResidualSum(r * k, zeta, mobius_table(integer_root(x_max, r)).mu)
+    residual = _ResidualSum(r * k, integer_root(x_max, r), precision)
     for x in range(1, x_max + 1):
         lo, hi = residual.upto(integer_root(x, r))
         # proposition_residual(x, ...).abs().hi from integers: it divides by
@@ -356,9 +358,9 @@ def error_scan(r: int, k: int, x_min: int, x_max: int, step: int = 1,
     enclosures; the checks, order and memory are scan_rows's."""
     from .lattice import CountParams, _scan, count_record
 
-    xs, counts, scale = _scan(r, k, x_min, x_max, step, precision)
+    xs, counts, _ = _scan(r, k, x_min, x_max, step, precision)
     for x, V in zip(xs, counts):
-        yield count_record(CountParams._make((r, k, x)), V=V, scale=scale)
+        yield count_record(CountParams._make((r, k, x)), precision, V)
 
 
 class OmegaRatioReport(NamedTuple):

@@ -192,14 +192,12 @@ def test_c07_residual_boundedness(fixture_store):
     """Scaled residual maxima over x <= 1e5, fixture-checked within 1%."""
     details = []
     for s in (2, 3, 4):
-        z = zeta_value(s)
-        observed = max(v for _, v in mertens_residual_scan(10**5, s, z))
+        observed = max(v for _, v in mertens_residual_scan(10**5, s))
         fixture_store.check(f"mertens_scaled_max_s{s}", observed)
         details.append(f"mertens s={s}: {float(observed):.4f}")
     for r, k in ((2, 1), (2, 2), (1, 3)):
-        z = zeta_value(r * k)
         observed = max(
-            v for _, v in proposition_residual_scan(10**5, k, r, z)
+            v for _, v in proposition_residual_scan(10**5, k, r)
         )
         fixture_store.check(f"prop_scaled_max_r{r}_k{k}", observed)
         details.append(f"prop (r,k)=({r},{k}): {float(observed):.4f}")

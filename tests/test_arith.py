@@ -140,7 +140,6 @@ def _small_table_entry_points():
     )
     from rfree.lattice import count_progression
 
-    z2 = zeta_value(2)
     # every call needs mu up to 50: floor(50^(1/1)) = floor(2500^(1/2))
     given = {  # these read the table they are given
         "power_sums": lambda t: t.power_sums(50, 1, 2),
@@ -153,10 +152,10 @@ def _small_table_entry_points():
         "partial_sum_bernoulli": lambda: partial_sum_bernoulli(50, TotientParams(r=1, k=2)),
         "identity_check": lambda: identity_check(1, 2, 50),
         "frac_sum": lambda: frac_sum(FracSumParams(r=1, j=2, i=1, x=50)),
-        "mertens_residual": lambda: mertens_residual(50, 2, z2),
-        "mertens_residual_scan": lambda: next(mertens_residual_scan(50, 2, z2)),
-        "proposition_residual": lambda: proposition_residual(2500, 1, 2, z2),
-        "proposition_residual_scan": lambda: next(proposition_residual_scan(2500, 1, 2, z2)),
+        "mertens_residual": lambda: mertens_residual(50, 2),
+        "mertens_residual_scan": lambda: next(mertens_residual_scan(50, 2)),
+        "proposition_residual": lambda: proposition_residual(2500, 1, 2),
+        "proposition_residual_scan": lambda: next(proposition_residual_scan(2500, 1, 2)),
     }
     return given, process
 
@@ -379,7 +378,7 @@ def test_faulhaber_matches_naive_full_grid():
 def test_faulhaber_vector_matches_naive_sums():
     # F_k = (den; a_0..a_k) against sum_{m<=q} m^(k-1), term by term
     for k in range(1, 16):
-        den, a = faulhaber_vector(bernoulli_numbers(k))
+        den, a = faulhaber_vector(k)
         assert len(a) == k + 1 and a[0] == 0 and den > 0
         total = 0
         for q in range(61):
@@ -636,5 +635,7 @@ def test_faulhaber_detects_convention_bugs(monkeypatch):
 
     bad = (Fraction(1), Fraction(-1, 3))
     monkeypatch.setattr(arith, "bernoulli_numbers", lambda count: bad[:count])
+    # F_2 is cached on k from the true values: build it afresh, and cache nothing
+    monkeypatch.setattr(arith, "faulhaber_vector", arith.faulhaber_vector.__wrapped__)
     with pytest.raises(InvariantViolationError):
         arith.faulhaber_sum(10, 1)

@@ -66,14 +66,48 @@ def test_inputs_past_the_zeta_and_root_bounds_exit_1_at_once(argv):
     # one past arith.ZETA_S_LIMIT or lattice.ROOT_DIGITS_LIMIT; zeta --s 10^6
     # took 3.4 s and count --r 72727 --k 1 --x 3 --precision 0.1 6.7 s, and the
     # work grows at least as s^2 and digits^1.6
+    assert _refused_in_a_fresh_process(argv)[0] < 3
+
+
+def _refused_in_a_fresh_process(argv: str) -> tuple[float, str]:
+    # runs rfree ARGV in a fresh process, which must exit 1 with one error line
+    # and nothing on stdout; returns its wall time and stderr
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "rfree.cli", *argv.split()],
                           capture_output=True, text=True, env=env, timeout=60)
-    assert time.perf_counter() - start < 3
+    elapsed = time.perf_counter() - start
     assert (proc.returncode, proc.stdout) == (1, "")
     _assert_one_error_line(proc.stderr)
+    return elapsed, proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    "scan --r 2 --k 500000 --x-min 2 --x-max 2",  # still running after 130 s
+    "count --r 2 --k 30000 --x 3",  # 10.6 s
+    "count --r 1 --k 1000 --x 10000000",  # 6.8 s
+    "scan --r 2 --k 300 --x-min 100000000000000 --x-max 100000000000000",  # 13.1 s as a count
+    "jordan --n 2 --r 1 --k 1000000",  # 1.5 s, and printing is quadratic in k
+    "jordan --n 720720 --r 1 --k 100000",  # 11.9 s
+])
+def test_counts_past_the_work_limit_exit_1_at_once(argv):
+    # past arith.COUNT_WORK_LIMIT; the times are this tree's before the limit,
+    # fresh processes on a 2-vCPU x86 VM
+    assert _refused_in_a_fresh_process(argv)[0] < 3
+
+
+@pytest.mark.parametrize("argv", [
+    "count --r 1000000 --k 1 --x 3",
+    "scan --r 1000000 --k 1 --x-min 2 --x-max 3",
+])
+def test_k1_roots_past_their_limit_exit_1_before_zeta(argv):
+    # the root's digits are checked at x (x_max for a scan) before 1/zeta(10^6),
+    # which took 4.4-5.1 s when the check came at the first row, with this message
+    elapsed, err = _refused_in_a_fresh_process(argv)
+    assert elapsed < 1
+    assert err == ("error: the x^(1/r) normalization at r=1000000 takes the root of a "
+                   "40000001-digit integer, limit is 800000\n")
 
 
 @pytest.mark.parametrize("argv, limit", [

@@ -111,14 +111,26 @@ def test_only_arith_takes_a_table():
     # mu up to n is a function of n, which arith.mobius_table serves; the one
     # other function taking a table is umbral_eval, to which perfbench's
     # umbral check passes its own
-    takers = set()
+    takers = {name for name, args in _parameters()
+              if "table" in args and not name.startswith("arith.")}
+    assert takers == {"umbral.umbral_eval"}
+
+
+def _parameters():
+    # (module.function, [parameter names]) of every function and method in src/rfree
     for path in sorted((SRC / "rfree").glob("*.py")):
-        if path.stem == "arith":
-            continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 a = node.args
                 params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
-                if any(param.arg == "table" for param in params):
-                    takers.add(f"{path.stem}.{getattr(node, 'name', '<lambda>')}")
-    assert takers == {"umbral.umbral_eval"}
+                yield f"{path.stem}.{getattr(node, 'name', '<lambda>')}", [p.arg for p in params]
+
+
+def test_derived_inputs_are_read_where_they_are_used():
+    # zeta(s), mu, the row scale and the Faulhaber vector are functions of their
+    # arguments, read by the functions that use them; count_rows alone takes a
+    # scale, so that a test can pass it a hand-built one
+    params = dict(_parameters())
+    assert not [name for name, args in params.items() if {"zeta", "mu"} & set(args)]
+    assert [name for name, args in params.items() if "scale" in args] == ["lattice.count_rows"]
+    assert params["arith.faulhaber_vector"] == ["k"]

@@ -52,6 +52,15 @@ def test_jordan_rejects_nonpositive_n():
         jordan(0, TotientParams(r=1, k=1))
 
 
+def test_jordan_past_the_count_work_limit_is_refused_before_factoring(monkeypatch):
+    # J <= n^k is bounded by count_work, the rule of the box counts
+    monkeypatch.setattr(importlib.import_module("rfree.jordan"), "factorize",
+                        lambda n: pytest.fail("factorized"))
+    with pytest.raises(ResourceLimitError, match=r"^an exact count below 2\^1000000 over 1 run"):
+        jordan(2, TotientParams(r=1, k=10**6))
+    assert arith.count_work(31441, 2) <= arith.COUNT_WORK_LIMIT < arith.count_work(31442, 2)
+
+
 def test_jordan_k0_is_rfree_indicator():
     for r in (1, 2, 3):
         flags = rfree_sieve(500, r)

@@ -263,6 +263,43 @@ def test_root_normalization_past_its_digit_limit_is_refused(monkeypatch):
         error_normalization(CountParams(r=50, k=1, x=10**2), 30)
 
 
+def test_count_work_counts_the_runs_of_power_sums(monkeypatch):
+    # power_sums groups the d <= x^(1/r) into runs of equal x // d^r; the
+    # count's check bounds their number, exactly at some x
+    bounds = []
+    monkeypatch.setattr(lattice, "check_count_work", lambda k, base, runs: bounds.append(runs))
+    exact = 0
+    for r in (1, 2, 3, 4):
+        for x in range(200):
+            lattice._check_count(r, 2, x)
+            runs = len({x // d**r for d in range(1, integer_root(x, r) + 1)})
+            assert runs <= bounds[-1], (r, x)
+            exact += runs == bounds[-1]
+    assert exact > 20
+    # k (runs (bits + 10^4) + 100 bits), bits = k times the bit length of 2x + 1;
+    # at x = 3, one run, the limit falls between k = 25,675 and 25,676
+    assert arith.count_work(2000, 2001, 21) == 2000 * (21 * (22000 + 10**4) + 100 * 22000)
+    assert arith.count_work(25675, 7) <= arith.COUNT_WORK_LIMIT < arith.count_work(25676, 7)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: count_fast(CountParams(r=2, k=500000, x=2)),
+    lambda: count_record(CountParams(r=2, k=500000, x=2)),
+    lambda: count_progression(2, 25676, range(3, 4)),
+    lambda: next(lattice.scan_rows(2, 500000, 2, 2)),
+    lambda: count_record(CountParams(r=1000000, k=1, x=3)),
+    lambda: next(lattice.scan_rows(1000000, 1, 2, 3)),
+])
+def test_counts_past_their_limits_are_refused_before_zeta_or_sieve(monkeypatch, call):
+    # count_work past COUNT_WORK_LIMIT, or k = 1 with an x^(1/r) root past
+    # ROOT_DIGITS_LIMIT, fails before 1/zeta(rk), the sieve or any power sum
+    monkeypatch.setattr(arith, "_table", arith.MobiusTable(limit=0, mu=[0]))
+    monkeypatch.setattr(arith, "sieve_mobius", lambda n: pytest.fail("sieved"))
+    monkeypatch.setattr(lattice, "row_scale", lambda *a: pytest.fail("zeta(rk)"))
+    with pytest.raises(ResourceLimitError, match="limit is"):
+        call()
+
+
 def test_count_record_invariants():
     for r, k, x in ((1, 3, 9), (2, 2, 25), (3, 1, 50)):
         rec = count_record(CountParams(r=r, k=k, x=x))

@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 from types import SimpleNamespace
@@ -392,6 +394,23 @@ def test_witness_list_shares_terms_per_top_while_it_runs(monkeypatch):
     assert shared == [[], *[[(3, 2, 6)]] * 6]
 
 
+def test_one_exact_sum_holds_one_term_at_a_time():
+    # outside a witness list the terms mu(d) L / d^e are made as they are drawn:
+    # at cutoff 1000 the 608 weights take about 460 kB, and the sum peaks near 7 kB
+    params, top = FracSumParams(r=2, j=1, i=1, x=witness_small(2, 1)), 1000
+    arith.mobius_table(top)  # the table is the process's, not the sum's
+    _, terms = omega._frac_terms(top, 2, 4)
+    weights = sum(sys.getsizeof(w) for _, w in terms)
+    assert weights > 400_000 and omega._shared_terms == {}
+    tracemalloc.start()
+    try:
+        truncated_frac_sum(params, top)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < weights // 10
+
+
 def test_certify_witnesses_check_the_work_before_any_sieve(monkeypatch):
     monkeypatch.setattr(arith, "sieve_mobius", lambda n: pytest.fail("sieved"))
     x = witness_small(2, 1)
@@ -457,27 +476,34 @@ def test_certify_witness_value_independent_of_m():
 # ---------------------------------------------------------------------------
 
 def test_mertens_residual_x1():
-    z = zeta_value(2)
-    enc = mertens_residual(1, 2, z)
+    enc = mertens_residual(1, 2)
     assert enc.contains(ONE_MINUS_RECIP_ZETA2)
     assert enc.radius < Fraction(1, 10**20)
 
 
+def test_residuals_read_zeta_at_their_precision():
+    # a coarse 1/zeta(2) widens every enclosure to its radius, and still holds the value
+    coarse = Fraction(1, 10**8)
+    assert zeta_value(2, coarse).radius > Fraction(1, 10**12)
+    enc = mertens_residual(1, 2, coarse)
+    assert enc.contains(ONE_MINUS_RECIP_ZETA2) and enc.radius > Fraction(1, 10**12)
+    assert proposition_residual(10, 1, 2, coarse).radius > proposition_residual(10, 1, 2).radius
+    assert next(mertens_residual_scan(1, 2, coarse))[1] > next(mertens_residual_scan(1, 2))[1]
+    assert (next(proposition_residual_scan(1, 1, 2, coarse))[1]
+            > next(proposition_residual_scan(1, 1, 2))[1])
+
+
 def test_mertens_residual_validation():
-    z = zeta_value(2)
     with pytest.raises(ValueError):
-        mertens_residual(10, 3, z)  # mismatched zeta
-    with pytest.raises(ValueError):
-        mertens_residual(0, 2, z)
+        mertens_residual(0, 2)
 
 
 def test_mertens_residual_increment_consistency():
     # residual(2x) - residual(x) must equal the added mu(d)/d^s terms.
     t = sieve_mobius(400)
-    z = zeta_value(3)
     for x in (7, 50, 150):
-        small = mertens_residual(x, 3, z)
-        large = mertens_residual(2 * x, 3, z)
+        small = mertens_residual(x, 3)
+        large = mertens_residual(2 * x, 3)
         added = sum(Fraction(t.mu[d], d**3) for d in range(x + 1, 2 * x + 1))
         diff_lo = large.lo - small.hi
         diff_hi = large.hi - small.lo
@@ -485,10 +511,9 @@ def test_mertens_residual_increment_consistency():
 
 
 def test_mertens_residual_scan_matches_pointwise():
-    z = zeta_value(2)
-    rows = dict(mertens_residual_scan(200, 2, z))
+    rows = dict(mertens_residual_scan(200, 2))
     for x in (1, 17, 200):
-        enc = mertens_residual(x, 2, z)
+        enc = mertens_residual(x, 2)
         assert rows[x] >= enc.abs().hi * x  # scan reports the supremum
         assert rows[x] - enc.abs().hi * x < Fraction(1, 10**30)
 
@@ -496,7 +521,7 @@ def test_mertens_residual_scan_matches_pointwise():
 def test_proposition_residual_x10():
     # Exact inner sum at x=10, r=2, k=1 is 10 * (1 - 1/4 - 1/9) = 115/18.
     z = zeta_value(2)
-    enc = proposition_residual(10, 1, 2, z)
+    enc = proposition_residual(10, 1, 2)
     recip = z.reciprocal()
     expected_lo = (Fraction(115, 18) - 10 * recip.hi) / Fraction(10) ** Fraction(1, 2)
     assert enc.contains(
@@ -507,21 +532,17 @@ def test_proposition_residual_x10():
 
 
 def test_proposition_residual_validation():
-    z = zeta_value(4)
     with pytest.raises(ValueError):
-        proposition_residual(10, 1, 2, z)  # zeta is for s=4, rk=2
-    with pytest.raises(ValueError):
-        proposition_residual(10, 1, 1, zeta_value(2))  # rk < 2
+        proposition_residual(10, 1, 1)  # rk < 2
 
 
 def test_proposition_residual_jump_at_perfect_powers():
     # Crossing x = t^r adds a single mu(t) x^k / t^(rk) summand; the scaled
     # residual may jump by at most that term (plus the smooth drift).
-    z = zeta_value(2)
     for root in (3, 4, 5):
         x = root * root
-        before = proposition_residual(x - 1, 1, 2, z)
-        after = proposition_residual(x, 1, 2, z)
+        before = proposition_residual(x - 1, 1, 2)
+        after = proposition_residual(x, 1, 2)
         jump = abs(after.mid - before.mid)
         term = Fraction(x, root**2) / integer_root(x, 2)
         drift = Fraction(2, integer_root(x - 1, 2))
@@ -529,17 +550,15 @@ def test_proposition_residual_jump_at_perfect_powers():
 
 
 def test_proposition_residual_scan_is_bounded():
-    z = zeta_value(4)
-    values = [v for _, v in proposition_residual_scan(2000, 2, 2, z)]
+    values = [v for _, v in proposition_residual_scan(2000, 2, 2)]
     assert max(values) < 10  # loose sanity; exact maxima are fixture-checked
 
 
 @pytest.mark.parametrize("r,k", [(1, 3), (2, 1), (2, 2), (3, 1)])
 def test_proposition_residual_scan_matches_pointwise(r, k):
-    z = zeta_value(r * k)
-    rows = dict(proposition_residual_scan(300, k, r, z))
+    rows = dict(proposition_residual_scan(300, k, r))
     for x in range(1, 301):
-        assert rows[x] == proposition_residual(x, k, r, z).abs().hi
+        assert rows[x] == proposition_residual(x, k, r).abs().hi
 
 
 def test_tableless_residuals_sieve_what_they_need(monkeypatch):
@@ -550,19 +569,17 @@ def test_tableless_residuals_sieve_what_they_need(monkeypatch):
         return sieve_mobius(n)
 
     monkeypatch.setattr(arith, "sieve_mobius", recording)
-    z2, z4 = zeta_value(2), zeta_value(4)
-    proposition_residual(1000, 2, 2, z4)  # mu up to floor(sqrt(1000)) = 31
-    mertens_residual(50, 2, z2)  # mu up to 50, past 31: the table doubles to 62
-    mertens_residual(62, 2, z2)
+    proposition_residual(1000, 2, 2)  # mu up to floor(sqrt(1000)) = 31
+    mertens_residual(50, 2)  # mu up to 50, past 31: the table doubles to 62
+    mertens_residual(62, 2)
     assert limits == [31, 62]
 
 
 @pytest.mark.parametrize("r,k", [(1, 3), (2, 2), (3, 1)])
 def test_proposition_residual_scan_builds_no_enclosure(monkeypatch, r, k):
-    z = zeta_value(r * k)
-    expected = [(x, proposition_residual(x, k, r, z).abs().hi) for x in range(1, 301)]
+    expected = [(x, proposition_residual(x, k, r).abs().hi) for x in range(1, 301)]
     monkeypatch.setattr(omega, "Enclosure", None)
-    assert list(proposition_residual_scan(300, k, r, z)) == expected
+    assert list(proposition_residual_scan(300, k, r)) == expected
 
 
 # ---------------------------------------------------------------------------
