@@ -42,6 +42,7 @@ MAX_SCAN_RECORDS = 10**6  # most rows of one scan or identity range
 ZETA_S_LIMIT = 10**6  # largest zeta_value s: 1/zeta(s) then takes about 4.5 s
 COUNT_WORK_LIMIT = 2 * 10**11  # most count_work per exact count or totient (README, `count`)
 SCAN_CHUNK = 256  # fewest rows per count_range chunk
+ENUMERATION_BUDGET = 10**8  # most tuples an oracle enumerates by default (CLI --budget)
 DEFAULT_PRECISION = Fraction(1, 10**30)  # zeta enclosure target
 
 
@@ -68,30 +69,31 @@ class MobiusTable(NamedTuple):
         """[T_0, ..., T_k] with T_e = sum_{d <= x^(1/r)} mu(d) floor(x/d^r)^e.
 
         T_0 is the Mertens sum M(floor(x^(1/r))). One pass over d groups the
-        d into runs of equal quotient q = x // d^r and sums mu over each run;
-        the powers of q are then taken once per run. Exact, and no root is
-        taken per run.
+        d into runs of equal quotient q = x // d^r and sums mu over each run
+        to c; as a run closes, c q^e is added to each T_e. Exact, no root is
+        taken per run, and no run is kept after it closes.
         """
         root = integer_root(x, r)
         self.require(root)
         mu = self.mu
-        qs, cs = [], []  # each run's quotient and summed mu
+        sums, es = [0] * (k + 1), range(1, k + 1)
         q_run, mu_run = x, 0
         for d in range(1, root + 1):
             m = mu[d]
             if m:
                 q = x // d**r
                 if q != q_run:
-                    qs.append(q_run)
-                    cs.append(mu_run)
+                    if mu_run:
+                        sums[0] += mu_run
+                        for e in es:
+                            mu_run *= q_run
+                            sums[e] += mu_run
                     q_run, mu_run = q, 0
                 mu_run += m
-        qs.append(q_run)
-        cs.append(mu_run)
-        sums = [sum(cs)]
-        for _ in range(k):
-            cs = [c * q for c, q in zip(cs, qs)]
-            sums.append(sum(cs))
+        sums[0] += mu_run
+        for e in es:
+            mu_run *= q_run
+            sums[e] += mu_run
         return sums
 
 

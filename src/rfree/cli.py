@@ -1,15 +1,13 @@
 """Command-line surface: count, jordan, partial-sum, identity, scan, witness,
 zeta, report.
 
-Each subcommand declares only the flags it reads. Those flags fall back to
-RFREE_-prefixed environment variables (RFREE_PRECISION,
-RFREE_ENUMERATION_BUDGET, RFREE_OUTPUT_FORMAT, RFREE_OUTPUT_PATH). main
-picks the subcommand from COMMANDS and is the one place a failure becomes
-an exit status: 0 iff every check in the invocation passed, 1 for a failed
-check, budget, cross-check, read or write, 2 for a usage error. Exact
-integers are always printed in full decimal, never scientific notation.
-Each subcommand imports the rfree functions it runs, so that a process
-loads only the modules its subcommand needs.
+Each subcommand declares only the flags it reads, and reads no setting but
+its flags. main picks the subcommand from COMMANDS and is the one place a
+failure becomes an exit status: 0 iff every check in the invocation passed,
+1 for a failed check, budget, cross-check, read or write, 2 for a usage
+error. Exact integers are always printed in full decimal, never scientific
+notation. Each subcommand imports the rfree functions it runs, so that a
+process loads only the modules its subcommand needs.
 """
 
 from __future__ import annotations
@@ -30,12 +28,7 @@ from .errors import EmptyWindowError, InvariantViolationError, ResourceLimitErro
 
 # the fields of each row lattice.count_rows yields, in order
 CSV_COLUMNS = ["x", "V", "main_term", "error", "normalized_error", "density"]
-OUTPUT_FORMATS = ("text", "csv", "json")
 BLOCK_ROWS = 256  # pieces of output joined into one write after the first
-
-
-def _env(name: str, default: str | None) -> str | None:
-    return os.environ.get(f"RFREE_{name}", default)
 
 
 def _parse_precision(text: str):
@@ -386,26 +379,16 @@ COMMANDS = {
 # Parser
 # ---------------------------------------------------------------------------
 
-# Flags read by some subcommands; an unset flag takes its RFREE_ variable,
-# which argparse then parses like the flag's own text.
+# Flags shared by several subcommands
 
 def _add_precision(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--precision", type=_parse_precision,
-                     default=_env("PRECISION", "1e-30"),
-                     help="zeta enclosure target (default 1e-30, env RFREE_PRECISION)")
+    sub.add_argument("--precision", type=_parse_precision, default="1e-30",
+                     help="zeta enclosure target (default 1e-30)")
 
 
 def _add_budget(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--budget", type=_pos_int,
-                     default=_env("ENUMERATION_BUDGET", str(10**8)),
-                     help="enumeration budget in tuples (default 1e8, "
-                          "env RFREE_ENUMERATION_BUDGET)")
-
-
-def _add_format(sub: argparse.ArgumentParser, default: str, note: str = "") -> None:
-    sub.add_argument("--format", choices=OUTPUT_FORMATS,
-                     default=_env("OUTPUT_FORMAT", default),
-                     help=f"output format{note} (default {default}, env RFREE_OUTPUT_FORMAT)")
+    sub.add_argument("--budget", type=_pos_int, default=10**8,
+                     help="enumeration budget in tuples (default 1e8)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -424,7 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also enumerate the box and check agreement")
     _add_precision(p)
     _add_budget(p)
-    _add_format(p, "text")
+    p.add_argument("--format", choices=("text", "csv", "json"), default="text",
+                   help="output format (default text)")
 
     p = sub.add_parser("jordan", help="generalized Jordan totient at one n")
     p.add_argument("--n", type=_pos_int, required=True)
@@ -452,9 +436,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x-max", dest="x_max", type=_pos_int, required=True)
     p.add_argument("--step", type=_pos_int, default=1)
     _add_precision(p)
-    _add_format(p, "csv", "; text prints CSV")
-    p.add_argument("--output", default=_env("OUTPUT_PATH", None) or None,
-                   help="write output to this path (env RFREE_OUTPUT_PATH)")
+    p.add_argument("--format", choices=("csv", "json"), default="csv",
+                   help="output format (default csv)")
+    p.add_argument("--output", default=None, help="write output to this path (default: stdout)")
+    # kept only because perfbench's scan-r2k2 workload passes --workers 1|2
     p.add_argument("--workers", type=_pos_int, default=None,
                    help="accepted and ignored: a scan runs in one process")
 
@@ -497,8 +482,6 @@ def main(argv: list[str] | None = None) -> int:
     write, 2 for a bad argument."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "format", "text") not in OUTPUT_FORMATS:  # argparse checks only flags
-        parser.error(f"invalid RFREE_OUTPUT_FORMAT {args.format!r}")
     # Exact integers are printed and parsed in full: lift Python's cap on
     # int <-> str digits (4300 by default, absent before 3.10.7) until return.
     digit_cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()

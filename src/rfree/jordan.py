@@ -28,6 +28,7 @@ from collections.abc import Iterator
 from itertools import accumulate, islice, product
 
 from .arith import (
+    ENUMERATION_BUDGET,
     MAX_SCAN_RECORDS,
     SCAN_CHUNK,
     check_count_work,
@@ -41,8 +42,6 @@ from .arith import (
     rfree_sieve,
 )
 from .errors import InvariantViolationError, ResourceLimitError
-
-DEFAULT_TUPLE_BUDGET = 10**7
 
 
 class TotientParams(namedtuple("TotientParams", "r k")):
@@ -107,9 +106,7 @@ def jordan(n: int, params: TotientParams) -> int:
     return by_sum
 
 
-def jordan_oracle(
-    n: int, params: TotientParams, budget: int = DEFAULT_TUPLE_BUDGET
-) -> int:
+def jordan_oracle(n: int, params: TotientParams, budget: int = ENUMERATION_BUDGET) -> int:
     """J_k^r(n) by full enumeration of [1, n]^k; the ground-truth definition.
 
     A tuple counts iff gcd(n, x_1, ..., x_k) is r-free. Enumeration size is

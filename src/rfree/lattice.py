@@ -38,6 +38,7 @@ from typing import NamedTuple
 
 from .arith import (
     DEFAULT_PRECISION,
+    ENUMERATION_BUDGET,
     MAX_SCAN_RECORDS,
     SCAN_CHUNK,
     Enclosure,
@@ -51,7 +52,6 @@ from .arith import (
 )
 from .errors import ResourceLimitError
 
-DEFAULT_BOX_BUDGET = 10**8
 # Most digits of the x^(1/r) normalization's radicand x 10^((p+10) r): its root
 # takes about 5 s at the limit, the most at p = 1 (2-vCPU x86 VM, CPython 3.11).
 ROOT_DIGITS_LIMIT = 8 * 10**5
@@ -130,7 +130,7 @@ class CountRecord(NamedTuple):
         return Fraction(self.V, (2 * self.params.x + 1) ** self.params.k)
 
 
-def count_oracle(params: CountParams, budget: int = DEFAULT_BOX_BUDGET) -> int:
+def count_oracle(params: CountParams, budget: int = ENUMERATION_BUDGET) -> int:
     """V by full enumeration of {-x..x}^k; the defining count."""
     x, k, r = params.x, params.k, params.r
     if (2 * x + 1) ** k > budget:
@@ -146,11 +146,12 @@ def count_oracle(params: CountParams, budget: int = DEFAULT_BOX_BUDGET) -> int:
     return count
 
 
-def _check_count(r: int, k: int, x: int) -> None:
+def _check_count(r: int, k: int, x: int, rows: int = 0) -> None:
     # count_work of V(r, k, x): power_sums makes at most one run per d <= x^(1/r),
     # and at most 2 t runs of distinct x // d^r, t = x^(1/(r+1)): each d > t
-    # leaves a quotient below t
-    check_count_work(k, 2 * x + 1, min(integer_root(x, r), 2 * integer_root(x, r + 1)))
+    # leaves a quotient below t. Each of a scan's ``rows`` counts one more run.
+    runs = min(integer_root(x, r), 2 * integer_root(x, r + 1))
+    check_count_work(k, 2 * x + 1, rows + runs)
 
 
 def _check_root(r: int, k: int, x: int, places: int) -> None:
@@ -332,7 +333,7 @@ def _scan(r, k, x_min, x_max, step, precision):
         raise ResourceLimitError(
             f"scan would emit {len(xs)} records, limit is {MAX_SCAN_RECORDS}")
     _check_root(r, k, x_max, decimal_places(precision))  # the largest x, before zeta(rk)
-    _check_count(r, k, x_max)
+    _check_count(r, k, x_max, len(xs))
     scale = row_scale(r * k, Fraction(precision))
     mobius_table(integer_root(x_max, r))  # one sieve, to the largest root
     return xs, count_range(r, k, xs), scale

@@ -122,6 +122,43 @@ def test_power_sums_match_naive(r, k, root, offset):
     assert sums[0] == sum(t.mu[1:root + 1])
 
 
+def _two_list_power_sums(table, x, r, k):
+    # power_sums as it was before it streamed its runs: every run's quotient
+    # and summed mu kept in two lists, then k passes of products over them
+    root = integer_root(x, r)
+    qs, cs = [], []
+    q_run, mu_run = x, 0
+    for d in range(1, root + 1):
+        m = table.mu[d]
+        if m:
+            q = x // d**r
+            if q != q_run:
+                qs.append(q_run)
+                cs.append(mu_run)
+                q_run, mu_run = q, 0
+            mu_run += m
+    qs.append(q_run)
+    cs.append(mu_run)
+    sums = [sum(cs)]
+    for _ in range(k):
+        cs = [c * q for c, q in zip(cs, qs)]
+        sums.append(sum(cs))
+    return sums
+
+
+@settings(max_examples=300, deadline=None)
+@given(r=st.integers(1, 60), k=st.integers(0, 8), root=st.integers(0, 3000),
+       offset=st.integers(0, 10**200))
+@example(r=1, k=0, root=0, offset=0)
+@example(r=2, k=3, root=2, offset=0)  # x = 4: the last run is d = 2 alone
+@example(r=40, k=5, root=3000, offset=10**200)
+def test_power_sums_match_the_two_list_form(r, k, root, offset):
+    # x ranges over [root^r, (root+1)^r), so floor(x^(1/r)) = root <= 3000
+    x = root**r + offset % ((root + 1) ** r - root**r)
+    t = sieve_mobius(3000)
+    assert t.power_sums(x, r, k) == _two_list_power_sums(t, x, r, k)
+
+
 def _small_table_entry_points():
     from rfree import (
         CountParams,

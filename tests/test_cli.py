@@ -90,6 +90,7 @@ def _refused_in_a_fresh_process(argv: str) -> tuple[float, str]:
     "scan --r 2 --k 300 --x-min 100000000000000 --x-max 100000000000000",  # 13.1 s as a count
     "jordan --n 2 --r 1 --k 1000000",  # 1.5 s, and printing is quadratic in k
     "jordan --n 720720 --r 1 --k 100000",  # 11.9 s
+    "scan --r 2 --k 2000 --x-min 2 --x-max 1000001",  # 10^6 rows; 1,000 of them took 2.7 s
 ])
 def test_counts_past_the_work_limit_exit_1_at_once(argv):
     # past arith.COUNT_WORK_LIMIT; the times are this tree's before the limit,
@@ -731,6 +732,17 @@ def test_large_exact_sums_stream_their_terms():
     assert peaks[1] - peaks[0] <= 4 * 1024, peaks
 
 
+def test_power_sums_hold_no_run_after_it_closes():
+    # at x = 600000^50 + 600000^49 the 364,000 or so runs of power_sums have
+    # quotients of about 72 bits; kept as two lists they took 32 MB more than
+    # the sieve of 600,000 entries alone
+    code = ("from rfree.arith import sieve_mobius; t = sieve_mobius(600000); "
+            "x = 600000**50 + 600000**49; {}")
+    sieve, sums = (_python_peak_kb(code.format(call))
+                   for call in ("pass", "t.power_sums(x, 50, 1)"))
+    assert sums - sieve <= 4 * 1024, (sieve, sums)
+
+
 def test_witness_large_rejects_small_rk(capsys):
     code, out, err = run_cli(["witness", "--large", "--r", "2", "--k", "1"], capsys)
     assert (code, out) == (2, "")
@@ -948,54 +960,6 @@ def test_frac_sci_matches_the_digit_loop(q, up, sig):
     assert _frac_sci(q, sig, up) == _frac_sci_by_digit_loop(q, sig, up)
 
 
-def test_precision_env_fallback(capsys, monkeypatch):
-    monkeypatch.setenv("RFREE_PRECISION", "1e-6")
-    code, out, _ = run_cli(
-        ["count", "--r", "2", "--k", "1", "--x", "10", "--format", "csv"], capsys
-    )
-    assert code == 0
-    data_line = out.strip().splitlines()[1]
-    main_term = data_line.split(",")[2]
-    assert len(main_term.split(".")[1]) == 6
-
-
-def test_count_format_env_fallback(capsys, monkeypatch):
-    monkeypatch.delenv("RFREE_OUTPUT_FORMAT", raising=False)
-    argv = ["count", "--r", "2", "--k", "1", "--x", "10"]
-    _, text, _ = run_cli(argv, capsys)
-    assert text.startswith("r=2 k=1 x=10\n")
-    monkeypatch.setenv("RFREE_OUTPUT_FORMAT", "csv")
-    code, out, _ = run_cli(argv, capsys)
-    assert code == 0
-    assert out == run_cli([*argv, "--format", "csv"], capsys)[1]
-    assert next(parse_scan_csv(io.StringIO(out)))[1] == 14
-    code, out, _ = run_cli([*argv, "--format", "text"], capsys)
-    assert (code, out) == (0, text)
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["count", "--r", "2", "--k", "1", "--x", "10"],
-        ["scan", "--r", "2", "--k", "2", "--x-min", "10", "--x-max", "11"],
-    ],
-)
-def test_format_env_is_checked(capsys, monkeypatch, argv):
-    monkeypatch.setenv("RFREE_OUTPUT_FORMAT", "xml")
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    assert capsys.readouterr().out == ""
-
-
-def test_scan_text_format_prints_csv(capsys):
-    argv = ["scan", "--r", "2", "--k", "2", "--x-min", "10", "--x-max", "20"]
-    _, text, _ = run_cli([*argv, "--format", "text"], capsys)
-    _, csv_text, _ = run_cli([*argv, "--format", "csv"], capsys)
-    assert text == csv_text
-    assert text.startswith(",".join(CSV_COLUMNS) + "\n")
-
-
 def test_jordan_past_factor_bound_is_resource_error(capsys):
     n = str(10**30 + 57)
     code, out, err = run_cli(["jordan", "--n", n, "--r", "1", "--k", "1"], capsys)
@@ -1051,12 +1015,17 @@ GOLDEN_OUTPUTS = {
 
 
 @pytest.mark.parametrize("command", sorted(GOLDEN_OUTPUTS))
-def test_output_bytes_are_golden(capsys, monkeypatch, command):
-    for name in ("PRECISION", "OUTPUT_FORMAT", "OUTPUT_PATH"):
-        monkeypatch.delenv(f"RFREE_{name}", raising=False)
+def test_output_bytes_are_golden(capsys, monkeypatch, tmp_path, command):
+    # flags are the only settings: the variables that once stood in for
+    # --precision, --budget, --format and --output change nothing
+    out_path = tmp_path / "out.txt"
+    for name, value in (("PRECISION", "1e-6"), ("ENUMERATION_BUDGET", "1"),
+                        ("OUTPUT_FORMAT", "json"), ("OUTPUT_PATH", str(out_path))):
+        monkeypatch.setenv(f"RFREE_{name}", value)
     code, out, _ = run_cli(command.split(), capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_OUTPUTS[command]
+    assert not out_path.exists()
 
 
 @pytest.mark.parametrize("command", sorted(c for c in GOLDEN_OUTPUTS if c.startswith("scan ")))
@@ -1070,8 +1039,6 @@ def test_scan_builds_no_record(capsys, monkeypatch, command):
     for module, name in ((rfree.lattice, "CountRecord"), (rfree.lattice, "count_record"),
                          (rfree.cli, "record_fields")):
         monkeypatch.setattr(module, name, lambda *args, name=name, **kw: built.append(name))
-    for name in ("PRECISION", "OUTPUT_FORMAT", "OUTPUT_PATH"):
-        monkeypatch.delenv(f"RFREE_{name}", raising=False)
     code, out, _ = run_cli(command.split(), capsys)
     assert (code, built) == (0, [])
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_OUTPUTS[command]
@@ -1084,10 +1051,12 @@ def test_scan_builds_no_record(capsys, monkeypatch, command):
         ["jordan", "--n", "6", "--r", "1", "--k", "1", "--format", "json"],
         ["zeta", "--s", "4", "--workers", "4"],
         ["report", "--split", "5", "--precision", "1e-5"],
+        ["scan", "--r", "2", "--k", "2", "--x-min", "10", "--x-max", "11", "--format", "text"],
     ],
 )
 def test_unread_flag_is_usage_error(tmp_path, capsys, argv):
-    # each subcommand declares only the flags it reads
+    # each subcommand declares only the flags and values it reads; scan has no
+    # text table
     out_path = tmp_path / "out.txt"
     if argv[-1] == "--output":
         argv = [*argv, str(out_path)]
@@ -1096,6 +1065,21 @@ def test_unread_flag_is_usage_error(tmp_path, capsys, argv):
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
     assert not out_path.exists()
+
+
+def test_oracles_default_to_the_cli_budget():
+    import inspect
+
+    from rfree.cli import build_parser
+    from rfree.jordan import jordan_oracle
+    from rfree.lattice import count_oracle
+
+    parser = build_parser()
+    parsed = {parser.parse_args(argv).budget for argv in (
+        ["count", "--r", "1", "--k", "1", "--x", "1"], ["jordan", "--n", "1", "--r", "1", "--k", "1"])}
+    defaults = {inspect.signature(oracle).parameters["budget"].default
+                for oracle in (count_oracle, jordan_oracle)}
+    assert parsed == defaults == {rfree.arith.ENUMERATION_BUDGET} == {10**8}
 
 
 def test_unknown_command_usage_error():

@@ -282,6 +282,15 @@ def test_count_work_counts_the_runs_of_power_sums(monkeypatch):
     assert arith.count_work(25675, 7) <= arith.COUNT_WORK_LIMIT < arith.count_work(25676, 7)
 
 
+def test_scan_work_counts_its_rows():
+    # each row of a scan is one more run of count_work: at k = 2000, 1,000
+    # rows (2.7 s) are accepted and 10^6 rows refused
+    lattice._scan(2, 2000, 2, 1001, 1, arith.DEFAULT_PRECISION)
+    with pytest.raises(ResourceLimitError, match=r"^an exact count below 2000003\^2000 "
+                       r"over 1000200 run\(s\) needs 104029200000000 work units"):
+        lattice._scan(2, 2000, 2, 1000001, 1, arith.DEFAULT_PRECISION)
+
+
 @pytest.mark.parametrize("call", [
     lambda: count_fast(CountParams(r=2, k=500000, x=2)),
     lambda: count_record(CountParams(r=2, k=500000, x=2)),
@@ -289,6 +298,7 @@ def test_count_work_counts_the_runs_of_power_sums(monkeypatch):
     lambda: next(lattice.scan_rows(2, 500000, 2, 2)),
     lambda: count_record(CountParams(r=1000000, k=1, x=3)),
     lambda: next(lattice.scan_rows(1000000, 1, 2, 3)),
+    lambda: next(lattice.scan_rows(2, 2000, 2, 1000001)),
 ])
 def test_counts_past_their_limits_are_refused_before_zeta_or_sieve(monkeypatch, call):
     # count_work past COUNT_WORK_LIMIT, or k = 1 with an x^(1/r) root past
