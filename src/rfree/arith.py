@@ -12,7 +12,8 @@ Provides:
     faulhaber_vector  -- F_k: sum_{m<=q} m^(k-1) as integers over one denominator,
                          cached on k
     exact_quotient    -- the one integrality check of the totient algebra
-    count_work        -- the one work rule of an exact count or totient below base^k
+    count_work        -- the one work rule of an exact count below base^k
+    totient_work      -- the one work rule of a totient J_k^r(n) <= n^k
     zeta_value        -- zeta(s) for integer 2 <= s <= ZETA_S_LIMIT with a
                          rigorous error radius, cached on s and the precision
     Enclosure         -- a closed rational ball guaranteed to contain a value
@@ -40,7 +41,8 @@ SIEVE_LIMIT = 10**7  # largest sieve_mobius limit, ~12 bytes per entry at peak
 BERNOULLI_LIMIT = 400  # largest bernoulli_numbers count, about 1 s at the limit
 MAX_SCAN_RECORDS = 10**6  # most rows of one scan or identity range
 ZETA_S_LIMIT = 10**6  # largest zeta_value s: 1/zeta(s) then takes about 4.5 s
-COUNT_WORK_LIMIT = 2 * 10**11  # most count_work per exact count or totient (README, `count`)
+COUNT_WORK_LIMIT = 2 * 10**11  # most count_work per exact count (README, `count`)
+TOTIENT_WORK_LIMIT = 5 * 10**10  # most totient_work per totient (README, `jordan`)
 SCAN_CHUNK = 256  # fewest rows per count_range chunk
 ENUMERATION_BUDGET = 10**8  # most tuples an oracle enumerates by default (CLI --budget)
 DEFAULT_PRECISION = Fraction(1, 10**30)  # zeta enclosure target
@@ -205,7 +207,7 @@ def count_work(k: int, base: int, runs: int = 1) -> int:
     Each of ``runs`` runs of power_sums takes k products of up to bits bits,
     at 10^4 units of overhead each; the k-step binomial, k-th powers,
     divisions and digits of bits-size integers cost about 100 units per k
-    bits. A box count at x has base 2x + 1, J_k^r(n) base n and one run."""
+    bits. A box count at x has base 2x + 1."""
     bits = k * base.bit_length()
     return k * (runs * (bits + 10**4) + 100 * bits)
 
@@ -216,6 +218,22 @@ def check_count_work(k: int, base: int, runs: int = 1) -> None:
     if (work := count_work(k, base, runs)) > COUNT_WORK_LIMIT:
         raise ResourceLimitError(f"an exact count below {base}^{k} over {runs} run(s) needs "
                                  f"{work} work units, limit is {COUNT_WORK_LIMIT}")
+
+
+def totient_work(k: int, n: int, powers: int = 1) -> int:
+    """Work units of J_k^r(n) <= n^k with ``powers`` squarefree d such that
+    d^r | n: bits^2/64 for the decimal digits and the Euler product's divisions,
+    and bits^1.5/8 + 2·10^4 for each power (n/d^r)^k of the divisor sum, with
+    bits = k ceil(log2 n), at least the bit length of n^k less one."""
+    bits = k * (n - 1).bit_length()
+    return bits * bits // 64 + powers * (bits * math.isqrt(bits) // 8 + 2 * 10**4)
+
+
+def check_totient_work(k: int, n: int, powers: int = 1) -> None:
+    """ResourceLimitError past TOTIENT_WORK_LIMIT, checked before any power."""
+    if (work := totient_work(k, n, powers)) > TOTIENT_WORK_LIMIT:
+        raise ResourceLimitError(f"a totient below {n}^{k} over {powers} power(s) needs "
+                                 f"{work} work units, limit is {TOTIENT_WORK_LIMIT}")
 
 
 # ---------------------------------------------------------------------------

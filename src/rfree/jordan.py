@@ -31,12 +31,11 @@ from .arith import (
     ENUMERATION_BUDGET,
     MAX_SCAN_RECORDS,
     SCAN_CHUNK,
-    check_count_work,
+    check_totient_work,
     exact_quotient,
     factorize,
     faulhaber_vector,
     integer_root,
-    mobius,
     mobius_table,
     primes_upto,
     rfree_sieve,
@@ -58,21 +57,13 @@ class TotientParams(namedtuple("TotientParams", "r k")):
 
 
 def _jordan_divisor_sum(n: int, r: int, k: int, factors: dict[int, int]) -> int:
-    # Enumerate exactly the d with d^r | n from the exponent bounds, then
-    # weight by a trial-division mu independent of any sieve.
-    divisors = [1]
+    # mu(d) is nonzero at the squarefree d only: with d^r | n, the products of
+    # the sets of primes with p^r | n, and mu(d) = (-1)^(the set's size)
+    terms = [(1, 1)]
     for p, a in factors.items():
-        emax = a // r
-        if emax == 0:
-            continue
-        powers = [p**e for e in range(emax + 1)]
-        divisors = [d * q for d in divisors for q in powers]
-    total = 0
-    for d in divisors:
-        mu = mobius(d)
-        if mu:
-            total += mu * (n // d**r) ** k
-    return total
+        if a >= r:
+            terms += [(d * p, -mu) for d, mu in terms]
+    return sum(mu * (n // d**r) ** k for d, mu in terms)
 
 
 def _jordan_euler_product(n: int, r: int, k: int, factors: dict[int, int]) -> int:
@@ -90,12 +81,15 @@ def jordan(n: int, params: TotientParams) -> int:
 
     Raises InvariantViolationError if the divisor-sum and Euler-product
     routes disagree (they never should; the check is the point), and
-    ResourceLimitError before any work past COUNT_WORK_LIMIT for J <= n^k.
+    ResourceLimitError past TOTIENT_WORK_LIMIT: before factoring n for the
+    size of n^k, then before any power for the divisor sum's 2^(number of
+    p with p^r | n) powers.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    check_count_work(params.k, n)
+    check_totient_work(params.k, n)
     factors = factorize(n)
+    check_totient_work(params.k, n, 1 << sum(a >= params.r for a in factors.values()))
     by_sum = _jordan_divisor_sum(n, params.r, params.k, factors)
     by_product = _jordan_euler_product(n, params.r, params.k, factors)
     if by_sum != by_product:

@@ -10,6 +10,9 @@ modulus, never by floating division. The constructed witnesses can run to
 seventy-plus digits, where floats carry no information at all. Exact sums
 add integers over one denominator L = P^(r(i+j)), so one limit bounds each
 sum and witness list by its d range and the size of L: frac_sum_work.
+The terms mu(d) L / d^e are a function of (top, r, e): within _CACHED_WORK
+one table of them is kept for the next sum on the same (top, r, e), as the
+x of one top in a witness list are; larger sums make them one at a time.
 The residual enclosures read 1/zeta(s) at their precision and mu up to
 their limit themselves. error_scan makes one lattice.count_record per x
 from the counts of lattice._scan, the scan that scan_rows renders.
@@ -22,6 +25,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from decimal import Decimal
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 from .arith import (
@@ -66,18 +70,18 @@ def frac_sum_work(n: int, top: int, e: int) -> int:
     return n * (top * bits + bits * bits // 64 + 10**5)
 
 
-def _check_work(n: int, top: int, e: int) -> None:
+def _check_work(n: int, top: int, e: int) -> int:
     # the one limit on exact frac-sums, checked before any primes or sieve
     if (work := frac_sum_work(n, top, e)) > FRAC_SUM_WORK_LIMIT:
         raise ResourceLimitError(
             f"{n} exact frac-sum(s) over d <= {top} on P^{e} need {work} work units, "
             f"limit is {FRAC_SUM_WORK_LIMIT}; pass a smaller cutoff or fewer x")
+    return work
 
 
-# (top, r, e): (L, (d^r, mu(d) L / d^e) per squarefree d <= top), shared by one top's
-# x from the second on while a witness list runs, within _SHARED_WORK (1 MB of terms)
-_shared_terms: dict = {}
-_SHARED_WORK = 2**23
+# Most frac_sum_work of one sum whose terms are kept for the next sum on the same
+# (top, r, e), well under 1 MB of them; a sum over d <= 1000 on P^4 takes 6,502,472
+_CACHED_WORK = 2**22
 
 
 def _frac_terms(top: int, r: int, e: int) -> tuple[int, Iterator]:
@@ -88,13 +92,20 @@ def _frac_terms(top: int, r: int, e: int) -> tuple[int, Iterator]:
     return L, ((d**r, mu[d] * (L // d**e)) for d in range(1, top + 1) if mu[d])
 
 
+@lru_cache(maxsize=1)
+def _term_table(top: int, r: int, e: int) -> tuple[int, tuple]:
+    # the last cached (top, r, e)'s terms, read by every sum on it until another replaces them
+    L, terms = _frac_terms(top, r, e)
+    return L, tuple(terms)
+
+
 def _frac_sum_upto(params: FracSumParams, top: int) -> Fraction:
-    # sum_{d <= top} mu(d) d^(-rj) {x / d^r}^i, exactly: integers over one
-    # denominator L = P^(r(i+j)), each term added as it is made
-    e = params.r * (params.i + params.j)
-    _check_work(1, top, e)
+    # sum_{d <= top} mu(d) d^(-rj) {x / d^r}^i, exactly: integers over one denominator
+    # L = P^(r(i+j)), the terms read from _term_table within _CACHED_WORK, else made as drawn
     r, i, x = params.r, params.i, params.x
-    L, terms = _shared_terms.get((top, r, e)) or _frac_terms(top, r, e)
+    e = r * (i + params.j)
+    terms_of = _term_table if _check_work(1, top, e) <= _CACHED_WORK else _frac_terms
+    L, terms = terms_of(top, r, e)
     return Fraction(sum(w * (x % dr) ** i for dr, w in terms), L)
 
 
@@ -202,9 +213,8 @@ def certify_witness(x: int, r: int, k: int, cutoff: int | None = None) -> Witnes
     """
     if x < 0:
         raise ValueError("x must be >= 0")
-    root = integer_root(x, r)
     if cutoff is None:
-        cutoff = max(2, root)
+        cutoff = max(2, integer_root(x, r))
     params = FracSumParams(r=r, j=k, i=1, x=x)
     finite, tail = truncated_frac_sum(params, cutoff)
     upper = finite + tail
@@ -238,22 +248,11 @@ def certify_witnesses(
     if not xs:
         return
     root = integer_root(max(xs[0], xs[-1]) if isinstance(xs, range) else max(xs), r)
-    top, e = root if cutoff is None else min(cutoff, root), r * (k + 1)
-    _check_work(len(xs), top, e)
+    top = root if cutoff is None else min(cutoff, root)
+    _check_work(len(xs), top, r * (k + 1))
     mobius_table(top)  # one sieve, to the list's largest d range
-    last = None
-    try:
-        for x in xs:
-            top = integer_root(x, r) if cutoff is None else min(cutoff, integer_root(x, r))
-            if (top == last and (top, r, e) not in _shared_terms
-                    and frac_sum_work(1, top, e) <= _SHARED_WORK):
-                L, terms = _frac_terms(top, r, e)
-                _shared_terms.clear()
-                _shared_terms[top, r, e] = L, tuple(terms)
-            yield certify_witness(x, r, k, cutoff)
-            last = top
-    finally:
-        _shared_terms.clear()
+    for x in xs:
+        yield certify_witness(x, r, k, cutoff)
 
 
 # ---------------------------------------------------------------------------

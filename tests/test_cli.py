@@ -88,7 +88,6 @@ def _refused_in_a_fresh_process(argv: str) -> tuple[float, str]:
     "count --r 2 --k 30000 --x 3",  # 10.6 s
     "count --r 1 --k 1000 --x 10000000",  # 6.8 s
     "scan --r 2 --k 300 --x-min 100000000000000 --x-max 100000000000000",  # 13.1 s as a count
-    "jordan --n 2 --r 1 --k 1000000",  # 1.5 s, and printing is quadratic in k
     "jordan --n 720720 --r 1 --k 100000",  # 11.9 s
     "scan --r 2 --k 2000 --x-min 2 --x-max 1000001",  # 10^6 rows; 1,000 of them took 2.7 s
 ])
@@ -96,6 +95,25 @@ def test_counts_past_the_work_limit_exit_1_at_once(argv):
     # past arith.COUNT_WORK_LIMIT; the times are this tree's before the limit,
     # fresh processes on a 2-vCPU x86 VM
     assert _refused_in_a_fresh_process(argv)[0] < 3
+
+
+@pytest.mark.parametrize("argv", [
+    "jordan --n 2 --r 1 --k 1778222",  # --k 1778221 takes 4.8 s of CPU
+    "jordan --n 963761198400 --r 1 --k 18664",  # 512 powers; --k 18663 takes 7.8 s
+    "jordan --n 963761198400 --r 2 --k 43677",  # 8 powers; --k 43676 takes 6.4 s
+])
+def test_totients_past_the_work_limit_exit_1_at_once(argv):
+    # the smallest totients past arith.TOTIENT_WORK_LIMIT; the times of the
+    # largest accepted are medians of 3 fresh processes on a 2-vCPU x86 VM
+    assert _refused_in_a_fresh_process(argv)[0] < 1
+
+
+def test_totient_past_the_count_rule_prints_at_once(capsys, digit_cap_4300):
+    # the counts' rule refused J_31442^1(2) = 2^31442 - 1, 9,466 digits
+    code, out, err = run_cli(["jordan", "--n", "2", "--r", "1", "--k", "31442"], capsys)
+    assert (code, err) == (0, "")
+    sys.set_int_max_str_digits(0)
+    assert out == f"J(r=1, k=31442, n=2) = {2**31442 - 1}\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -1011,6 +1029,16 @@ GOLDEN_OUTPUTS = {
         "c4b0595b6befa56dfa6790926aed70a959460f2dd069a73afe01926175726d58",
     "count --r 1 --k 2 --x 1":
         "3e82bc468bce73930ff236f9c9ca6cd58bbe29c25c17c812e637c4e5ab55bfec",
+    "witness --large --r 2 --k 2 --count 800":
+        "48a1a88259c4dac73384ee5017f73e5da95f072a8cbefa78992b4e32191eb300",
+    "witness --large --r 2 --k 2 --count 60 --cutoff 9":
+        "5d6eb9b7f4b50c4e292d9fd580021769f33bdc15a422dec31dacfc9465dd2133",
+    "witness --small --r 2 --m 101 --cutoff 1000":
+        "9d84e3fa08d30728293959a1214ddece83eafa24c8e1c86ba7e0f13afb9e565e",
+    "witness --small --r 3 --m 1":
+        "d961a0b3b0c64c51e72e7964f6f2a5350c0e79075573d842cf0058c55208c302",
+    "zeta --s 4 --precision 1e-900":
+        "1e9f75d039210d934c1fcdc6963b41dec41d2c3828a4df8fe0fc57d0481022d9",
 }
 
 

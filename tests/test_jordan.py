@@ -52,13 +52,29 @@ def test_jordan_rejects_nonpositive_n():
         jordan(0, TotientParams(r=1, k=1))
 
 
-def test_jordan_past_the_count_work_limit_is_refused_before_factoring(monkeypatch):
-    # J <= n^k is bounded by count_work, the rule of the box counts
-    monkeypatch.setattr(importlib.import_module("rfree.jordan"), "factorize",
-                        lambda n: pytest.fail("factorized"))
-    with pytest.raises(ResourceLimitError, match=r"^an exact count below 2\^1000000 over 1 run"):
-        jordan(2, TotientParams(r=1, k=10**6))
-    assert arith.count_work(31441, 2) <= arith.COUNT_WORK_LIMIT < arith.count_work(31442, 2)
+def test_jordan_past_the_totient_work_limit_is_refused_before_any_power(monkeypatch):
+    # the size of n^k is checked before factoring n, and the divisor sum's
+    # 2^(number of p with p^r | n) powers before any power
+    jordan_module = importlib.import_module("rfree.jordan")
+    monkeypatch.setattr(jordan_module, "factorize", lambda n: pytest.fail("factorized"))
+    with pytest.raises(ResourceLimitError, match=r"^a totient below 2\^10000000 over 1 power\(s\) "):
+        jordan(2, TotientParams(r=1, k=10**7))
+    monkeypatch.undo()
+    powers = []
+    check = jordan_module.check_totient_work
+    monkeypatch.setattr(jordan_module, "check_totient_work",
+                        lambda k, n, p=1: powers.append(p) or check(k, n, p))
+    for name in ("_jordan_divisor_sum", "_jordan_euler_product"):
+        monkeypatch.setattr(jordan_module, name, lambda *args: pytest.fail("powered"))
+    n = 963761198400  # 2^6 3^4 5^2 7 11 13 17 19 23
+    with pytest.raises(ResourceLimitError, match=rf"^a totient below {n}\^18664 over 512 power"):
+        jordan(n, TotientParams(r=1, k=18664))
+    with pytest.raises(ResourceLimitError, match=rf"^a totient below {n}\^43677 over 8 power"):
+        jordan(n, TotientParams(r=2, k=43677))
+    assert powers == [1, 512, 1, 8]
+    limit, work = arith.TOTIENT_WORK_LIMIT, arith.totient_work
+    assert work(18663, n, 512) <= limit < work(18664, n, 512)
+    assert work(1778221, 2, 2) <= limit < work(1778222, 2, 2)
 
 
 def test_jordan_k0_is_rfree_indicator():

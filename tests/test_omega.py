@@ -342,66 +342,105 @@ def _frac_sum_by_fractions(x, r, j, i, top):
                 for d in range(1, top + 1)), Fraction(0))
 
 
+def _count_builds(monkeypatch) -> list:
+    # the (top, r, e) of each term build, from an empty cache on
+    omega._term_table.cache_clear()
+    build, built = omega._frac_terms, []
+    monkeypatch.setattr(omega, "_frac_terms", lambda *key: built.append(key) or build(*key))
+    return built
+
+
 @pytest.mark.parametrize("cutoff", [None, 9])
-def test_certify_witnesses_across_tops_match_term_by_term(cutoff):
+def test_certify_witnesses_across_tops_match_term_by_term(monkeypatch, cutoff):
     # x = 11..247 runs through top = floor(sqrt(x)) = 3..15, or 3..9 under the
     # cutoff, where x = 81..99 have no tail and later x share top 9 with one
     xs = witness_large(2, 2, 60)
     tops = [integer_root(x, 2) if cutoff is None else min(cutoff, integer_root(x, 2)) for x in xs]
     assert len(set(tops)) == (13 if cutoff is None else 7)
+    built = _count_builds(monkeypatch)
     reports = list(certify_witnesses(xs, 2, 2, cutoff))
+    assert built == [(top, 2, 6) for top in sorted(set(tops))]
     for x, top, rep in zip(xs, tops, reports):
         assert rep.x == x and rep.finite_part == _frac_sum_by_fractions(x, 2, 2, 1, top)
         assert rep.tail_bound == (0 if integer_root(x, 2) <= top else Fraction(1, 9**3 * 3))
         assert rep.upper_bound == rep.finite_part + rep.tail_bound
     tails = {rep.tail_bound for rep in reports}
     assert tails == ({0} if cutoff is None else {0, Fraction(1, 2187)})
-    # one x at a time, nothing is shared: the same reports, in reverse order too
-    assert omega._shared_terms == {}
+    # the cache holds one table after a list; one x at a time, in reverse order
+    # too, gives the same reports and leaves one table
+    assert omega._term_table.cache_info().currsize == 1
     assert [certify_witness(x, 2, 2, cutoff) for x in reversed(xs)] == reports[::-1]
-    assert omega._shared_terms == {}
+    assert omega._term_table.cache_info().currsize == 1
 
 
 def test_witness_list_shares_terms_per_top_while_it_runs(monkeypatch):
-    # x = 11, 15 have top 3, 19, 23 top 4, 27..35 top 5: a top's terms are shared
-    # from its second x on, and sums on other exponents and on r = 3, whose
-    # L = P^6 is that of r = 2, k = 2 but whose d^r is not, do not read them
+    # x = 11, 15 have top 3, 19, 23 top 4, 27..35 top 5: a list builds a top's
+    # terms once, at its first x
     xs = witness_large(2, 2, 7)
-    assert [integer_root(x, 2) for x in xs] == [3, 3, 4, 4, 5, 5, 5]
-    shared = []
-    for x, rep in zip(xs, certify_witnesses(xs, 2, 2)):
-        shared.append(list(omega._shared_terms))
-        assert rep.finite_part == _frac_sum_by_fractions(x, 2, 2, 1, integer_root(x, 2))
+    tops = [integer_root(x, 2) for x in xs]
+    assert tops == [3, 3, 4, 4, 5, 5, 5]
+    built = _count_builds(monkeypatch)
+    for x, top, rep in zip(xs, tops, certify_witnesses(xs, 2, 2)):
+        assert rep.finite_part == _frac_sum_by_fractions(x, 2, 2, 1, top)
+    assert built == [(3, 2, 6), (4, 2, 6), (5, 2, 6)]
+    # sums between the list's read the table of their own (top, r, e): those on
+    # other exponents with e = 6 share it, and those on r = 3, whose L = P^6 is
+    # that of r = 2, k = 2 but whose d^r is not, build their own
+    built.clear()
+    for x, top, rep in zip(xs, tops, certify_witnesses(xs, 2, 2)):
+        assert rep.finite_part == _frac_sum_by_fractions(x, 2, 2, 1, top)
         for r, j, i in ((2, 1, 2), (3, 1, 1), (2, 2, 1)):
-            top = integer_root(x, 2)
             params = FracSumParams(r=r, j=j, i=i, x=x)
             assert omega._frac_sum_upto(params, top) == _frac_sum_by_fractions(x, r, j, i, top)
-    # one entry, the last top shared, until the list ends
-    assert shared == [[], *[[(3, 2, 6)]] * 2, *[[(4, 2, 6)]] * 2, *[[(5, 2, 6)]] * 2]
-    assert omega._shared_terms == {}
-    # a list dropped part-way leaves nothing shared behind
-    reports = certify_witnesses(xs, 2, 2)
-    next(reports), next(reports)
-    assert list(omega._shared_terms) == [(3, 2, 6)]
-    reports.close()
-    assert omega._shared_terms == {}
-    # sums past _SHARED_WORK units are not shared: frac_sum_work(1, 4, 6) is 100,164
-    monkeypatch.setattr(omega, "_SHARED_WORK", omega.frac_sum_work(1, 4, 6) - 1)
-    shared.clear()
-    for x, rep in zip(xs, certify_witnesses(xs, 2, 2)):
-        shared.append(list(omega._shared_terms))
-        assert rep == certify_witness(x, 2, 2)
-    assert shared == [[], *[[(3, 2, 6)]] * 6]
+    assert set(built) == {(top, r, 6) for top in (3, 4, 5) for r in (2, 3)}
+    assert built.count((3, 3, 6)) == 2 and built.count((5, 3, 6)) == 3
+    # sums past _CACHED_WORK units build their own terms: frac_sum_work(1, 4, 6) is 100,164
+    monkeypatch.setattr(omega, "_CACHED_WORK", omega.frac_sum_work(1, 4, 6) - 1)
+    omega._term_table.cache_clear()
+    built.clear()
+    for x, top, rep in zip(xs, tops, certify_witnesses(xs, 2, 2)):
+        assert rep.finite_part == _frac_sum_by_fractions(x, 2, 2, 1, top)
+    assert built == [(3, 2, 6), *[(4, 2, 6)] * 2, *[(5, 2, 6)] * 3]
 
 
-def test_one_exact_sum_holds_one_term_at_a_time():
-    # outside a witness list the terms mu(d) L / d^e are made as they are drawn:
-    # at cutoff 1000 the 608 weights take about 460 kB, and the sum peaks near 7 kB
+def test_interleaved_witness_lists_certify_each_x_as_alone(monkeypatch):
+    # two lists drawn in turn replace each other's table at every x; each
+    # report is still the one its x gets alone, term by term
+    xs2, xs3 = witness_large(2, 2, 30), witness_large(3, 2, 30)
+    built = _count_builds(monkeypatch)
+    pairs = list(zip(certify_witnesses(xs2, 2, 2), certify_witnesses(xs3, 3, 2, cutoff=9)))
+    assert len(pairs) == 30 and len(built) == 60
+    for (x2, x3), (rep2, rep3) in zip(zip(xs2, xs3), pairs):
+        assert rep2 == certify_witness(x2, 2, 2)
+        assert rep2.finite_part == _frac_sum_by_fractions(x2, 2, 2, 1, integer_root(x2, 2))
+        assert rep3 == certify_witness(x3, 3, 2, cutoff=9)
+        assert rep3.finite_part == _frac_sum_by_fractions(x3, 3, 2, 1, min(9, integer_root(x3, 3)))
+
+
+def test_witness_list_certifies_each_x_once(monkeypatch):
+    # one certify_witness and one truncated_frac_sum per x, in order: each
+    # call is logged by its first argument, x or the sum's parameters
+    calls = []
+    for name in ("certify_witness", "truncated_frac_sum"):
+        f = getattr(omega, name)
+        monkeypatch.setattr(omega, name,
+                            lambda first, *a, f=f, **kw: calls.append(first) or f(first, *a, **kw))
+    xs = witness_large(2, 2, 60)
+    reports = list(certify_witnesses(xs, 2, 2, 9))
+    assert [rep.x for rep in reports] == list(xs)
+    assert calls == [p for x in xs for p in (x, FracSumParams(r=2, j=2, i=1, x=x))]
+
+
+def test_one_exact_sum_holds_one_term_at_a_time(monkeypatch):
+    # a sum past _CACHED_WORK makes its terms mu(d) L / d^e as they are drawn and
+    # keeps none: at cutoff 1000 the 608 weights take about 460 kB, and the sum
+    # peaks near 7 kB
     params, top = FracSumParams(r=2, j=1, i=1, x=witness_small(2, 1)), 1000
     arith.mobius_table(top)  # the table is the process's, not the sum's
     _, terms = omega._frac_terms(top, 2, 4)
     weights = sum(sys.getsizeof(w) for _, w in terms)
-    assert weights > 400_000 and omega._shared_terms == {}
+    assert weights > 400_000
+    built = _count_builds(monkeypatch)
     tracemalloc.start()
     try:
         truncated_frac_sum(params, top)
@@ -409,6 +448,8 @@ def test_one_exact_sum_holds_one_term_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < weights // 10
+    truncated_frac_sum(params, top)
+    assert built == [(top, 2, 4)] * 2 and omega._term_table.cache_info().currsize == 0
 
 
 def test_certify_witnesses_check_the_work_before_any_sieve(monkeypatch):
